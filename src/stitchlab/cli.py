@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import oracle
-from .cycloid import classify
+from .cycloid import classify, offset_family_radius
 from .dances import PlanetDance, StitchGraph, mmt_chords
 from .overlay import overlay_decompose
 from .render import (
@@ -24,7 +24,6 @@ from .render import (
     render_grid,
     render_stitch,
 )
-from .torusgeo import natural_alias
 
 GALLERY_PAIRS = [
     (200, 21), (50, 25), (100, 34), (100, 51),
@@ -68,6 +67,11 @@ def build_report(m: int, a: int) -> dict:
             "fixed_radius": _frac(spec.fixed_radius),
             "rolling_radius": _frac(spec.rolling_radius),
             "cusps": abs(dance.alpha - dance.beta),
+        }
+    elif spec.kind == "diagonal":
+        envelope = {
+            "kind": spec.kind,
+            "radii": [offset_family_radius(c.line.offset) for c in dec.cosets],
         }
     else:
         envelope = {"kind": spec.kind}
@@ -113,6 +117,9 @@ def _report_text(report: dict) -> str:
             f"  envelope: {env['kind']}, fixed radius {env['fixed_radius']}, "
             f"rolling radius {env['rolling_radius']}, {env['cusps']} cusp(s)"
         )
+    elif "radii" in env:
+        radii = ", ".join(f"{r:.6f}" for r in env["radii"])
+        lines.append(f"  envelope: {env['kind']}, coset radii {radii}")
     else:
         lines.append(f"  envelope: {env['kind']}")
     return "\n".join(lines)

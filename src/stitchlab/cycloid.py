@@ -69,12 +69,16 @@ def classify(d: PlanetDance) -> CycloidSpec:
 
     A pair with one zero speed traces a single point; it is reported as
     the limiting epicycloid with rolling radius 0 and fixed radius 1.
+    Equal speeds are "diagonal": their aliases are constant-separation
+    chord families (see :func:`offset_family_radius`), not cycloids.
     """
     alpha, beta = d.alpha, d.beta  # canonical: alpha >= 0
     if alpha == 0 and beta == 0:
         return CycloidSpec(alpha, beta, "point", None, None)
     if alpha + beta == 0:
         return CycloidSpec(alpha, beta, "degenerate_diameter", None, None)
+    if alpha == beta:
+        return CycloidSpec(alpha, beta, "diagonal", None, None)
     if beta < 0:
         s = abs(alpha + beta)
         return CycloidSpec(
@@ -143,9 +147,11 @@ def offset_family_radius(c: Fraction) -> float:
 
     Chords joining t to t + c all stay at distance |cos(pi c)| from the
     center, so the family envelopes a concentric circle.  This describes
-    the diagonal-alias cosets that the rotated-copy picture cannot.
+    the diagonal-alias cosets that the rotated-copy picture cannot.  The
+    exact lift of c into [-1/2, 1/2] makes dots 1.0 and diameters 0.0.
     """
-    return abs(math.cos(math.pi * float(c)))
+    c = Fraction(c) % 1
+    return math.sin(math.pi * float(Fraction(1, 2) - min(c, 1 - c)))
 
 
 def verify_envelope(d: PlanetDance, n: int, tol: float = FORMULA_TOL) -> EnvelopeReport:

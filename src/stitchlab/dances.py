@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
-from .kernel import ChordSet, DirectedChord, check_input_size, wrap
+from .kernel import ChordSet, check_input_size
 
 
 @dataclass(frozen=True)
@@ -69,23 +68,12 @@ class Sampling:
 
 def mmt_chords(g: StitchGraph) -> ChordSet:
     """All m chords of the graph: index k runs from k/m to (a*k mod m)/m."""
-    m, a = g.m, g.a
-    return ChordSet(
-        DirectedChord(wrap(Fraction(k, m)), wrap(Fraction(a * k, m)))
-        for k in range(m)
-    )
-
-
-def dance_chord(d: PlanetDance, t: Fraction) -> DirectedChord:
-    """The chord of the dance at time t: from alpha*t to beta*t (mod 1)."""
-    return DirectedChord(wrap(d.alpha * Fraction(t)), wrap(d.beta * Fraction(t)))
+    return ChordSet.from_rows(g.m, sample_pairs(1, g.a, g.m))
 
 
 def sample(s: Sampling) -> ChordSet:
     """The canonical chord set of the dance at times k/rate, k = 0..rate-1."""
-    return ChordSet(
-        dance_chord(s.dance, Fraction(k, s.rate)) for k in range(s.rate)
-    )
+    return ChordSet.from_rows(s.rate, sample_pairs(s.dance.alpha, s.dance.beta, s.rate))
 
 
 def sample_dance(alpha: int, beta: int, m: int) -> ChordSet:
@@ -101,30 +89,17 @@ def reduce_dance(d: PlanetDance) -> PlanetDance:
     return PlanetDance(d.alpha // g, d.beta // g)
 
 
-def dance_sign(d: PlanetDance) -> str:
-    """Classify the speed pair: positive, negative, axial, or null.
-
-    Positive and negative follow the sign of alpha*beta; a single zero
-    speed is "axial" and the motionless pair (0, 0) is "null".
-    """
-    p = d.alpha * d.beta
-    if p > 0:
-        return "positive"
-    if p < 0:
-        return "negative"
-    if d.alpha == 0 and d.beta == 0:
-        return "null"
-    return "axial"
-
-
 def sample_pairs(alpha: int, beta: int, m: int) -> np.ndarray:
-    """Integer form of an m-sampling, for exhaustive sweeps.
+    """The m-sampling of the dance (alpha, beta) as integer rows.
 
-    Returns the sorted unique (k*alpha mod m, k*beta mod m) pairs as an
-    (n, 2) int64 array.  Over the common denominator m this is an exact
-    encoding of the canonical chord set; a consistency test pins it to
-    :func:`sample`.
+    Returns the sorted unique pairs (alpha*k mod m, beta*k mod m),
+    k = 0..m-1, as an (n, 2) int64 array of endpoint numerators over m.
+    Every chord set of the package is built here.  Sorting and removing
+    duplicates go through the 1-D keys x*m + y, which order like the
+    rows.  For alpha = 1 the rows are indexed by the sample index k.
     """
     k = np.arange(m, dtype=np.int64)
-    pairs = np.column_stack(((alpha * k) % m, (beta * k) % m))
-    return np.unique(pairs, axis=0)
+    keys = np.sort((alpha % m) * k % m * m + (beta % m) * k % m)
+    # repeats dropped by hand: np.unique took 10-50x longer on numpy 2.4
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return np.column_stack((keys // m, keys % m))

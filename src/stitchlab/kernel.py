@@ -1,8 +1,9 @@
 """Exact rational arithmetic and the primitive geometric vocabulary.
 
-Positions on the circle are measured in full turns and kept as exact
-fractions end to end.  Floating point only enters through :func:`embed`,
-which maps a circle position to plane coordinates.
+Positions on the circle are exact rationals in full turns.  Chord sets
+hold them as int64 numerators over one denominator; `Fraction` points
+and chords are their view at the API boundary.  Floating point enters
+only where a position is mapped to plane coordinates.
 """
 
 from __future__ import annotations
@@ -12,14 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+import numpy as np
+
 #: Inputs (modulus, multiplier, dance speeds) are capped so intermediate
 #: integer products stay far below anything that could silently misbehave
 #: in vectorized int64 code paths.
 MAX_INPUT = 10**6
-
-Rational = Fraction
-
-HALF = Fraction(1, 2)
 
 
 def check_input_size(*values: int) -> None:
@@ -27,13 +26,6 @@ def check_input_size(*values: int) -> None:
     for v in values:
         if abs(v) > MAX_INPUT:
             raise ValueError(f"integer input {v} exceeds the cap {MAX_INPUT}")
-
-
-def reduce(num: int, den: int) -> Fraction:
-    """Return the reduced fraction num/den with positive denominator."""
-    if den == 0:
-        raise ValueError("zero denominator")
-    return Fraction(num, den)
 
 
 @dataclass(frozen=True, order=True)
@@ -75,50 +67,64 @@ class DirectedChord:
 class ChordSet:
     """A canonical finite set of directed chords.
 
-    Construction sorts lexicographically by (start, end) and removes
-    duplicates, so two ChordSets are equal exactly when they contain the
-    same chords, regardless of input order.
+    Row ``(x, y)`` of the read-only int64 array ``rows`` is the chord from
+    ``x/den`` to ``y/den``.  Rows are sorted in (start, end) order and
+    unique and ``den`` is minimal, so equal sets have equal fields.
+    Iteration yields :class:`DirectedChord` objects.
     """
 
-    __slots__ = ("chords",)
+    __slots__ = ("den", "rows")
 
     def __init__(self, chords: Iterable[DirectedChord]):
-        seen = sorted(set(chords), key=lambda c: (c.start.turn, c.end.turn))
-        object.__setattr__(self, "chords", tuple(seen))
+        turns = [t for c in chords for t in (c.start.turn, c.end.turn)]
+        den = math.lcm(*(t.denominator for t in turns))
+        check_input_size(den)  # keeps the int64 numerators exact
+        nums = [t.numerator * (den // t.denominator) for t in turns]
+        rows = sorted(set(zip(nums[::2], nums[1::2])))
+        self._store(den, np.array(rows, dtype=np.int64).reshape(-1, 2))
+
+    @classmethod
+    def from_rows(cls, den: int, rows: np.ndarray) -> ChordSet:
+        """The chords ``rows / den``; the rows must be sorted, unique and in
+        ``[0, den)``, as :func:`stitchlab.dances.sample_pairs` returns them.
+        """
+        self = object.__new__(cls)
+        self._store(den, rows)
+        return self
+
+    def _store(self, den: int, rows: np.ndarray) -> None:
+        g = math.gcd(den, int(np.gcd.reduce(rows, axis=None)))
+        rows = np.asarray(rows, dtype=np.int64) // g  # always a fresh array
+        rows.flags.writeable = False
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ChordSet is immutable")
 
     def __len__(self) -> int:
-        return len(self.chords)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[DirectedChord]:
-        return iter(self.chords)
+        for x, y in self.rows.tolist():
+            yield DirectedChord(CirclePoint(Fraction(x, self.den)),
+                                CirclePoint(Fraction(y, self.den)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChordSet):
             return NotImplemented
-        return self.chords == other.chords
+        return self.den == other.den and np.array_equal(self.rows, other.rows)
 
     def __hash__(self) -> int:
-        return hash(self.chords)
+        return hash((self.den, self.rows.tobytes()))
 
     def __repr__(self) -> str:
-        return f"ChordSet({len(self.chords)} chords)"
+        return f"ChordSet({len(self.rows)} chords)"
 
 
 def wrap(r: Fraction | int) -> CirclePoint:
     """Reduce a rational position modulo one full turn into [0, 1)."""
     return CirclePoint(Fraction(r) % 1)
-
-
-def centered_lift(p: CirclePoint) -> Fraction:
-    """The representative of p in (-1/2, 1/2].
-
-    Its absolute value is the circle distance from p to position 0.  The
-    boundary 1/2 maps to +1/2 so tie cases are deterministic.
-    """
-    return p.turn if p.turn <= HALF else p.turn - 1
 
 
 def embed(p: CirclePoint) -> tuple[float, float]:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 
-from .dances import PlanetDance, StitchGraph, mmt_chords
-from .kernel import ChordSet, DirectedChord, wrap
+from .dances import PlanetDance, StitchGraph, sample_pairs
+from .kernel import ChordSet
 from .torusgeo import AliasAnalysis, TorusLine, natural_alias
 
 
@@ -61,10 +61,7 @@ def coset_by_residue(m: int, a: int, d: int, j: int) -> ChordSet:
     if not (0 <= j < d):
         raise ValueError(f"residue {j} outside [0, {d})")
     g = StitchGraph(m, a)
-    return ChordSet(
-        DirectedChord(wrap(Fraction(k, m)), wrap(Fraction(g.a * k, m)))
-        for k in range(j, m, d)
-    )
+    return ChordSet.from_rows(m, sample_pairs(1, g.a, m)[j::d])
 
 
 def line_through(direction: PlanetDance, x: Fraction, y: Fraction) -> TorusLine:
@@ -97,9 +94,10 @@ def overlay_decompose(m: int, a: int) -> OverlayDecomposition:
     a = analysis.a
     d = analysis.coset_count
     dance = analysis.reduced_dance
+    rows = sample_pairs(1, a, m)  # row k is the chord of sample index k
     cosets = []
     for k in range(d):
-        chords = coset_by_residue(m, a, d, k)
+        chords = ChordSet.from_rows(m, rows[k::d])
         line = line_through(dance, Fraction(k, m), Fraction(a * k, m))
         cosets.append(
             Coset(index=k, line=line, rotation=_rotation_of(line), chords=chords)

@@ -9,12 +9,12 @@ golden-file comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cycloid import classify, cycloid_point
-from .dances import PlanetDance, StitchGraph, dance_chord, mmt_chords, sample_dance
-from .kernel import ChordSet, embed
+from .dances import PlanetDance, StitchGraph, mmt_chords, sample_dance, sample_pairs
+from .kernel import ChordSet
 from .overlay import OverlayDecomposition, line_through
 from .torusgeo import AliasAnalysis, TorusLine, natural_alias
 
@@ -138,6 +138,11 @@ class _CircleScene:
     def to_canvas(self, p: tuple[float, float]) -> tuple[float, float]:
         return (self.cx + self.radius * p[0], self.cy - self.radius * p[1])
 
+    def at_turn(self, n: int, den: int) -> tuple[float, float]:
+        """Canvas position of n/den turns (n/den rounds as Fraction would)."""
+        angle = 2.0 * math.pi * (n / den)
+        return self.to_canvas((math.cos(angle), math.sin(angle)))
+
     def outline(self) -> str:
         return (
             f'<circle cx="{fmt(self.cx)}" cy="{fmt(self.cy)}" '
@@ -149,13 +154,13 @@ class _CircleScene:
                        extend: bool) -> list[str]:
         """Lines for regular chords, dots for degenerate ones."""
         out = []
-        for chord in chords:
-            if chord.degenerate:
-                x, y = self.to_canvas(embed(chord.start))
+        for start, end in chords.rows.tolist():
+            if start == end:
+                x, y = self.at_turn(start, chords.den)
                 out.append(_dot_el(x, y, POINT_RADIUS, color))
                 continue
-            ax, ay = self.to_canvas(embed(chord.start))
-            bx, by = self.to_canvas(embed(chord.end))
+            ax, ay = self.at_turn(start, chords.den)
+            bx, by = self.at_turn(end, chords.den)
             if extend:
                 seg = _clip_infinite(ax, ay, bx, by, *self.box)
                 if seg is None:
@@ -165,10 +170,10 @@ class _CircleScene:
         return out
 
     def boundary_dots(self, chords: ChordSet) -> list[str]:
-        points = sorted({c.start for c in chords} | {c.end for c in chords})
+        points = sorted(set(chords.rows.ravel().tolist()))
         return [
-            _dot_el(*self.to_canvas(embed(p)), POINT_RADIUS, CHORD_COLOR)
-            for p in points
+            _dot_el(*self.at_turn(n, chords.den), POINT_RADIUS, CHORD_COLOR)
+            for n in points
         ]
 
 
@@ -203,8 +208,8 @@ class _TorusScene:
 
     def sample_dots(self, m: int, a: int) -> list[str]:
         out = []
-        for k in range(m):
-            x, y = self.to_canvas(k / m, (a * k % m) / m)
+        for k, ak in sample_pairs(1, a, m).tolist():
+            x, y = self.to_canvas(k / m, ak / m)
             out.append(_dot_el(x, y, SAMPLE_DOT_RADIUS, CHORD_COLOR))
         return out
 
@@ -311,9 +316,10 @@ def render_dance_with_curve(d: PlanetDance, n: int,
     extend = style.extend_lines or spec.kind == "hypocycloid"
     scene = _CircleScene(style)
     elements = [scene.outline()]
-    chords = ChordSet(dance_chord(d, Fraction(k, n)) for k in range(n))
+    chords = sample_dance(d.alpha, d.beta, n)
     elements.extend(scene.chord_elements(chords, CHORD_COLOR, extend))
-    if spec.kind in ("epicycloid", "hypocycloid"):
+    # a diagonal <c, c> draws the unit circle, its offset-0 family's envelope
+    if spec.kind in ("epicycloid", "hypocycloid", "diagonal"):
         points = []
         for i in range(CURVE_SEGMENTS + 1):
             x, y = scene.to_canvas(cycloid_point(spec, i / CURVE_SEGMENTS))

@@ -1,12 +1,15 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 import os
 
 import pytest
 
 from stitchlab import cli, oracle
+from stitchlab.kernel import embed
 from stitchlab.oracle import VerificationReport
+from stitchlab.overlay import overlay_decompose
 
 
 def run(argv):
@@ -60,6 +63,27 @@ def test_analyze_json_axial(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["natural_dance"] == {"alpha": 1, "beta": 0}
     assert report["d"] == 2
+
+
+@pytest.mark.parametrize("m, a, radii", [(10, 6, [1.0, 0.0]), (1000, 1, [1.0])])
+def test_analyze_diagonal_alias(m, a, radii, capsys):
+    # <1,1> cosets are constant-separation families (dots, diameters),
+    # not cycloids
+    assert run(["analyze", "-m", str(m), "-a", str(a), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["natural_dance"] == {"alpha": 1, "beta": 1}
+    assert report["envelope"] == {"kind": "diagonal", "radii": radii}
+    # brute force: every chord line of coset k is radii[k] from the center
+    for coset, radius in zip(overlay_decompose(m, a).cosets, radii, strict=True):
+        for chord in coset.chords:
+            (ax, ay), (bx, by) = embed(chord.start), embed(chord.end)
+            if chord.degenerate:
+                dist = math.hypot(ax, ay)
+            else:
+                dist = abs(ax * by - ay * bx) / math.hypot(bx - ax, by - ay)
+            assert dist == pytest.approx(radius, abs=1e-12)
+    assert run(["analyze", "-m", str(m), "-a", str(a)]) == 0
+    assert "envelope: diagonal, coset radii 1.000000" in capsys.readouterr().out
 
 
 def test_analyze_json_key_order(capsys):

@@ -41,6 +41,8 @@ def test_classify_hypocycloid():
 def test_classify_degenerate_kinds():
     assert classify(PlanetDance(0, 0)).kind == "point"
     assert classify(PlanetDance(1, -1)).kind == "degenerate_diameter"
+    assert classify(PlanetDance(1, 1)).kind == "diagonal"
+    assert classify(PlanetDance(3, 3)).kind == "diagonal"
     axial = classify(PlanetDance(1, 0))
     assert axial.kind == "epicycloid"
     assert axial.rolling_radius == 0
@@ -133,6 +135,6 @@ def test_verify_envelope_validation():
 
 
 def test_offset_family_radius():
-    assert offset_family_radius(Fraction(1, 2)) == pytest.approx(0.0, abs=1e-15)
-    assert offset_family_radius(Fraction(0)) == pytest.approx(1.0)
+    assert offset_family_radius(Fraction(1, 2)) == 0.0
+    assert offset_family_radius(Fraction(0)) == 1.0
     assert offset_family_radius(Fraction(1, 3)) == pytest.approx(0.5)

@@ -9,15 +9,13 @@ from stitchlab.dances import (
     PlanetDance,
     Sampling,
     StitchGraph,
-    dance_chord,
-    dance_sign,
     mmt_chords,
     reduce_dance,
     sample,
     sample_dance,
     sample_pairs,
 )
-from stitchlab.kernel import wrap
+from stitchlab.kernel import ChordSet, DirectedChord, wrap
 
 
 def test_dance_canonical_orientation():
@@ -59,12 +57,6 @@ def test_mmt_small_example():
     assert by_start[Fraction(3, 4)] == Fraction(1, 2)
 
 
-def test_dance_chord_endpoints():
-    c = dance_chord(PlanetDance(3, 2), Fraction(1, 2))
-    assert c.start == wrap(Fraction(1, 2))
-    assert c.end == wrap(0)
-
-
 def test_multiplication_table_is_integral_sampling():
     for m, a in [(1, 0), (7, 3), (12, 2), (30, 7), (50, 25)]:
         assert mmt_chords(StitchGraph(m, a)) == sample_dance(1, a, m)
@@ -89,22 +81,25 @@ def test_reduce_dance():
     assert reduce_dance(PlanetDance(0, 0)) == PlanetDance(0, 0)
 
 
-def test_dance_sign():
-    assert dance_sign(PlanetDance(3, 2)) == "positive"
-    assert dance_sign(PlanetDance(5, -3)) == "negative"
-    assert dance_sign(PlanetDance(1, 0)) == "axial"
-    assert dance_sign(PlanetDance(0, 0)) == "null"
-
-
 def test_sample_pairs_matches_sample():
-    # the integer encoding agrees with the exact chord sets
-    for alpha, beta, m in [(1, 34, 100), (3, 2, 100), (2, 1, 9), (5, -3, 17)]:
+    # the integer rows and the chord sets built from them agree with the
+    # Fraction loop that defines a sampling: alpha*t to beta*t (mod 1)
+    for alpha, beta, m in [(1, 34, 100), (3, 2, 100), (2, 1, 9), (5, -3, 17),
+                           (3, 2, 2), (2, 4, 10)]:
+        reference = {
+            DirectedChord(wrap(alpha * Fraction(k, m)), wrap(beta * Fraction(k, m)))
+            for k in range(m)
+        }
         exact = sample(Sampling(PlanetDance(alpha, beta), m))
+        assert list(exact) == sorted(reference)
+        assert exact == ChordSet(reference)
         expected = sorted(
             (c.start.turn.numerator * (m // c.start.turn.denominator),
              c.end.turn.numerator * (m // c.end.turn.denominator))
-            for c in exact
+            for c in reference
         )
         got = sample_pairs(alpha, beta, m)
         assert got.dtype == np.int64
         assert [tuple(row) for row in got] == expected
+    # <3,2> at t = 1/2 runs from 1/2 to 0
+    assert DirectedChord(wrap(Fraction(1, 2)), wrap(0)) in set(sample_dance(3, 2, 2))

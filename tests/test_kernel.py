@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stitchlab.kernel import (
@@ -10,23 +11,10 @@ from stitchlab.kernel import (
     ChordSet,
     CirclePoint,
     DirectedChord,
-    centered_lift,
     check_input_size,
     embed,
-    reduce,
     wrap,
 )
-
-
-def test_reduce_lowest_terms():
-    assert reduce(34, 100) == Fraction(17, 50)
-    assert reduce(-6, -4) == Fraction(3, 2)
-    assert reduce(0, 7) == 0
-
-
-def test_reduce_zero_denominator():
-    with pytest.raises(ValueError):
-        reduce(1, 0)
 
 
 def test_wrap_into_unit_interval():
@@ -40,14 +28,6 @@ def test_circle_point_range_enforced():
         CirclePoint(Fraction(1))
     with pytest.raises(ValueError):
         CirclePoint(Fraction(-1, 2))
-
-
-def test_centered_lift():
-    assert centered_lift(wrap(Fraction(3, 4))) == Fraction(-1, 4)
-    assert centered_lift(wrap(Fraction(1, 4))) == Fraction(1, 4)
-    # the boundary representative is +1/2, never -1/2
-    assert centered_lift(wrap(Fraction(1, 2))) == Fraction(1, 2)
-    assert centered_lift(wrap(0)) == 0
 
 
 def test_embed_cardinal_points():
@@ -77,15 +57,25 @@ def test_chord_set_canonical():
     assert ChordSet([a, b]) == ChordSet([b, a, b])
     assert len(ChordSet([a, a, a])) == 1
     assert hash(ChordSet([a, b])) == hash(ChordSet([b, a]))
+    # the common denominator is the smallest one: quarters reduce to halves
+    halves = ChordSet.from_rows(4, np.array([[0, 2]], dtype=np.int64))
+    assert halves == ChordSet([a])
+    assert (halves.den, halves.rows.tolist()) == (2, [[0, 1]])
+    assert list(halves) == [a]
 
 
 def test_chord_set_immutable():
     s = ChordSet([])
     with pytest.raises(AttributeError):
         s.chords = ()
+    with pytest.raises(ValueError):
+        ChordSet([DirectedChord(wrap(0), wrap(Fraction(1, 3)))]).rows[0, 1] = 2
 
 
 def test_input_cap():
     check_input_size(MAX_INPUT, -MAX_INPUT)
     with pytest.raises(ValueError):
         check_input_size(MAX_INPUT + 1)
+    # a chord set's common denominator is capped like a modulus
+    with pytest.raises(ValueError):
+        ChordSet([DirectedChord(wrap(0), wrap(Fraction(1, MAX_INPUT + 1)))])
