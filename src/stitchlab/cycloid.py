@@ -112,16 +112,6 @@ def cycloid_point(spec: CycloidSpec, s: Fraction | float) -> tuple[float, float]
     )
 
 
-def cusp_parameters(d: PlanetDance) -> list[Fraction]:
-    """Parameters where the dance chord degenerates: j/|alpha - beta|."""
-    if not d.reduced:
-        raise ValueError(f"dance {d} is not in reduced form")
-    if d.alpha == d.beta:
-        raise ValueError("alpha = beta: every chord is degenerate")
-    n = abs(d.alpha - d.beta)
-    return [Fraction(j, n) for j in range(n)]
-
-
 def tangency_point(d: PlanetDance, s: Fraction) -> tuple[float, float] | None:
     """The point where the chord at parameter s touches the curve.
 

@@ -8,13 +8,14 @@ demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
-from .cycloid import classify, cycloid_point, verify_envelope
+from .cycloid import classify, cycloid_point, offset_family_radius, verify_envelope
 from .dances import (
     PlanetDance,
     Sampling,
@@ -37,12 +38,16 @@ from .torusgeo import (
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one suite: a passed suite has no failures."""
+    """Outcome of one suite: a passed suite has no failures.
+
+    ``elapsed_s``, the suite's wall time in :func:`verify_all`, is not compared.
+    """
 
     suite: str
     cases_run: int
     failures: tuple[tuple[str, str, str], ...] = ()
     info: tuple[str, ...] = ()
+    elapsed_s: float = field(default=0.0, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -297,10 +302,35 @@ def _suite_shortest_vector(max_m: int) -> VerificationReport:
     return VerificationReport("shortest_vector", cases, tuple(failures[:20]))
 
 
+def _diagonal_radius_failures(m: int, a: int) -> list[tuple[str, str, str]]:
+    """Compare each coset's reported radius of a <1,1>-aliased graph with
+    the center-to-chord-line distances of the coset's chords.
+
+    Chord k joins k/m to a*k/m and belongs to coset k mod d; a
+    degenerate chord is a dot, whose distance is its radius.
+    """
+    radii = [offset_family_radius(c.line.offset)
+             for c in overlay_decompose(m, a).cosets]
+    k = np.arange(m, dtype=np.int64)
+    e = (a * k) % m
+    ax, ay = np.cos(2 * np.pi * k / m), np.sin(2 * np.pi * k / m)
+    bx, by = np.cos(2 * np.pi * e / m), np.sin(2 * np.pi * e / m)
+    dist = np.hypot(ax, ay)
+    line = e != k
+    dist[line] = np.abs(ax * by - ay * bx)[line] / np.hypot(bx - ax, by - ay)[line]
+    expected = np.array(radii)[k % len(radii)]
+    return [
+        (f"(m,a)=({m},{a}) chord {i}", f"radius {float(expected[i])!r}",
+         f"distance {float(dist[i])!r}")
+        for i in np.flatnonzero(np.abs(dist - expected) > 1e-12).tolist()
+    ]
+
+
 def _suite_overlay(max_m: int) -> VerificationReport:
     failures = []
     cases = 0
     nonstandard = 0
+    diagonal = 0
     for m in range(1, max_m + 1):
         for a in range(m):
             cases += 1
@@ -323,9 +353,14 @@ def _suite_overlay(max_m: int) -> VerificationReport:
                 failures.append(
                     (f"(m,a)=({m},{a})", "all cosets on their lines", "membership fails")
                 )
+            if alpha == beta == 1:
+                diagonal += 1
+                failures.extend(_diagonal_radius_failures(m, a))
     info = (
         f"{nonstandard} of {cases} graphs need the permuted coset-to-offset "
         "assignment (offset (s*k mod d)/(d*alpha) with s = (alpha*a-beta)/m')",
+        f"{diagonal} graphs alias <1,1>; each coset's radius matches its "
+        "chords' center distances within 1e-12",
     )
     return VerificationReport("overlay_partition", cases, tuple(failures[:20]), info)
 
@@ -410,18 +445,22 @@ def _suite_cusps(bound: int) -> VerificationReport:
 
 
 def verify_all(max_m: int, dance_bound: int) -> list[VerificationReport]:
-    """Run every suite within the given bounds, ordered by suite name."""
+    """Run and time every suite within the given bounds, by suite name."""
     if max_m < 1 or dance_bound < 1:
         raise ValueError("bounds must be at least 1")
-    reports = [
-        _suite_correspondence(max_m),
-        _suite_aliasing(dance_bound),
-        _suite_intersections(dance_bound),
-        _suite_identities(max_m),
-        _suite_shortest_vector(max_m),
-        _suite_overlay(max_m),
-        _suite_families(),
-        _suite_envelope(dance_bound),
-        _suite_cusps(dance_bound),
+    suites = [
+        (_suite_correspondence, (max_m,)),
+        (_suite_aliasing, (dance_bound,)),
+        (_suite_intersections, (dance_bound,)),
+        (_suite_identities, (max_m,)),
+        (_suite_shortest_vector, (max_m,)),
+        (_suite_overlay, (max_m,)),
+        (_suite_families, ()),
+        (_suite_envelope, (dance_bound,)),
+        (_suite_cusps, (dance_bound,)),
     ]
+    reports = []
+    for suite, args in suites:
+        start = time.perf_counter()
+        reports.append(replace(suite(*args), elapsed_s=time.perf_counter() - start))
     return sorted(reports, key=lambda r: r.suite)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 
-from .dances import PlanetDance, StitchGraph, sample_pairs
-from .kernel import ChordSet
+from .dances import PlanetDance
 from .torusgeo import AliasAnalysis, TorusLine, natural_alias
 
 
@@ -24,15 +23,16 @@ from .torusgeo import AliasAnalysis, TorusLine, natural_alias
 class Coset:
     """One residue class of chords and the torus line carrying it.
 
-    ``rotation`` is the turn by which the base dance is rotated to cover
-    this coset; it is absent for diagonal aliases (alpha = beta), where
-    the coset is a constant-separation chord family instead.
+    Coset k's chords are rows ``[k::d]`` of
+    ``mmt_chords(StitchGraph(m, a)).rows``.  ``rotation`` is the turn by
+    which the base dance is rotated to cover this coset; it is absent for
+    diagonal aliases (alpha = beta), where the coset is a
+    constant-separation chord family instead.
     """
 
     index: int
     line: TorusLine
     rotation: Fraction | None
-    chords: ChordSet
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,6 @@ class FamilyPrediction:
     d: int
     dance: PlanetDance
     rotation_step: Fraction
-
-
-def coset_by_residue(m: int, a: int, d: int, j: int) -> ChordSet:
-    """Chords of the (m, a) graph whose sample index is j mod d."""
-    if d < 1 or m % d != 0:
-        raise ValueError(f"coset modulus {d} does not divide {m}")
-    if not (0 <= j < d):
-        raise ValueError(f"residue {j} outside [0, {d})")
-    g = StitchGraph(m, a)
-    return ChordSet.from_rows(m, sample_pairs(1, g.a, m)[j::d])
 
 
 def line_through(direction: PlanetDance, x: Fraction, y: Fraction) -> TorusLine:
@@ -92,16 +82,12 @@ def overlay_decompose(m: int, a: int) -> OverlayDecomposition:
     """Split MMT(m, a) into its d alias cosets with lines and rotations."""
     analysis = natural_alias(m, a)
     a = analysis.a
-    d = analysis.coset_count
     dance = analysis.reduced_dance
-    rows = sample_pairs(1, a, m)  # row k is the chord of sample index k
     cosets = []
-    for k in range(d):
-        chords = ChordSet.from_rows(m, rows[k::d])
+    for k in range(analysis.coset_count):
+        # sample k is the first of its coset and lies on the coset's line
         line = line_through(dance, Fraction(k, m), Fraction(a * k, m))
-        cosets.append(
-            Coset(index=k, line=line, rotation=_rotation_of(line), chords=chords)
-        )
+        cosets.append(Coset(index=k, line=line, rotation=_rotation_of(line)))
     return OverlayDecomposition(analysis=analysis, cosets=tuple(cosets))
 
 

@@ -15,8 +15,8 @@ from fractions import Fraction
 from .cycloid import classify, cycloid_point
 from .dances import PlanetDance, StitchGraph, mmt_chords, sample_dance, sample_pairs
 from .kernel import ChordSet
-from .overlay import OverlayDecomposition, line_through
-from .torusgeo import AliasAnalysis, TorusLine, natural_alias
+from .overlay import overlay_decompose
+from .torusgeo import TorusLine
 
 DEFAULT_PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -180,10 +180,10 @@ class _CircleScene:
 class _TorusScene:
     """Maps the unit square torus into a square canvas cell."""
 
-    def __init__(self, style: RenderStyle, ox: float = 0.0):
+    def __init__(self, style: RenderStyle):
         self.style = style
         px = style.canvas_px
-        self.x0 = ox + style.margin_px
+        self.x0 = style.margin_px
         self.y0 = px - style.margin_px
         self.scale = px - 2 * style.margin_px
 
@@ -263,48 +263,6 @@ def render_stitch(chords: ChordSet, style: RenderStyle) -> SvgDocument:
     return _document(style.canvas_px, style.canvas_px, elements)
 
 
-def _torus_elements(m: int, a: int, analysis: AliasAnalysis | None,
-                    style: RenderStyle, ox: float = 0.0) -> list[str]:
-    scene = _TorusScene(style, ox)
-    elements = [scene.outline()]
-    elements.extend(
-        scene.line_elements(
-            TorusLine(PlanetDance(1, a % m), Fraction(0)), FUNDAMENTAL_COLOR
-        )
-    )
-    if analysis is not None:
-        palette = style.coset_palette
-        for k in range(analysis.coset_count):
-            line = line_through(
-                analysis.reduced_dance, Fraction(k, m), Fraction(analysis.a * k, m)
-            )
-            elements.extend(
-                scene.line_elements(line, palette[k % len(palette)])
-            )
-    elements.extend(scene.sample_dots(m, a % m))
-    return elements
-
-
-def render_torus(m: int, a: int, analysis: AliasAnalysis | None,
-                 style: RenderStyle) -> SvgDocument:
-    """Unit-square diagram: fundamental line, alias coset lines, samples."""
-    elements = _torus_elements(m, a, analysis, style)
-    return _document(style.canvas_px, style.canvas_px, elements)
-
-
-def render_overlay(dec: OverlayDecomposition, style: RenderStyle) -> SvgDocument:
-    """The stitch graph with each alias coset in its own color."""
-    scene = _CircleScene(style)
-    elements = [scene.outline()]
-    palette = style.coset_palette
-    for coset in dec.cosets:
-        color = palette[coset.index % len(palette)]
-        elements.extend(
-            scene.chord_elements(coset.chords, color, style.extend_lines)
-        )
-    return _document(style.canvas_px, style.canvas_px, elements)
-
-
 def render_dance_with_curve(d: PlanetDance, n: int,
                             style: RenderStyle) -> SvgDocument:
     """n sampled chords of a dance plus its cycloid, when drawable.
@@ -361,10 +319,25 @@ def render_grid(m_target: int, b_max: int, kind: str,
 
 
 def render_gallery_pair(m: int, a: int, style: RenderStyle) -> SvgDocument:
-    """Side-by-side torus diagram and stitch graph for one (m, a)."""
+    """Side-by-side torus diagram and stitch graph for one (m, a).
+
+    The torus half draws the fundamental line, one line per alias coset
+    (colored by coset index) and the m sample points.
+    """
     px = style.canvas_px
-    analysis = natural_alias(m, a)
-    elements = _torus_elements(m, a, analysis, style, ox=0.0)
+    dec = overlay_decompose(m, a)
+    a = dec.analysis.a
+    torus = _TorusScene(style)
+    elements = [torus.outline()]
+    elements.extend(
+        torus.line_elements(
+            TorusLine(PlanetDance(1, a), Fraction(0)), FUNDAMENTAL_COLOR
+        )
+    )
+    palette = style.coset_palette
+    for c in dec.cosets:
+        elements.extend(torus.line_elements(c.line, palette[c.index % len(palette)]))
+    elements.extend(torus.sample_dots(m, a))
     scene = _CircleScene(style, ox=float(px))
     elements.append(scene.outline())
     elements.extend(
@@ -373,10 +346,3 @@ def render_gallery_pair(m: int, a: int, style: RenderStyle) -> SvgDocument:
         )
     )
     return _document(2 * px, px, elements)
-
-
-def render_gallery(pairs: list[tuple[int, int]],
-                   style: RenderStyle | None = None) -> list[SvgDocument]:
-    """Gallery composites, one per (m, a) pair, in input order."""
-    style = style or RenderStyle()
-    return [render_gallery_pair(m, a, style) for m, a in pairs]

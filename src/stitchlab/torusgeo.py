@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .dances import PlanetDance, StitchGraph, reduce_dance
+from .dances import PlanetDance, reduce_dance
 from .kernel import TorusPoint, check_input_size
 
 Vec = tuple[int, int]
@@ -55,11 +55,6 @@ class AliasAnalysis:
     coset_count: int
     reduced_rate: int
     tie: bool
-
-
-def fundamental_line(g: StitchGraph) -> TorusLine:
-    """The through-origin torus line of the integral dance (1, a)."""
-    return TorusLine(PlanetDance(1, g.a), Fraction(0))
 
 
 def line_contains(line: TorusLine, pt: TorusPoint) -> bool:
@@ -160,32 +155,3 @@ def natural_alias(m: int, a: int) -> AliasAnalysis:
         tie=len(minima) > 1,
     )
 
-
-def realizable_rates(d: PlanetDance, m_target: int) -> list[tuple[int, int]]:
-    """Nearest rates at which the dance is realizable as a stitch graph.
-
-    A rate m works when m = |alpha*a - beta| for an integer multiplier a,
-    i.e. m = -beta or +beta (mod alpha).  Returns the one or two (m, a)
-    pairs with m >= 1 closest to the target, in ascending rate order.
-    """
-    if d.alpha == 0:
-        raise ValueError("dance with alpha = 0 is never a stitch graph")
-    if m_target < 1:
-        raise ValueError(f"target rate must be positive, got {m_target}")
-    if not d.reduced:
-        raise ValueError(f"dance {d} is not in reduced form")
-    alpha, beta = d.alpha, d.beta
-    found: dict[int, int] = {}
-    # Each congruence class mod alpha has a member within alpha of the
-    # target, so a window of radius alpha always contains the answer.
-    for mp in range(max(1, m_target - alpha), m_target + alpha + 1):
-        if (mp + beta) % alpha == 0:
-            # alpha*a - beta = +mp
-            found[mp] = ((mp + beta) // alpha) % mp
-        elif (mp - beta) % alpha == 0:
-            # alpha*a - beta = -mp
-            found[mp] = ((beta - mp) // alpha) % mp
-    best = min(abs(mp - m_target) for mp in found)
-    return sorted(
-        (mp, a) for mp, a in found.items() if abs(mp - m_target) == best
-    )

@@ -2,9 +2,12 @@
 
 Each digest was recorded from the `Fraction`-based chord loops that the
 integer chord core replaced, so any change to chord order, endpoint
-rounding or float formatting on these paths shows up here.  Directory
-outputs (grid, gallery) are hashed as the sorted (relative path, bytes)
-pairs.
+rounding or float formatting on these paths shows up here.  The
+`gallery --only 206,35`, `analyze 10 6` and `analyze 1000000 1000`
+digests were recorded while the gallery still derived its coset lines
+apart from `overlay_decompose` and every coset still carried its
+chords.  Directory outputs (grid, gallery) are hashed as the sorted
+(relative path, bytes) pairs.
 """
 
 import hashlib
@@ -12,9 +15,6 @@ import hashlib
 import pytest
 
 from stitchlab import cli
-from stitchlab.overlay import overlay_decompose
-from stitchlab.render import RenderStyle, render_overlay, render_torus
-from stitchlab.torusgeo import natural_alias
 
 CANVAS = "160"
 
@@ -31,12 +31,13 @@ PINS = {
     "grid 200 9 ceiling": "6bf8cfd8e3e13223d50cc47fdd201ff74ee6ff5b261ae7c5265092b06b76b93b",
     "grid 200 9 floor": "06cf53d72a473f760abd2d5f5f460e2686f1d58ff899e4c6810cdec22eeacbf7",
     "gallery": "6a6580871bef7c6de7262e2693745c8fca3bfdb4d3cb0124729c75f95dfc9858",
-    "render_torus 206 35": "b8abcd5e8f21e2dd26ca00eb490e96f71be4a12e519221d0fb892c160bdcc923",
-    "render_overlay 206 35": "0814145b2acab1bb48392d73f3a67c75e521b012f98958facac8a660d7a4d689",
+    "gallery --only 206,35": "c55d5e2427afd8c32022b5ac9d27c55f685c3a6ce9758c99e1504e22994b1335",
     "analyze 206 35": "6d9eca09b9a0d2afd4c24b3a227ace2036e294b09fe9672129e3ebfd55f4c4d0",
     "analyze 207 35": "8235a45da3c84a9ef3a742a649778d37a3faa576c780a47a18beb578f47a2819",
     "analyze 9 6": "8735635d3622a4f7c8bd51766ef957715fdbc9dea6430a65484044ad586613ee",
     "analyze 100 34": "34b045f7cdda8617cca751947d040a72289813726ad7a87b2e9f6e6268945ff4",
+    "analyze 10 6": "b754becf307491dff36909e0c1651aef0dab1030c81bc0fd458ab438cd711864",
+    "analyze 1000000 1000": "32a8f18369dc9b98894f5d671da0fc67273aa9b7ac81b18780355d5002deeeae",
 }
 
 
@@ -80,17 +81,11 @@ def output_digest(name, tmp_path, capsys):
         return _dir_output(tmp_path, ["grid", "-m", m, "-B", b_max,
                                       "--kind", kind])
     if cmd == "gallery":
-        return _dir_output(tmp_path, ["gallery"])
-    if cmd == "analyze":
-        m, a = rest
-        capsys.readouterr()
-        assert cli.main(["analyze", "-m", m, "-a", a, "--json"]) == 0
-        return _sha(capsys.readouterr().out.encode())
-    m, a = map(int, rest)
-    style = RenderStyle(canvas_px=int(CANVAS))
-    if cmd == "render_torus":
-        return _sha(render_torus(m, a, natural_alias(m, a), style).data)
-    return _sha(render_overlay(overlay_decompose(m, a), style).data)
+        return _dir_output(tmp_path, ["gallery", *rest])
+    m, a = rest
+    capsys.readouterr()
+    assert cli.main(["analyze", "-m", m, "-a", a, "--json"]) == 0
+    return _sha(capsys.readouterr().out.encode())
 
 
 @pytest.mark.parametrize("name", sorted(PINS))

@@ -7,7 +7,8 @@ import os
 import pytest
 
 from stitchlab import cli, oracle
-from stitchlab.kernel import embed
+from stitchlab.dances import StitchGraph, mmt_chords
+from stitchlab.kernel import ChordSet, embed
 from stitchlab.oracle import VerificationReport
 from stitchlab.overlay import overlay_decompose
 
@@ -74,8 +75,10 @@ def test_analyze_diagonal_alias(m, a, radii, capsys):
     assert report["natural_dance"] == {"alpha": 1, "beta": 1}
     assert report["envelope"] == {"kind": "diagonal", "radii": radii}
     # brute force: every chord line of coset k is radii[k] from the center
+    d = len(radii)
+    rows = mmt_chords(StitchGraph(m, a)).rows
     for coset, radius in zip(overlay_decompose(m, a).cosets, radii, strict=True):
-        for chord in coset.chords:
+        for chord in ChordSet.from_rows(m, rows[coset.index::d]):
             (ax, ay), (bx, by) = embed(chord.start), embed(chord.end)
             if chord.degenerate:
                 dist = math.hypot(ax, ay)
@@ -107,6 +110,14 @@ def test_dance_command(tmp_path):
     assert run(["dance", "-a", "3", "-b", "2", "-n", "100", "-o", str(out)]) == 0
     assert out.exists()
     assert run(["dance", "-a", "1", "-b", "1", "-n", "0", "-o", str(out)]) == 2
+
+
+@pytest.mark.parametrize("rate", ["0", "-5"])
+def test_dance_rejects_nonpositive_rate(rate, tmp_path, capsys):
+    out = tmp_path / "dance.svg"
+    assert run(["dance", "-a", "3", "-b", "2", "-n", rate, "-o", str(out)]) == 2
+    assert "sampling rate must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_grid_command(tmp_path):
@@ -163,8 +174,17 @@ def test_verify_small_bounds(capsys):
 
 def test_verify_json(capsys):
     assert run(["verify", "--max-m", "2", "--bound", "1", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    first = capsys.readouterr()
+    payload = json.loads(first.out)
     assert all(entry["passed"] for entry in payload)
+    # per-suite wall times go to stderr, one JSON line per suite, so the
+    # stdout report repeats byte for byte
+    timings = [json.loads(line) for line in first.err.splitlines()]
+    assert [t["suite"] for t in timings] == [e["suite"] for e in payload]
+    for t in timings:
+        assert isinstance(t["elapsed_s"], float) and t["elapsed_s"] >= 0
+    assert run(["verify", "--max-m", "2", "--bound", "1", "--json"]) == 0
+    assert capsys.readouterr().out == first.out
 
 
 def test_verify_reports_injected_fault(monkeypatch, capsys):

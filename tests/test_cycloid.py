@@ -8,7 +8,6 @@ import pytest
 from stitchlab.cycloid import (
     DegenerateCurveError,
     classify,
-    cusp_parameters,
     cycloid_point,
     offset_family_radius,
     tangency_point,
@@ -73,19 +72,11 @@ def test_cycloid_point_stays_in_reach():
             assert math.hypot(x, y) <= reach + 1e-9
 
 
-def test_cusp_parameters():
-    assert cusp_parameters(PlanetDance(1, 3)) == [Fraction(0), Fraction(1, 2)]
-    assert cusp_parameters(PlanetDance(3, 2)) == [Fraction(0)]
-    with pytest.raises(ValueError):
-        cusp_parameters(PlanetDance(6, 4))
-    with pytest.raises(ValueError):
-        cusp_parameters(PlanetDance(1, 1))
-
-
 def test_cusps_lie_on_circle():
     for d in [PlanetDance(1, 3), PlanetDance(5, -3), PlanetDance(3, 2)]:
         spec = classify(d)
-        for s in cusp_parameters(d):
+        n = abs(d.alpha - d.beta)
+        for s in [Fraction(j, n) for j in range(n)]:
             x, y = cycloid_point(spec, s)
             assert math.hypot(x, y) == pytest.approx(1.0, abs=1e-12)
 

@@ -6,29 +6,8 @@ import pytest
 
 from stitchlab.dances import PlanetDance, StitchGraph, mmt_chords
 from stitchlab.kernel import ChordSet, TorusPoint, wrap
-from stitchlab.overlay import (
-    coset_by_residue,
-    line_through,
-    overlay_decompose,
-    predict_family,
-)
+from stitchlab.overlay import line_through, overlay_decompose, predict_family
 from stitchlab.torusgeo import line_contains
-
-
-def test_coset_partition():
-    for m, a in [(206, 35), (207, 35), (9, 6), (50, 25)]:
-        d = overlay_decompose(m, a).analysis.coset_count
-        cosets = [coset_by_residue(m, a, d, j) for j in range(d)]
-        assert all(len(c) == m // d for c in cosets)
-        merged = ChordSet(c for coset in cosets for c in coset)
-        assert merged == mmt_chords(StitchGraph(m, a))
-
-
-def test_coset_validation():
-    with pytest.raises(ValueError):
-        coset_by_residue(10, 3, 4, 0)  # 4 does not divide 10
-    with pytest.raises(ValueError):
-        coset_by_residue(10, 3, 5, 5)
 
 
 def test_line_through_point():
@@ -57,8 +36,10 @@ def test_overlay_thirds_graph():
 def test_overlay_coset_membership_is_exact():
     for m, a in [(206, 35), (207, 35), (9, 6), (100, 51)]:
         dec = overlay_decompose(m, a)
+        d = dec.analysis.coset_count
+        rows = mmt_chords(StitchGraph(m, a)).rows
         for coset in dec.cosets:
-            for chord in coset.chords:
+            for chord in ChordSet.from_rows(m, rows[coset.index::d]):
                 pt = TorusPoint(chord.start, chord.end)
                 assert line_contains(coset.line, pt)
 

@@ -6,21 +6,16 @@ import re
 import pytest
 
 from stitchlab.dances import PlanetDance, StitchGraph, mmt_chords
-from stitchlab.overlay import overlay_decompose
 from stitchlab.render import (
     GridCell,
     RenderStyle,
     fmt,
     nearest_congruent,
     render_dance_with_curve,
-    render_gallery,
     render_gallery_pair,
     render_grid,
-    render_overlay,
     render_stitch,
-    render_torus,
 )
-from stitchlab.torusgeo import natural_alias
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -109,13 +104,13 @@ def test_dance_all_degenerate():
 
 
 def test_torus_render_has_samples():
-    doc = render_torus(206, 35, natural_alias(206, 35), RenderStyle())
+    doc = render_gallery_pair(206, 35, RenderStyle())
     assert doc.text.count('r="2.000000"') == 206
 
 
 def test_overlay_uses_palette():
-    dec = overlay_decompose(206, 35)
-    doc = render_overlay(dec, RenderStyle())
+    # one torus line per coset, colored by coset index; d = 2 here
+    doc = render_gallery_pair(206, 35, RenderStyle())
     palette = RenderStyle().coset_palette
     assert palette[0] in doc.text
     assert palette[1] in doc.text
@@ -149,10 +144,3 @@ def test_gallery_pair_is_double_wide():
     doc = render_gallery_pair(100, 34, RenderStyle(canvas_px=300))
     assert 'width="600" height="300"' in doc.text
 
-
-def test_gallery_order_and_determinism():
-    pairs = [(100, 34), (50, 25)]
-    once = render_gallery(pairs, RenderStyle(canvas_px=150))
-    twice = render_gallery(pairs, RenderStyle(canvas_px=150))
-    assert [d.data for d in once] == [d.data for d in twice]
-    assert once[0].data != once[1].data

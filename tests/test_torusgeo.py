@@ -4,16 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from stitchlab.dances import PlanetDance, StitchGraph
+from stitchlab.dances import PlanetDance
 from stitchlab.kernel import TorusPoint, wrap
 from stitchlab.torusgeo import (
     TorusLine,
-    fundamental_line,
     intersection_count,
     line_contains,
     minimal_vectors,
     natural_alias,
-    realizable_rates,
     shortest_sample_vector,
 )
 
@@ -27,12 +25,6 @@ def test_torus_line_validation():
         TorusLine(PlanetDance(6, 4), Fraction(0))
     with pytest.raises(ValueError):
         TorusLine(PlanetDance(1, 2), Fraction(3, 2))
-
-
-def test_fundamental_line():
-    line = fundamental_line(StitchGraph(206, 35))
-    assert line.direction == PlanetDance(1, 35)
-    assert line.offset == 0
 
 
 def test_line_contains_through_origin():
@@ -118,21 +110,3 @@ def test_natural_alias_validates():
     with pytest.raises(ValueError):
         natural_alias(0, 1)
 
-
-def test_realizable_rates_exact_hit():
-    # 3a - 2 = 100 at a = 34
-    assert realizable_rates(PlanetDance(3, 2), 100) == [(100, 34)]
-
-
-def test_realizable_rates_two_nearest():
-    # neither 100 nor 101 is +/-2 mod 5; 98 and 102 both sit 2 away
-    assert realizable_rates(PlanetDance(5, 2), 100) == [(98, 20), (102, 82)]
-    for m, a in realizable_rates(PlanetDance(5, 2), 100):
-        assert (5 * a - 2) % m == 0
-
-
-def test_realizable_rates_validation():
-    with pytest.raises(ValueError):
-        realizable_rates(PlanetDance(0, 1), 10)
-    with pytest.raises(ValueError):
-        realizable_rates(PlanetDance(6, 4), 10)
