@@ -194,7 +194,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             }
             for r in reports
         ]
-        print(json.dumps(payload, indent=2))
+        # flushed now, so a closed stdout ends the command before the
+        # timings below reach stderr
+        print(json.dumps(payload, indent=2), flush=True)
         # wall times vary run to run, so they stay out of the stdout report
         for r in reports:
             print(json.dumps({"suite": r.suite, "elapsed_s": r.elapsed_s}),
@@ -277,7 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: say nothing, and point stdout at
+        # devnull so the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except ValueError as exc:
         print(f"stitchlab: {exc}", file=sys.stderr)
         return EXIT_USAGE

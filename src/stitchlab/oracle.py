@@ -1,9 +1,11 @@
 """Brute-force and exhaustive checks shipped alongside the closed forms.
 
 Each oracle recomputes a result by enumeration or search, sharing no code
-with the closed form it validates.  The suites in :func:`verify_all` are
-surfaced through the command line so the claims can be re-verified on
-demand.
+with the closed form it validates.  The sampling-identities suite builds
+its own keys (alpha*k mod m)*m + (beta*k mod m) for a whole batch of
+dances at once instead of calling :func:`~stitchlab.dances.sample_pairs`.
+The suites in :func:`verify_all` are surfaced through the command line so
+the claims can be re-verified on demand.
 """
 
 from __future__ import annotations
@@ -257,33 +259,49 @@ def _suite_intersections(bound: int) -> VerificationReport:
     return VerificationReport("intersection_counts", cases, tuple(failures[:20]))
 
 
+def _sampled_sets(alpha: int, betas: np.ndarray, m: int) -> np.ndarray:
+    """Row i: the m-sampling of <alpha, betas[i]> as a set in canonical form.
+
+    The keys (alpha*k mod m)*m + (beta*k mod m), k = 0..m-1, are sorted,
+    every key equal to its left neighbour becomes the sentinel m*m, and
+    the row is sorted again, so two rows are equal iff their dances sample
+    the same chord set.
+    """
+    k = np.arange(m, dtype=np.int64)
+    keys = np.sort(alpha * k % m * m + betas[:, None] * k % m, axis=1)
+    keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = m * m
+    return np.sort(keys, axis=1)
+
+
 def _suite_identities(max_m: int) -> VerificationReport:
     failures = []
     cases = 0
     top = min(max_m, 60)
+    speeds = np.arange(-20, 21, dtype=np.int64)
     for alpha in range(1, 21):
-        for a in range(-20, 21):
-            for m in range(1, top + 1):
-                cases += 1
-                base = sample_pairs(alpha, alpha * a, m)
-                for shifted in (alpha * a + m, alpha * a - m):
-                    other = sample_pairs(alpha, shifted, m)
-                    if base.shape != other.shape or not (base == other).all():
-                        failures.append(
-                            (f"shift <{alpha},{shifted}> m={m}", "equal", "differs")
-                        )
+        betas = alpha * speeds
+        found = []
+        for m in range(1, top + 1):
+            cases += len(speeds)
+            rows = _sampled_sets(alpha, np.concatenate((betas, betas + m, betas - m)), m)
+            base, *others = np.split(rows, 3)
+            for j, other in enumerate(others):
+                for i in np.flatnonzero((base != other).any(axis=1)):
+                    shifted = int(betas[i]) + (m, -m)[j]
+                    found.append(((i, m, j), (f"shift <{alpha},{shifted}> m={m}",
+                                              "equal", "differs")))
+        # failures keep the order of a loop over a, then m, then the sign
+        failures.extend(failure for _, failure in sorted(found))
     for alpha in range(1, 13):
         for m in range(1, top + 1):
-            for a in range(m):
-                cases += 1
-                lhs = sample_pairs(1, a, m)
-                rhs = sample_pairs(alpha, alpha * a, m)
-                equal = lhs.shape == rhs.shape and bool((lhs == rhs).all())
-                if equal != (gcd(alpha, m) == 1):
-                    failures.append(
-                        (f"invertibility alpha={alpha} m={m} a={a}",
-                         str(gcd(alpha, m) == 1), str(equal))
-                    )
+            a = np.arange(m, dtype=np.int64)
+            cases += m
+            lhs, rhs = _sampled_sets(1, a, m), _sampled_sets(alpha, alpha * a, m)
+            equal = (lhs == rhs).all(axis=1)
+            invertible = gcd(alpha, m) == 1
+            for i in np.flatnonzero(equal != invertible):
+                failures.append((f"invertibility alpha={alpha} m={m} a={i}",
+                                 str(invertible), str(bool(equal[i]))))
     return VerificationReport("sampling_identities", cases, tuple(failures[:20]))
 
 

@@ -130,3 +130,10 @@ def test_criterion_11_rendering_determinism(tmp_path, capsys):
     ok = runs[0] == runs[1] and len(grid_svgs) == 36
     _gate(11, "byte-identical rendering; 36-cell grid", ok,
           time.perf_counter() - start, 30.0)
+
+
+def test_criterion_12_sampling_identities():
+    report, elapsed = _suite("_suite_identities", 60)
+    _gate(12, "sampling identities, speeds <= 20, m <= 60",
+          report.passed and report.cases_run == 71160, elapsed, 2.0,
+          f"{report.cases_run} cases")

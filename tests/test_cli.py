@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +188,28 @@ def test_verify_json(capsys):
         assert isinstance(t["elapsed_s"], float) and t["elapsed_s"] >= 0
     assert run(["verify", "--max-m", "2", "--bound", "1", "--json"]) == 0
     assert capsys.readouterr().out == first.out
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_verify_json_closed_pipe_is_quiet(unbuffered):
+    # the reading end is closed before the child writes, as when a reader
+    # like `head` exits early; block-buffered and unbuffered stdout alike
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stitchlab.cli", "verify", "--max-m", "3",
+             "--bound", "1", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == cli.EXIT_IO
 
 
 def test_verify_reports_injected_fault(monkeypatch, capsys):

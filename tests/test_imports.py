@@ -1,4 +1,4 @@
-"""Every name a stitchlab module imports is used in that module.
+"""Every name a stitchlab module or test file imports is used in that file.
 
 No linter ships with the project, so this stdlib-`ast` check stands in
 for the unused-import rule.  `__future__` imports are skipped, and names
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "stitchlab"
+ROOT = Path(__file__).resolve().parents[1]
+CHECKED = sorted(ROOT.glob("src/stitchlab/*.py")) + sorted(ROOT.glob("tests/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,6 +44,6 @@ def test_guard_flags_unused_names():
     assert unused_imports(source) == ["F", "os", "wrap"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

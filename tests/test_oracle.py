@@ -1,13 +1,15 @@
 """Tests pinning the closed forms to their brute-force oracles."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from stitchlab import oracle
 from stitchlab.cycloid import ORACLE_TOL, tangency_point
-from stitchlab.dances import PlanetDance
+from stitchlab.dances import PlanetDance, sample_pairs
 from stitchlab.oracle import (
     VerificationReport,
     brute_intersections,
@@ -89,6 +91,53 @@ def test_reduced_dances_contents():
     assert (1, -2) in dances
     assert (2, 2) not in dances
     assert all(PlanetDance(a, b).reduced for a, b in dances)
+
+
+def test_sampled_sets_agree_with_sample_pairs():
+    # the invertibility pairs <1,a> and <alpha,alpha*a> of the identities suite
+    unequal = 0
+    for m in range(1, 31):
+        a = np.arange(m, dtype=np.int64)
+        for alpha in range(1, 13):
+            lhs = oracle._sampled_sets(1, a, m)
+            rhs = oracle._sampled_sets(alpha, alpha * a, m)
+            batched = (lhs == rhs).all(axis=1)
+            for i in range(m):
+                one, other = sample_pairs(1, i, m), sample_pairs(alpha, alpha * i, m)
+                assert batched[i] == np.array_equal(one, other), (alpha, m, i)
+            unequal += int((~batched).sum())
+    assert unequal > 0
+
+
+def test_sampled_sets_canonical_form():
+    # <2,0> and <2,2> at m=4 share (0,0) and differ in one pair
+    rows = oracle._sampled_sets(2, np.array([0, 2, 6]), 4)
+    assert rows.tolist() == [[0, 8, 16, 16], [0, 10, 16, 16], [0, 10, 16, 16]]
+    # <2,2> visits each key twice; its row holds the set once, then sentinels
+    keys = sample_pairs(2, 2, 4) @ np.array([4, 1])
+    assert rows[1, :len(keys)].tolist() == keys.tolist()
+
+
+def test_suite_identities_cases_and_failures(monkeypatch):
+    report = oracle._suite_identities(60)
+    assert report.passed and report.cases_run == 71160
+    # an expectation flipped at one modulus fails every alpha there
+    monkeypatch.setattr(oracle, "gcd", lambda x, m: 2 if m == 7 else math.gcd(x, m))
+    report = oracle._suite_identities(8)
+    assert len(report.failures) == 20
+    assert report.failures[0] == ("invertibility alpha=1 m=7 a=0", "False", "True")
+    monkeypatch.undo()
+    # the -m rows off by one: failures come in the order of a, then m
+    real = oracle._sampled_sets
+
+    def shifted_wrong(alpha, betas, m):
+        third = len(betas) // 3
+        return real(alpha, np.concatenate((betas[:2 * third], betas[2 * third:] + 1)), m)
+
+    monkeypatch.setattr(oracle, "_sampled_sets", shifted_wrong)
+    report = oracle._suite_identities(3)
+    assert report.failures[:2] == (("shift <1,-22> m=2", "equal", "differs"),
+                                   ("shift <1,-23> m=3", "equal", "differs"))
 
 
 def test_verify_all_trivial_bounds():
