@@ -4,6 +4,10 @@ The package builds chord figures MMT(m, a) on the unit circle, finds the
 two-speed "planet dance" each one most naturally samples, decomposes
 graphs into rotated overlay copies, verifies cycloid envelopes
 numerically, and renders everything as deterministic SVG.
+
+Outside `oracle`, numpy is imported inside the functions that build
+arrays, so importing the package and the exact analysis path
+(`overlay_decompose`, `natural_alias`) do not load it.
 """
 
 from .cycloid import CycloidSpec, EnvelopeReport, classify, verify_envelope

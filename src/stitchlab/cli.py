@@ -13,7 +13,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import oracle
 from .cycloid import classify, offset_family_radius
 from .dances import PlanetDance, StitchGraph, mmt_chords
 from .overlay import overlay_decompose
@@ -43,7 +42,13 @@ def _frac(f: Fraction) -> str:
 def _style(args: argparse.Namespace) -> RenderStyle:
     canvas = getattr(args, "canvas", None)
     if canvas is None:
-        canvas = int(os.environ.get("STITCHLAB_CANVAS_PX", "800"))
+        text = os.environ.get("STITCHLAB_CANVAS_PX", "800")
+        try:
+            canvas = int(text)
+        except ValueError:
+            raise ValueError(
+                f"STITCHLAB_CANVAS_PX must be an integer, got {text!r}"
+            ) from None
     return RenderStyle(
         canvas_px=canvas,
         show_points=getattr(args, "points", False),
@@ -173,8 +178,10 @@ def _parse_pair(text: str) -> tuple[int, int]:
 
 def cmd_gallery(args: argparse.Namespace) -> int:
     pairs = [_parse_pair(t) for t in args.only] if args.only else GALLERY_PAIRS
-    os.makedirs(args.out, exist_ok=True)
+    for m, a in pairs:
+        StitchGraph(m, a)  # rejects a bad pair before the directory is made
     style = _style(args)
+    os.makedirs(args.out, exist_ok=True)
     for m, a in pairs:
         doc = render_gallery_pair(m, a, style)
         doc.save(os.path.join(args.out, f"mmt_{m}_{a}.svg"))
@@ -182,6 +189,9 @@ def cmd_gallery(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # imported here: the oracles load numpy, which analyze and --help never need
+    from . import oracle
+
     reports = oracle.verify_all(args.max_m, args.bound)
     if args.json:
         payload = [

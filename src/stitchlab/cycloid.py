@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .dances import PlanetDance
 from .kernel import embed, wrap
 
@@ -156,6 +154,8 @@ def verify_envelope(d: PlanetDance, n: int, tol: float = FORMULA_TOL) -> Envelop
         raise DegenerateCurveError("alpha + beta = 0")
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
+    import numpy as np
+
     k = np.arange(n)
     keep = (k * (alpha - beta)) % n != 0
     skipped = int(n - keep.sum())

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .kernel import ChordSet, check_input_size
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,8 @@ def sample_pairs(alpha: int, beta: int, m: int) -> np.ndarray:
     duplicates go through the 1-D keys x*m + y, which order like the
     rows.  For alpha = 1 the rows are indexed by the sample index k.
     """
+    import numpy as np
+
     k = np.arange(m, dtype=np.int64)
     keys = np.sort((alpha % m) * k % m * m + (beta % m) * k % m)
     # repeats dropped by hand: np.unique took 10-50x longer on numpy 2.4

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Inputs (modulus, multiplier, dance speeds) are capped so intermediate
 #: integer products stay far below anything that could silently misbehave
@@ -76,6 +77,8 @@ class ChordSet:
     __slots__ = ("den", "rows")
 
     def __init__(self, chords: Iterable[DirectedChord]):
+        import numpy as np
+
         turns = [t for c in chords for t in (c.start.turn, c.end.turn)]
         den = math.lcm(*(t.denominator for t in turns))
         check_input_size(den)  # keeps the int64 numerators exact
@@ -93,6 +96,8 @@ class ChordSet:
         return self
 
     def _store(self, den: int, rows: np.ndarray) -> None:
+        import numpy as np
+
         g = math.gcd(den, int(np.gcd.reduce(rows, axis=None)))
         rows = np.asarray(rows, dtype=np.int64) // g  # always a fresh array
         rows.flags.writeable = False
@@ -113,7 +118,8 @@ class ChordSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChordSet):
             return NotImplemented
-        return self.den == other.den and np.array_equal(self.rows, other.rows)
+        return (self.den == other.den and self.rows.shape == other.rows.shape
+                and bool((self.rows == other.rows).all()))
 
     def __hash__(self) -> int:
         return hash((self.den, self.rows.tobytes()))

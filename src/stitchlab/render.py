@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .cycloid import classify, cycloid_point
 from .dances import PlanetDance, StitchGraph, mmt_chords, sample_dance, sample_pairs
-from .kernel import ChordSet
+from .kernel import ChordSet, check_input_size
 from .overlay import overlay_decompose
 from .torusgeo import TorusLine
 
@@ -303,6 +303,9 @@ def nearest_congruent(target: int, r: int, b: int) -> int:
 def render_grid(m_target: int, b_max: int, kind: str,
                 style: RenderStyle | None = None) -> list[GridCell]:
     """One stitch graph per (b, r): rows b = 2..b_max, columns r = 1..b-1."""
+    if m_target < 1:
+        raise ValueError(f"target modulus must be positive, got {m_target}")
+    check_input_size(m_target)
     if b_max < 2:
         raise ValueError(f"b_max must be at least 2, got {b_max}")
     if kind not in ("ceiling", "floor"):

@@ -139,6 +139,18 @@ def test_grid_bad_bounds(tmp_path):
     assert run(["grid", "-m", "200", "-B", "1", "-o", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("m, message", [
+    ("0", "target modulus must be positive, got 0"),
+    ("-7", "target modulus must be positive, got -7"),
+    ("2000000", "integer input 2000000 exceeds the cap"),  # the input, not a modulus near it
+])
+def test_grid_rejects_bad_target(m, message, tmp_path, capsys):
+    out = tmp_path / "g"
+    assert run(["grid", "-m", m, "-B", "3", "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gallery_only(tmp_path):
     out = tmp_path / "gal"
     assert run(["gallery", "--only", "100,34", "--canvas", "150",
@@ -156,6 +168,13 @@ def test_gallery_bad_pair(tmp_path):
     assert run(["gallery", "--only", "100", "-o", str(tmp_path)]) == 2
 
 
+def test_gallery_rejected_pair_makes_no_directory(tmp_path, capsys):
+    out = tmp_path / "ga"
+    assert run(["gallery", "--only", "12,5", "--only", "0,1", "-o", str(out)]) == 2
+    assert "modulus must be positive, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gallery_unwritable_dir(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")
@@ -167,6 +186,15 @@ def test_canvas_env_override(tmp_path, monkeypatch):
     out = tmp_path / "out.svg"
     assert run(["stitch", "-m", "12", "-a", "2", "-o", str(out)]) == 0
     assert 'width="321" height="321"' in out.read_text()
+
+
+def test_canvas_env_not_an_integer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STITCHLAB_CANVAS_PX", "abc")
+    out = tmp_path / "out.svg"
+    assert run(["stitch", "-m", "12", "-a", "2", "-o", str(out)]) == 2
+    assert ("STITCHLAB_CANVAS_PX must be an integer, got 'abc'"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_verify_small_bounds(capsys):

@@ -1,11 +1,18 @@
-"""Every name a stitchlab module or test file imports is used in that file.
+"""Import hygiene of the package and its tests.
 
+Every name a stitchlab module or test file imports is used in that file.
 No linter ships with the project, so this stdlib-`ast` check stands in
 for the unused-import rule.  `__future__` imports are skipped, and names
 listed in a module's `__all__` count as used (re-exports).
+
+Paths that build no arrays (`--help`, `analyze`, `import stitchlab`) must
+not load numpy, whose import would dominate their start-up time.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +54,51 @@ def test_guard_flags_unused_names():
 @pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Each probe runs in a fresh interpreter and prints, as its last line,
+# whether numpy was loaded.  Only commands that build arrays may load it.
+_PROBE_MAIN = (
+    "import sys\n"
+    "from stitchlab.cli import main\n"
+    "try:\n"
+    "    main(sys.argv[1:])\n"
+    "except SystemExit:\n"
+    "    pass\n"
+    "print('numpy' in sys.modules)\n"
+)
+_PROBE_PACKAGE = (
+    "import sys\n"
+    "import stitchlab\n"
+    "for name in stitchlab.__all__:\n"
+    "    getattr(stitchlab, name)\n"
+    "print('numpy' in sys.modules)\n"
+)
+
+
+def _numpy_loaded(code, *argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["analyze", "-m", "10", "-a", "6"],
+    ["analyze", "-m", "1000000", "-a", "1000", "--json"],
+], ids=" ".join)
+def test_cli_path_does_not_load_numpy(argv):
+    assert not _numpy_loaded(_PROBE_MAIN, *argv)
+
+
+def test_package_import_does_not_load_numpy():
+    # resolving every public name must not load numpy either
+    assert not _numpy_loaded(_PROBE_PACKAGE)
+
+
+def test_probe_sees_numpy_when_a_command_loads_it(tmp_path):
+    out = tmp_path / "out.svg"
+    assert _numpy_loaded(_PROBE_MAIN, "stitch", "-m", "10", "-a", "3", "-o", str(out))
+    assert out.exists()

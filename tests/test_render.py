@@ -138,6 +138,8 @@ def test_grid_validation():
         render_grid(200, 1, "ceiling")
     with pytest.raises(ValueError):
         render_grid(200, 4, "nearest")
+    with pytest.raises(ValueError, match="target modulus must be positive"):
+        render_grid(0, 3, "ceiling")
 
 
 def test_gallery_pair_is_double_wide():
