@@ -12,12 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dances import PlanetDance
-from .kernel import embed, wrap
 
 #: default tolerance for exact-formula checks (double precision headroom)
 FORMULA_TOL = 1e-9
-#: looser tolerance when comparing against the grid-search oracle
-ORACLE_TOL = 1e-6
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,26 +105,6 @@ def cycloid_point(spec: CycloidSpec, s: Fraction | float) -> tuple[float, float]
         (alpha * math.cos(tb) + beta * math.cos(ta)) / denom,
         (alpha * math.sin(tb) + beta * math.sin(ta)) / denom,
     )
-
-
-def tangency_point(d: PlanetDance, s: Fraction) -> tuple[float, float] | None:
-    """The point where the chord at parameter s touches the curve.
-
-    Computed as the affine combination (beta*A + alpha*B)/(alpha+beta) of
-    the chord endpoints, which lies on the chord line by construction and
-    agrees with the parametric curve at the same parameter (checked
-    against the grid-search oracle).  Returns None for a degenerate
-    chord.
-    """
-    alpha, beta = d.alpha, d.beta
-    if alpha + beta == 0:
-        raise DegenerateCurveError("alpha + beta = 0")
-    if (Fraction(s) * (alpha - beta)).denominator == 1:
-        return None
-    ax, ay = embed(wrap(alpha * Fraction(s)))
-    bx, by = embed(wrap(beta * Fraction(s)))
-    denom = alpha + beta
-    return ((beta * ax + alpha * bx) / denom, (beta * ay + alpha * by) / denom)
 
 
 def offset_family_radius(c: Fraction) -> float:

@@ -131,9 +131,3 @@ class ChordSet:
 def wrap(r: Fraction | int) -> CirclePoint:
     """Reduce a rational position modulo one full turn into [0, 1)."""
     return CirclePoint(Fraction(r) % 1)
-
-
-def embed(p: CirclePoint) -> tuple[float, float]:
-    """Plane coordinates (cos 2*pi*t, sin 2*pi*t) of a circle position."""
-    angle = 2.0 * math.pi * float(p.turn)
-    return (math.cos(angle), math.sin(angle))

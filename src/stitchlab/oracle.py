@@ -1,11 +1,26 @@
-"""Brute-force and exhaustive checks shipped alongside the closed forms.
+"""Brute-force counterparts of the closed forms, run as the `verify` suites.
 
-Each oracle recomputes a result by enumeration or search, sharing no code
-with the closed form it validates.  The sampling-identities suite builds
-its own keys (alpha*k mod m)*m + (beta*k mod m) for a whole batch of
-dances at once instead of calling :func:`~stitchlab.dances.sample_pairs`.
-The suites in :func:`verify_all` are surfaced through the command line so
-the claims can be re-verified on demand.
+Each suite checks library code against a counterpart that shares no code
+with it:
+
+- ``stitch_sampling_correspondence``: the rows of ``sample_pairs(1, a, m)``
+  against endpoints built as running sums e_k = e_(k-1) + a (mod m), and
+  ``mmt_chords`` against ``sample`` for m <= 40;
+- ``alias_sampling_equality``: ``sample_pairs`` of two dances whose
+  determinant is m;
+- ``intersection_counts``: ``intersection_count`` against
+  :func:`brute_intersections`;
+- ``sampling_identities``: the shift and invertibility identities on keys
+  (alpha*k mod m)*m + (beta*k mod m) that :func:`_sampled_sets` builds for
+  a whole batch of dances at once;
+- ``shortest_vector``: the vector and ``tie`` of ``natural_alias`` against
+  :func:`brute_shortest_vectors`;
+- ``overlay_partition``: each chord on its ``overlay_decompose`` coset
+  line, by a congruence, and diagonal radii against center distances;
+- ``family_predictions``: ``predict_family`` against ``overlay_decompose``;
+- ``envelope``: ``verify_envelope``, the curve at each chord's own
+  parameter on the chord and parallel to it;
+- ``cusp_count``: |alpha - beta| against a count of degenerate chords.
 """
 
 from __future__ import annotations
@@ -17,7 +32,7 @@ from math import gcd
 
 import numpy as np
 
-from .cycloid import classify, cycloid_point, offset_family_radius, verify_envelope
+from .cycloid import offset_family_radius, verify_envelope
 from .dances import (
     PlanetDance,
     Sampling,
@@ -29,13 +44,7 @@ from .dances import (
 from .kernel import TorusPoint, wrap
 from .overlay import overlay_decompose, predict_family
 from .render import nearest_congruent
-from .torusgeo import (
-    TorusLine,
-    intersection_count,
-    line_contains,
-    natural_alias,
-    shortest_sample_vector,
-)
+from .torusgeo import TorusLine, intersection_count, line_contains, natural_alias
 
 
 @dataclass(frozen=True)
@@ -56,52 +65,32 @@ class VerificationReport:
         return not self.failures
 
 
-def _centered(k: int, m: int) -> int:
-    """Integer centered lift of k/m scaled by m, in (-m/2, m/2]."""
-    k %= m
-    return k if 2 * k <= m else k - m
+def brute_shortest_vectors(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest sample vector and tie flag of MMT(m, a) for every 0 <= a < m.
 
-
-def brute_nearest(m: int, a: int) -> tuple[int, int]:
-    """Exhaustive nearest-sample-point search over k = 1..m-1.
-
-    Applies the same orientation and tie-break conventions as the
-    lattice-reduction search.  For m = 1 the only sample point is the
-    origin itself and its nearest nonzero lift (1, 0) is returned.
+    Enumerates every lattice vector (p, q), q = a*p (mod m), with |p|, |q|
+    <= h = max(m // 2, 1), oriented so p > 0 or p = 0 < q.  The box holds
+    every shortest vector: for m >= 2, (p -/+ m, q) and (p, q -/+ m) are
+    shorter lattice vectors when |p| or |q| exceeds m/2, and nonzero except
+    for (+/-m, 0) and (0, +/-m), which are longer than (1, a lifted into
+    [-m/2, m/2]); for m = 1 the box holds both unit vectors.  Among the
+    minima p*q > 0 is preferred, then the smaller |q|, then the smaller
+    (p, q); a tie is a second minimum.  Returns the (m, 2) vectors and the
+    (m,) tie flags.
     """
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    if m == 1:
-        return (1, 0)
-    best_norm: int | None = None
-    minima: set[tuple[int, int]] = set()
-    for k in range(1, m):
-        p, q = _centered(k, m), _centered(a * k, m)
-        if p < 0 or (p == 0 and q < 0):
-            p, q = -p, -q
-        n = p * p + q * q
-        if best_norm is None or n < best_norm:
-            best_norm, minima = n, {(p, q)}
-        elif n == best_norm:
-            minima.add((p, q))
-    pool = [v for v in minima if v[0] * v[1] > 0] or sorted(minima)
-    return min(pool, key=lambda v: abs(v[1]))
-
-
-def brute_minimal_norms(m: int) -> np.ndarray:
-    """Minimum squared sample-point norm for every multiplier 0 <= a < m.
-
-    Vectorized companion of :func:`brute_nearest` used by the exhaustive
-    sweep; for m = 1 the nearest nonzero lift has norm 1.
-    """
-    if m == 1:
-        return np.array([1], dtype=np.int64)
-    k = np.arange(1, m, dtype=np.int64)
-    p = np.where(2 * k <= m, k, k - m)
-    a = np.arange(m, dtype=np.int64)
-    q = (a[:, None] * k[None, :]) % m
-    q = np.where(2 * q <= m, q, q - m)
-    return (p[None, :] ** 2 + q**2).min(axis=1)
+    h = max(m // 2, 1)
+    a = np.arange(m, dtype=np.int64)[:, None, None]
+    p = np.arange(h + 1, dtype=np.int64)[None, :, None]
+    q = (a * p % m + np.array([-m, 0, m], dtype=np.int64)).reshape(m, -1)
+    p = np.broadcast_to(p, (m, h + 1, 3)).reshape(m, -1)
+    big = np.iinfo(np.int64).max
+    norm = np.where((np.abs(q) <= h) & ((p > 0) | (q > 0)), p * p + q * q, big)
+    minimal = norm == norm.min(axis=1, keepdims=True)
+    # lexicographic tie-break key (p*q <= 0, |q|, p, q)
+    key = (((p * q <= 0) * (m + 1) + np.abs(q)) * (m + 1) + p) * (2 * m + 1) + q + m
+    best = np.where(minimal, key, big).argmin(axis=1)
+    rows = np.arange(m)
+    return np.column_stack((p[rows, best], q[rows, best])), minimal.sum(axis=1) > 1
 
 
 def brute_intersections(d1: PlanetDance, d2: PlanetDance) -> int | None:
@@ -127,53 +116,6 @@ def brute_intersections(d1: PlanetDance, d2: PlanetDance) -> int | None:
     return len(hits)
 
 
-def brute_tangency(d: PlanetDance, s: Fraction) -> tuple[float, float] | None:
-    """Search the curve for the point nearest the chord line at time s.
-
-    Scans a 4096-point parameter grid for the distance minimizer, then
-    refines by bisecting the signed chord/tangent cross product, which
-    crosses zero at the tangency.  Returns None for a degenerate chord.
-    """
-    alpha, beta = d.alpha, d.beta
-    if alpha + beta == 0:
-        raise ValueError("alpha + beta = 0: no curve to search")
-    if (Fraction(s) * (alpha - beta)).denominator == 1:
-        return None
-    spec = classify(d)
-    ax, ay = np.cos(2 * np.pi * alpha * float(s)), np.sin(2 * np.pi * alpha * float(s))
-    bx, by = np.cos(2 * np.pi * beta * float(s)), np.sin(2 * np.pi * beta * float(s))
-    cx, cy = bx - ax, by - ay
-    clen = float(np.hypot(cx, cy))
-
-    def dist(t: float) -> float:
-        px, py = cycloid_point(spec, t)
-        return abs(cx * (py - ay) - cy * (px - ax)) / clen
-
-    def cross(t: float) -> float:
-        # chord direction x curve tangent; zero and sign-changing where
-        # the curve runs parallel to the chord
-        ta, tb = 2 * np.pi * alpha * t, 2 * np.pi * beta * t
-        tx = -(np.sin(tb) + np.sin(ta))
-        ty = np.cos(tb) + np.cos(ta)
-        return cx * ty - cy * tx
-
-    grid = np.arange(4096) / 4096.0
-    values = [dist(t) for t in grid]
-    i = int(np.argmin(values))
-    lo, hi = (i - 1) / 4096.0, (i + 1) / 4096.0
-    glo, ghi = cross(lo), cross(hi)
-    if glo * ghi > 0:  # flat spot; fall back to the grid point
-        return cycloid_point(spec, i / 4096.0)
-    for _ in range(80):
-        mid = (lo + hi) / 2.0
-        gm = cross(mid)
-        if glo * gm <= 0:
-            hi, ghi = mid, gm
-        else:
-            lo, glo = mid, gm
-    return cycloid_point(spec, (lo + hi) / 2.0)
-
-
 def reduced_dances(bound: int) -> list[tuple[int, int]]:
     """All reduced speed pairs with coordinates in [-bound, bound], one
     per canonical orientation."""
@@ -185,33 +127,19 @@ def reduced_dances(bound: int) -> list[tuple[int, int]]:
     return out
 
 
-def _mmt_pairs_reduced(m: int, a: int) -> np.ndarray:
-    """MMT chords as reduced fraction rows (indexed by k), from the
-    p -> a*p rule."""
-    k = np.arange(m, dtype=np.int64)
-    e = (a * k) % m
-    g1, g2 = np.gcd(k, m), np.gcd(e, m)
-    return np.column_stack((k // g1, m // g1, e // g2, m // g2))
-
-
-def _dance_pairs_reduced(alpha: int, beta: int, m: int) -> np.ndarray:
-    """Dance sampling as reduced fraction rows (indexed by k), from
-    wrap(alpha*t), wrap(beta*t) at t = k/m."""
-    k = np.arange(m, dtype=np.int64)
-    x = (alpha * k) % m
-    y = (beta * k) % m
-    g1, g2 = np.gcd(x, m), np.gcd(y, m)
-    return np.column_stack((x // g1, m // g1, y // g2, m // g2))
-
-
 def _suite_correspondence(max_m: int) -> VerificationReport:
     failures = []
     cases = 0
     for m in range(1, max_m + 1):
+        # expected[a, k] = (k, e_k), chord k of MMT(m, a), with the endpoint
+        # a*k mod m built as the running sum e_0 = 0, e_k = e_(k-1) + a (mod m)
+        k = np.arange(m, dtype=np.int64)
+        steps = np.broadcast_to(k[:, None], (m, m))
+        ends = (np.cumsum(steps, axis=1) - steps) % m
+        expected = np.stack((np.broadcast_to(k, (m, m)), ends), axis=-1)
         for a in range(m):
             cases += 1
-            if not np.array_equal(_mmt_pairs_reduced(m, a),
-                                  _dance_pairs_reduced(1, a, m)):
+            if not np.array_equal(sample_pairs(1, a, m), expected[a]):
                 failures.append((f"MMT({m},{a})", "equal chord sets", "differs"))
     # full-API spot check on the small prefix
     for m in range(1, min(max_m, 40) + 1):
@@ -309,14 +237,14 @@ def _suite_shortest_vector(max_m: int) -> VerificationReport:
     failures = []
     cases = 0
     for m in range(1, max_m + 1):
-        brute = brute_minimal_norms(m)
-        for a in range(m):
+        vectors, ties = brute_shortest_vectors(m)
+        for a, (vector, tie) in enumerate(zip(vectors.tolist(), ties.tolist())):
             cases += 1
-            p, q = shortest_sample_vector(m, a)
-            if p * p + q * q != int(brute[a]):
-                failures.append(
-                    (f"(m,a)=({m},{a})", str(int(brute[a])), str(p * p + q * q))
-                )
+            analysis = natural_alias(m, a)
+            found = (analysis.shortest_vector, analysis.tie)
+            if found != (tuple(vector), tie):
+                failures.append((f"(m,a)=({m},{a})", f"{tuple(vector)} tie={tie}",
+                                 f"{found[0]} tie={found[1]}"))
     return VerificationReport("shortest_vector", cases, tuple(failures[:20]))
 
 
@@ -384,10 +312,10 @@ def _suite_overlay(max_m: int) -> VerificationReport:
 
 
 def _suite_families(m_target: int = 200) -> VerificationReport:
+    """Each (b, r) cell near m_target against its family prediction: the
+    coset count, the dance, and the rotations {k*rotation_step mod 1 : k < d}."""
     failures = []
-    info = []
     cases = 0
-    ceil_mismatch = floor_mismatch = rot_cases = 0
     for b in range(2, 10):
         for r in range(1, b):
             m = nearest_congruent(m_target, r, b)
@@ -395,34 +323,20 @@ def _suite_families(m_target: int = 200) -> VerificationReport:
                 cases += 1
                 pred = predict_family(m, b, kind)
                 dec = overlay_decompose(m, pred.a)
+                cell = f"{kind} b={b} r={r} m={m}"
                 if dec.analysis.coset_count != pred.d:
-                    failures.append(
-                        (f"{kind} b={b} r={r} m={m}", f"d={pred.d}",
-                         f"d={dec.analysis.coset_count}")
-                    )
+                    failures.append((cell, f"d={pred.d}", f"d={dec.analysis.coset_count}"))
                     continue
                 if dec.analysis.reduced_dance != pred.dance:
-                    failures.append(
-                        (f"{kind} b={b} r={r} m={m}", str(pred.dance),
-                         str(dec.analysis.reduced_dance))
-                    )
+                    failures.append((cell, str(pred.dance), str(dec.analysis.reduced_dance)))
                     continue
-                if pred.d > 1:
-                    rot_cases += 1
-                    computed = {c.rotation for c in dec.cosets}
-                    claimed = {Fraction(k, r) % 1 for k in range(pred.d)}
-                    if computed != claimed:
-                        if kind == "ceiling":
-                            ceil_mismatch += 1
-                        else:
-                            floor_mismatch += 1
-    info.append(
-        f"rotation sets: ceiling families match k/r in {rot_cases - ceil_mismatch}"
-        f"/{rot_cases} cases with d > 1; floor families match k/r in "
-        f"{rot_cases - floor_mismatch}/{rot_cases} (the floor rotations step "
-        "by 1/(b+r), not 1/r)"
-    )
-    return VerificationReport("family_predictions", cases, tuple(failures[:20]), tuple(info))
+                computed = {c.rotation for c in dec.cosets}
+                claimed = {k * pred.rotation_step % 1 for k in range(pred.d)}
+                if computed != claimed:
+                    shown = ["rotations " + " ".join(map(str, sorted(rotations)))
+                             for rotations in (claimed, computed)]
+                    failures.append((cell, *shown))
+    return VerificationReport("family_predictions", cases, tuple(failures[:20]))
 
 
 def _suite_envelope(bound: int) -> VerificationReport:

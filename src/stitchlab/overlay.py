@@ -94,10 +94,10 @@ def overlay_decompose(m: int, a: int) -> OverlayDecomposition:
 def predict_family(m: int, b: int, kind: str) -> FamilyPrediction:
     """Closed-form coset structure for multiplier ceil(m/b) or floor(m/b).
 
-    The predicted rotation step is 1/r; the ceiling-family prediction
-    matches the computed decomposition exactly, while for floor families
-    the computed rotations step by 1/(b + r) instead (see the comparison
-    suite).
+    Coset k is rotated by k*rotation_step (mod 1), where the step is 1/r
+    for the ceiling family and 1/(b + r) for the floor family; the
+    `family_predictions` suite of :mod:`stitchlab.oracle` checks this
+    against the computed decomposition.
     """
     if kind not in ("ceiling", "floor"):
         raise ValueError(f"kind must be 'ceiling' or 'floor', got {kind!r}")
@@ -110,9 +110,11 @@ def predict_family(m: int, b: int, kind: str) -> FamilyPrediction:
     if kind == "ceiling":
         a = ceil(m / b)
         dance = PlanetDance(b // d, (b - r) // d)
+        step = Fraction(1, r)
     else:
         a = floor(m / b)
         dance = PlanetDance(b // d, -(r // d))
+        step = Fraction(1, b + r)
     return FamilyPrediction(
-        b=b, r=r, kind=kind, a=a, d=d, dance=dance, rotation_step=Fraction(1, r)
+        b=b, r=r, kind=kind, a=a, d=d, dance=dance, rotation_step=step
     )

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .cycloid import classify, cycloid_point
 from .dances import PlanetDance, StitchGraph, mmt_chords, sample_dance, sample_pairs
-from .kernel import ChordSet, check_input_size
+from .kernel import MAX_INPUT, ChordSet, check_input_size
 from .overlay import overlay_decompose
 from .torusgeo import TorusLine
 
@@ -290,12 +290,13 @@ def render_dance_with_curve(d: PlanetDance, n: int,
 
 
 def nearest_congruent(target: int, r: int, b: int) -> int:
-    """The modulus closest to target with remainder r mod b (ties go low)."""
+    """The modulus closest to target with remainder r mod b (ties go low),
+    never above the input cap when target is within it."""
     below = target - (target - r) % b
     if below <= b:  # keep b < m so the family is defined
         below = r + b
     above = below + b
-    if below >= target:
+    if below >= target or above > MAX_INPUT:
         return below
     return below if target - below <= above - target else above
 

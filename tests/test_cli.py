@@ -11,7 +11,7 @@ import pytest
 
 from stitchlab import cli, oracle
 from stitchlab.dances import StitchGraph, mmt_chords
-from stitchlab.kernel import ChordSet, embed
+from stitchlab.kernel import ChordSet
 from stitchlab.oracle import VerificationReport
 from stitchlab.overlay import overlay_decompose
 
@@ -82,7 +82,9 @@ def test_analyze_diagonal_alias(m, a, radii, capsys):
     rows = mmt_chords(StitchGraph(m, a)).rows
     for coset, radius in zip(overlay_decompose(m, a).cosets, radii, strict=True):
         for chord in ChordSet.from_rows(m, rows[coset.index::d]):
-            (ax, ay), (bx, by) = embed(chord.start), embed(chord.end)
+            (ax, ay), (bx, by) = [(math.cos(2 * math.pi * p.turn),
+                                   math.sin(2 * math.pi * p.turn))
+                                  for p in (chord.start, chord.end)]
             if chord.degenerate:
                 dist = math.hypot(ax, ay)
             else:

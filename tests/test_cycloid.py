@@ -10,7 +10,6 @@ from stitchlab.cycloid import (
     classify,
     cycloid_point,
     offset_family_radius,
-    tangency_point,
     verify_envelope,
 )
 from stitchlab.dances import PlanetDance
@@ -82,19 +81,16 @@ def test_cusps_lie_on_circle():
 
 
 def test_tangency_point_matches_curve():
+    # the chord at s touches the curve at (beta*A + alpha*B)/(alpha + beta)
     for d in [PlanetDance(1, 2), PlanetDance(3, 2), PlanetDance(5, -3)]:
         spec = classify(d)
         for s in [Fraction(1, 7), Fraction(3, 11), Fraction(9, 13)]:
-            tp = tangency_point(d, s)
-            cp = cycloid_point(spec, s)
-            assert tp == pytest.approx(cp, abs=1e-12)
-
-
-def test_tangency_point_degenerate_chord():
-    assert tangency_point(PlanetDance(3, 2), Fraction(0)) is None
-    assert tangency_point(PlanetDance(1, 3), Fraction(1, 2)) is None
-    with pytest.raises(DegenerateCurveError):
-        tangency_point(PlanetDance(1, -1), Fraction(1, 7))
+            (ax, ay), (bx, by) = [(math.cos(2 * math.pi * float(v * s)),
+                                   math.sin(2 * math.pi * float(v * s)))
+                                  for v in (d.alpha, d.beta)]
+            tp = ((d.beta * ax + d.alpha * bx) / (d.alpha + d.beta),
+                  (d.beta * ay + d.alpha * by) / (d.alpha + d.beta))
+            assert tp == pytest.approx(cycloid_point(spec, s), abs=1e-12)
 
 
 def test_verify_envelope_passes():

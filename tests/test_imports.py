@@ -5,6 +5,11 @@ No linter ships with the project, so this stdlib-`ast` check stands in
 for the unused-import rule.  `__future__` imports are skipped, and names
 listed in a module's `__all__` count as used (re-exports).
 
+Every public top-level name of the package is reached from the package
+itself: code in another of its top-level statements refers to it, it is
+exported in `stitchlab.__all__`, or it is the console script `cli.main`.
+A name that only tests call is dead weight in the library.
+
 Paths that build no arrays (`--help`, `analyze`, `import stitchlab`) must
 not load numpy, whose import would dominate their start-up time.
 """
@@ -54,6 +59,68 @@ def test_guard_flags_unused_names():
 @pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def unreached_names(sources: dict[str, str], exempt: set[str]) -> list[str]:
+    """`module.name` for each public top-level name that no other top-level
+    statement of the modules refers to in code and that is not exempt.
+
+    A reference is a name or an attribute in code, so a mention in a
+    docstring or an import does not count; `exempt` holds bare names
+    (exports) and `module.name` entries.
+    """
+    statements = []  # (module, names it defines, names it refers to)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            refs = {n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+            statements.append((module, _defined(node), refs))
+    return sorted(
+        f"{module}.{name}"
+        for i, (module, names, _) in enumerate(statements)
+        for name in names
+        if not name.startswith("_") and not {name, f"{module}.{name}"} & exempt
+        and not any(name in refs for j, (_, _, refs) in enumerate(statements) if j != i)
+    )
+
+
+def test_guard_flags_unreached_names():
+    sources = {
+        "a": (
+            "LIMIT = 3\n"
+            "def helper(x):\n"
+            "    'Not one_off: a docstring mention does not count.'\n"
+            "    return x < LIMIT\n"
+            "def one_off():\n"
+            "    return one_off\n"
+            "def main():\n"
+            "    return helper(1)\n"
+        ),
+        "b": "from .a import one_off\nclass Shown:\n    pass\ndef api():\n    pass\n",
+    }
+    assert unreached_names(sources, {"api", "a.main"}) == ["a.one_off", "b.Shown"]
+
+
+def test_no_test_only_names():
+    paths = sorted(ROOT.glob("src/stitchlab/*.py"))
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in paths}
+    exports = next(ast.literal_eval(node.value)
+                   for node in ast.parse(sources["__init__"]).body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    assert unreached_names(sources, set(exports) | {"cli.main"}) == []
 
 
 # Each probe runs in a fresh interpreter and prints, as its last line,

@@ -1,6 +1,5 @@
 """Tests for the exact-arithmetic primitives."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +11,6 @@ from stitchlab.kernel import (
     CirclePoint,
     DirectedChord,
     check_input_size,
-    embed,
     wrap,
 )
 
@@ -28,21 +26,6 @@ def test_circle_point_range_enforced():
         CirclePoint(Fraction(1))
     with pytest.raises(ValueError):
         CirclePoint(Fraction(-1, 2))
-
-
-def test_embed_cardinal_points():
-    x, y = embed(wrap(0))
-    assert (x, y) == (1.0, 0.0)
-    x, y = embed(wrap(Fraction(1, 4)))
-    assert abs(x) < 1e-15 and abs(y - 1.0) < 1e-15
-    x, y = embed(wrap(Fraction(1, 2)))
-    assert abs(x + 1.0) < 1e-15 and abs(y) < 1e-15
-
-
-def test_embed_on_unit_circle():
-    for k in range(17):
-        x, y = embed(wrap(Fraction(k, 17)))
-        assert math.hypot(x, y) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_degenerate_chord():

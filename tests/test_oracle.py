@@ -1,48 +1,109 @@
 """Tests pinning the closed forms to their brute-force oracles."""
 
 import math
-import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stitchlab import oracle
-from stitchlab.cycloid import ORACLE_TOL, tangency_point
+from stitchlab import oracle, torusgeo
 from stitchlab.dances import PlanetDance, sample_pairs
 from stitchlab.oracle import (
     VerificationReport,
     brute_intersections,
-    brute_minimal_norms,
-    brute_nearest,
-    brute_tangency,
+    brute_shortest_vectors,
     reduced_dances,
     verify_all,
 )
-from stitchlab.torusgeo import intersection_count, shortest_sample_vector
+from stitchlab.torusgeo import intersection_count, natural_alias
 
 
 def test_brute_nearest_known_cases():
-    assert brute_nearest(206, 35) == (6, 4)
-    assert brute_nearest(207, 35) == (6, 3)
-    assert brute_nearest(100, 34) == (3, 2)
-    assert brute_nearest(50, 25) == (2, 0)
-    assert brute_nearest(1, 0) == (1, 0)
+    for m, a, vector, tie in [
+        (206, 35, (6, 4), False),
+        (207, 35, (6, 3), False),
+        (100, 34, (3, 2), False),
+        (50, 25, (2, 0), False),
+        (1, 0, (1, 0), True),    # (1, 0) and (0, 1)
+        (2, 1, (1, 1), True),    # (1, 1) and (1, -1), which a centered lift misses
+        (5, 2, (1, 2), True),    # (1, 2) and (2, -1)
+        (156, 96, (5, 12), True),  # p*q > 0 wins over the smaller |q| of (13, 0)
+    ]:
+        vectors, ties = brute_shortest_vectors(m)
+        assert (tuple(vectors[a].tolist()), bool(ties[a])) == (vector, tie), (m, a)
 
 
 def test_brute_nearest_agrees_with_search():
-    # full vector agreement, tie-breaks included
+    # full vector agreement, tie-breaks and tie flags included
     for m in range(1, 80):
+        vectors, ties = brute_shortest_vectors(m)
         for a in range(m):
-            assert brute_nearest(m, a) == shortest_sample_vector(m, a)
+            analysis = natural_alias(m, a)
+            assert (tuple(vectors[a].tolist()), bool(ties[a])) == (
+                analysis.shortest_vector, analysis.tie), (m, a)
 
 
 def test_brute_minimal_norms():
-    for m in (1, 2, 9, 37, 100):
-        norms = brute_minimal_norms(m)
+    # a box of twice the width holds no shorter vector and no further minimum
+    for m in (1, 2, 9, 37):
+        vectors, ties = brute_shortest_vectors(m)
         for a in range(m):
-            p, q = brute_nearest(m, a)
-            assert p * p + q * q == int(norms[a])
+            lattice = [(p, q) for p in range(0, 2 * m + 1)
+                       for q in range(-2 * m, 2 * m + 1)
+                       if (q - a * p) % m == 0 and (p > 0 or q > 0)]
+            best = min(p * p + q * q for p, q in lattice)
+            minima = [v for v in lattice if v[0] ** 2 + v[1] ** 2 == best]
+            p, q = vectors[a].tolist()
+            assert p * p + q * q == best and bool(ties[a]) == (len(minima) > 1)
+
+
+def test_suite_shortest_vector_checks_vector_and_tie(monkeypatch):
+    assert oracle._suite_shortest_vector(12).passed
+    # the tie-break preferring the larger |q|: same norms, other vectors
+    monkeypatch.setattr(torusgeo, "_pick", lambda minima: max(
+        [v for v in minima if v[0] * v[1] > 0] or minima, key=lambda v: abs(v[1])))
+    report = oracle._suite_shortest_vector(5)
+    assert report.failures[0] == ("(m,a)=(1,0)", "(1, 0) tie=True", "(0, 1) tie=True")
+    monkeypatch.undo()
+    # the tie flag flipped
+    real = torusgeo.natural_alias
+
+    def flipped(m, a):
+        analysis = real(m, a)
+        return replace(analysis, tie=not analysis.tie)
+
+    monkeypatch.setattr(oracle, "natural_alias", flipped)
+    report = oracle._suite_shortest_vector(3)
+    assert report.cases_run == 6 and len(report.failures) == 6
+    assert report.failures[1] == ("(m,a)=(2,0)", "(1, 0) tie=False", "(1, 0) tie=True")
+
+
+def test_suite_correspondence_checks_library_rows(monkeypatch):
+    assert oracle._suite_correspondence(12).cases_run == 78 + 78
+    # one graph's rows off by one
+    real = oracle.sample_pairs
+
+    def off_by_one(alpha, beta, m):
+        rows = real(alpha, beta, m)
+        return rows + 1 if (alpha, beta, m) == (1, 5, 11) else rows
+
+    monkeypatch.setattr(oracle, "sample_pairs", off_by_one)
+    report = oracle._suite_correspondence(12)
+    assert report.failures == (("MMT(11,5)", "equal chord sets", "differs"),)
+
+
+def test_suite_families_checks_rotation_step(monkeypatch):
+    assert oracle._suite_families().passed
+    # the floor rotations step by 1/(b + r), not by 1/r
+    real = oracle.predict_family
+    monkeypatch.setattr(oracle, "predict_family", lambda m, b, kind: replace(
+        real(m, b, kind), rotation_step=Fraction(1, m % b)))
+    report = oracle._suite_families()
+    assert len(report.failures) == 9
+    assert all(cell.startswith("floor") for cell, _, _ in report.failures)
+    assert report.failures[0] == ("floor b=4 r=2 m=198", "rotations 0 1/2",
+                                  "rotations 0 1/6")
 
 
 def test_brute_intersections_counts():
@@ -63,26 +124,6 @@ def test_intersection_formula_small_range():
             formula = intersection_count(PlanetDance(a1, b1), PlanetDance(a2, b2))
             brute = brute_intersections(PlanetDance(a1, b1), PlanetDance(a2, b2))
             assert formula == (0 if brute is None else brute)
-
-
-def test_brute_tangency_matches_formula():
-    rng = random.Random(20260826)
-    pool = [(a, b) for a, b in reduced_dances(5) if a + b != 0 and a != b]
-    for _ in range(50):
-        alpha, beta = rng.choice(pool)
-        s = Fraction(rng.randrange(1, 97), 97)
-        d = PlanetDance(alpha, beta)
-        expected = tangency_point(d, s)
-        found = brute_tangency(d, s)
-        assert expected is not None and found is not None
-        assert np.hypot(found[0] - expected[0],
-                        found[1] - expected[1]) < ORACLE_TOL
-
-
-def test_brute_tangency_degenerate_chord():
-    assert brute_tangency(PlanetDance(3, 2), Fraction(0)) is None
-    with pytest.raises(ValueError):
-        brute_tangency(PlanetDance(1, -1), Fraction(1, 7))
 
 
 def test_reduced_dances_contents():

@@ -67,18 +67,22 @@ def test_predict_ceiling_family():
     pred = predict_family(207, 6, "ceiling")
     assert (pred.r, pred.a, pred.d) == (3, 35, 3)
     assert pred.dance == PlanetDance(2, 1)
+    assert pred.rotation_step == Fraction(1, 3)
     dec = overlay_decompose(207, pred.a)
     assert dec.analysis.coset_count == pred.d
     assert dec.analysis.reduced_dance == pred.dance
+    assert [c.rotation for c in dec.cosets] == [Fraction(0), Fraction(1, 3), Fraction(2, 3)]
 
 
 def test_predict_floor_family():
     pred = predict_family(207, 6, "floor")
     assert (pred.r, pred.a, pred.d) == (3, 34, 3)
     assert pred.dance == PlanetDance(2, -1)
+    assert pred.rotation_step == Fraction(1, 9)  # 1/(b + r)
     dec = overlay_decompose(207, pred.a)
     assert dec.analysis.coset_count == pred.d
     assert dec.analysis.reduced_dance == pred.dance
+    assert [c.rotation for c in dec.cosets] == [Fraction(0), Fraction(1, 9), Fraction(2, 9)]
 
 
 def test_predict_family_validation():

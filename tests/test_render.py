@@ -122,6 +122,10 @@ def test_nearest_congruent():
     assert nearest_congruent(200, 3, 6) == 201
     assert nearest_congruent(200, 21, 100) == 221
     assert nearest_congruent(4, 1, 5) % 5 == 1
+    # a target at the cap never rounds up past it
+    assert nearest_congruent(10**6, 2, 3) == 999998
+    assert nearest_congruent(10**6, 1, 4) == 999997
+    assert nearest_congruent(10**6 - 1, 2, 3) == 999998
 
 
 def test_grid_shape():
