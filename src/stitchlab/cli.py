@@ -12,17 +12,14 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .cycloid import classify, offset_family_radius
 from .dances import PlanetDance, StitchGraph, mmt_chords
 from .overlay import overlay_decompose
-from .render import (
-    RenderStyle,
-    render_dance_with_curve,
-    render_gallery_pair,
-    render_grid,
-    render_stitch,
-)
+
+if TYPE_CHECKING:
+    from .render import RenderStyle
 
 GALLERY_PAIRS = [
     (200, 21), (50, 25), (100, 34), (100, 51),
@@ -40,6 +37,10 @@ def _frac(f: Fraction) -> str:
 
 
 def _style(args: argparse.Namespace) -> RenderStyle:
+    # render is imported by the commands that draw, here and below, so
+    # that analyze and --help do not load the SVG emitter
+    from .render import RenderStyle
+
     canvas = getattr(args, "canvas", None)
     if canvas is None:
         text = os.environ.get("STITCHLAB_CANVAS_PX", "800")
@@ -131,6 +132,8 @@ def _report_text(report: dict) -> str:
 
 
 def cmd_stitch(args: argparse.Namespace) -> int:
+    from .render import render_stitch
+
     doc = render_stitch(mmt_chords(StitchGraph(args.m, args.a)), _style(args))
     doc.save(args.out)
     return EXIT_OK
@@ -146,6 +149,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_dance(args: argparse.Namespace) -> int:
+    from .render import render_dance_with_curve
+
     doc = render_dance_with_curve(
         PlanetDance(args.alpha, args.beta), args.rate, _style(args)
     )
@@ -154,6 +159,8 @@ def cmd_dance(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
+    from .render import render_grid
+
     cells = render_grid(args.m, args.b_max, args.kind, _style(args))
     os.makedirs(args.out, exist_ok=True)
     index = []
@@ -177,6 +184,8 @@ def _parse_pair(text: str) -> tuple[int, int]:
 
 
 def cmd_gallery(args: argparse.Namespace) -> int:
+    from .render import render_gallery_pair
+
     pairs = [_parse_pair(t) for t in args.only] if args.only else GALLERY_PAIRS
     for m, a in pairs:
         StitchGraph(m, a)  # rejects a bad pair before the directory is made

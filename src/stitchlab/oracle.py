@@ -42,8 +42,7 @@ from .dances import (
     sample_pairs,
 )
 from .kernel import TorusPoint, wrap
-from .overlay import overlay_decompose, predict_family
-from .render import nearest_congruent
+from .overlay import nearest_congruent, overlay_decompose, predict_family
 from .torusgeo import TorusLine, intersection_count, line_contains, natural_alias
 
 
@@ -376,10 +375,22 @@ def _suite_cusps(bound: int) -> VerificationReport:
     return VerificationReport("cusp_count", cases, tuple(failures[:20]))
 
 
+#: The largest bounds `verify_all` accepts.  The max_m suites grow as
+#: max_m^2 and took 30 s in all at 600; `_suite_intersections`, which
+#: grows about as bound^4, took 39 s at 12 (2-core Xeon, Python 3.11).
+_MAX_M = 600
+_MAX_BOUND = 12
+
+
 def verify_all(max_m: int, dance_bound: int) -> list[VerificationReport]:
     """Run and time every suite within the given bounds, by suite name."""
     if max_m < 1 or dance_bound < 1:
         raise ValueError("bounds must be at least 1")
+    if max_m > _MAX_M:
+        raise ValueError(f"max_m must be at most {_MAX_M}, got {max_m}")
+    if dance_bound > _MAX_BOUND:
+        raise ValueError(
+            f"the dance bound must be at most {_MAX_BOUND}, got {dance_bound}")
     suites = [
         (_suite_correspondence, (max_m,)),
         (_suite_aliasing, (dance_bound,)),

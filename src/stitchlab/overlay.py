@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 from .dances import PlanetDance
+from .kernel import MAX_INPUT
 from .torusgeo import AliasAnalysis, TorusLine, natural_alias
 
 
@@ -118,3 +119,15 @@ def predict_family(m: int, b: int, kind: str) -> FamilyPrediction:
     return FamilyPrediction(
         b=b, r=r, kind=kind, a=a, d=d, dance=dance, rotation_step=step
     )
+
+
+def nearest_congruent(target: int, r: int, b: int) -> int:
+    """The modulus closest to target with remainder r mod b (ties go low),
+    never above the input cap when target is within it."""
+    below = target - (target - r) % b
+    if below <= b:  # keep b < m so the family is defined
+        below = r + b
+    above = below + b
+    if below >= target or above > MAX_INPUT:
+        return below
+    return below if target - below <= above - target else above

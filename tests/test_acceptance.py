@@ -6,8 +6,13 @@ and this gate.  Each line carries the elapsed time against the pinned
 budget.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import _gatelog
 
@@ -136,3 +141,51 @@ def test_criterion_12_sampling_identities():
     _gate(12, "sampling identities, speeds <= 20, m <= 60",
           report.passed and report.cases_run == 71160, elapsed, 2.0,
           f"{report.cases_run} cases")
+
+
+#: Runs one command, given as its arguments, from a small interpreter and
+#: prints the command's wall time, its own peak RSS in KB (`os.wait4`)
+#: and its exit code.  On Linux a child's peak RSS starts at the RSS of
+#: the process that spawned it, so pytest must not spawn the call itself.
+_LAUNCHER = """
+import os, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(time.perf_counter() - start, usage.ru_maxrss, os.waitstatus_to_exitcode(status))
+"""
+#: sha256 of each output, recorded from the per-element `fmt` loops.
+BOUNDED_OUTPUTS = {
+    ("stitch", "-m", "1000000", "-a", "377"):
+        "e45a1f242cc8bef5461bb07ebbbdbca6bf88c7e1190f19bb7d490a9e950a240b",
+    ("dance", "-a", "3", "-b", "2", "-n", "1000000"):
+        "83221b626dda4d2af0d4121215e71df47d51d338d356c173d979017bdddd349f",
+}
+
+
+def _measured_call(argv, out):
+    """Wall seconds, own peak RSS in MB and exit code of one CLI call."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("STITCHLAB_CANVAS_PX", None)
+    launched = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "stitchlab.cli",
+         *argv, "-o", str(out)],
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    wall, maxrss_kb, code = launched.stdout.split()
+    return float(wall), int(maxrss_kb) / 1024, int(code)
+
+
+def test_criterion_13_bounded_output(tmp_path):
+    ok, walls, details = True, [], []
+    for argv, digest in BOUNDED_OUTPUTS.items():
+        out = tmp_path / "out.svg"
+        wall, rss_mb, code = _measured_call(argv, out)
+        same = code == 0 and hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        out.unlink(missing_ok=True)
+        ok = ok and same and rss_mb < 100
+        walls.append(wall)
+        details.append(f"{argv[0]} {wall:.2f}s {rss_mb:.0f}MB"
+                       + ("" if same else " output differs"))
+    _gate(13, "stitch and dance at 10^6 byte-identical, under 100 MB", ok,
+          max(walls), 10.0, ", ".join(details))

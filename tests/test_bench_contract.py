@@ -34,7 +34,7 @@ def test_chord_construction_contract():
 
 
 def test_render_and_analysis_contract(monkeypatch):
-    style = RenderStyle(canvas_px=60)
+    style = RenderStyle(canvas_px=100)
     chords = mmt_chords(StitchGraph(12, 5))
     assert render_stitch(chords, style).data.startswith(b"<svg ")
     assert render_dance_with_curve(PlanetDance(3, 2), 10, style).data

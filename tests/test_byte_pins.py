@@ -6,8 +6,12 @@ rounding or float formatting on these paths shows up here.  The
 `gallery --only 206,35`, `analyze 10 6` and `analyze 1000000 1000`
 digests were recorded while the gallery still derived its coset lines
 apart from `overlay_decompose` and every coset still carried its
-chords.  Directory outputs (grid, gallery) are hashed as the sorted
-(relative path, bytes) pairs.
+chords.  The pins with m or n = 10000 and up, and those that name their
+own `--canvas`, were recorded from the per-element `fmt` loops that the
+block formatter replaced; at canvas 800 integer parts of two, three
+(`stitch`) and four digits (the gallery's right half) go through it.
+Directory outputs (grid, gallery) are hashed as the sorted (relative
+path, bytes) pairs.
 """
 
 import hashlib
@@ -23,14 +27,23 @@ PINS = {
     "stitch 100 34 --points": "e8c508601eaca86cab837872c9a525f5218216208e1efcf7deebf5c89bd0efbc",
     "stitch 100 34 --extend": "84f2f2240b34e7ec2705c8423a95663a6013707fc652a083633e5613d33abc08",
     "stitch 1 0": "fd8bbb94aa76dab8d39cc3aa352cc6fe6db9a66dc917e28f7ba79a8bca7716e3",
+    "stitch 10000 4321": "0b3780bf008611ae28b91ddbe65de6a39bad5495542ccfe3d277d2d2d142f44e",
+    "stitch 10000 4321 --points --extend":
+        "ae9cd5603fa92aa85c66bd89aba4c9514423543d7f42427ea0801ec0780421c4",
+    "stitch 100000 35911 --canvas 800":
+        "b064c6752aafae0c823bb4a497e73a0aeb85057a368d099389e7acdfdd8dfbb6",
     "stitch 2 1 --points": "e6f10dea7be0be583832249ddfde935c59516d19bbed0060395dea1e6f3d5523",
     "dance 3 2 n100": "350d73d1f0fed39a759834a8cd13914d3e0594193346af34b0fe01582cbbc5c2",
     "dance 5 -3 n60": "7a04b0d1c973453d683f795ab213b273cd125ee933b052e343e7d6f4c783a588",
     "dance 1 -1 n50": "f593ba8f800c4ae29c0c189a5245654747f96868a582ec9f17112a51d62fa622",
+    "dance 6 -5 n10000": "04273220aa5ac655f1b2273687c8d799d5e51a979fe2a348b377001bea7f23bd",
+    "dance 7 3 n10000": "eed47deeae8ac1ff706a2b2858011e15391cb33dc02aa38c70a0b58b397382c5",
     "dance 1 1 n10": "d9032094e534e44b068210646f456ac3a1c21e5be826581809e78ace6d21fd5a",
     "grid 200 9 ceiling": "6bf8cfd8e3e13223d50cc47fdd201ff74ee6ff5b261ae7c5265092b06b76b93b",
     "grid 200 9 floor": "06cf53d72a473f760abd2d5f5f460e2686f1d58ff899e4c6810cdec22eeacbf7",
     "gallery": "6a6580871bef7c6de7262e2693745c8fca3bfdb4d3cb0124729c75f95dfc9858",
+    "gallery --only 400,115 --canvas 800":
+        "e674e10bd2222da8ee9edd7f6ccb655048af5f296c18267c3742ec2872d229e3",
     "gallery --only 206,35": "c55d5e2427afd8c32022b5ac9d27c55f685c3a6ce9758c99e1504e22994b1335",
     "analyze 206 35": "6d9eca09b9a0d2afd4c24b3a227ace2036e294b09fe9672129e3ebfd55f4c4d0",
     "analyze 207 35": "8235a45da3c84a9ef3a742a649778d37a3faa576c780a47a18beb578f47a2819",
@@ -54,15 +67,20 @@ def _tree_sha(root) -> str:
     return h.hexdigest()
 
 
+def _canvas(argv):
+    """CANVAS unless the pin names its own `--canvas`."""
+    return [] if "--canvas" in argv else ["--canvas", CANVAS]
+
+
 def _file_output(tmp_path, argv):
     out = tmp_path / "out.svg"
-    assert cli.main([*argv, "--canvas", CANVAS, "-o", str(out)]) == 0
+    assert cli.main([*argv, *_canvas(argv), "-o", str(out)]) == 0
     return _sha(out.read_bytes())
 
 
 def _dir_output(tmp_path, argv):
     out = tmp_path / "out"
-    assert cli.main([*argv, "--canvas", CANVAS, "-o", str(out)]) == 0
+    assert cli.main([*argv, *_canvas(argv), "-o", str(out)]) == 0
     return _tree_sha(out)
 
 
@@ -73,9 +91,9 @@ def output_digest(name, tmp_path, capsys):
         m, a, *flags = rest
         return _file_output(tmp_path, ["stitch", "-m", m, "-a", a, *flags])
     if cmd == "dance":
-        alpha, beta, n = rest
+        alpha, beta, n, *flags = rest
         return _file_output(tmp_path, ["dance", "-a", alpha, "-b", beta,
-                                       "-n", n[1:]])
+                                       "-n", n[1:], *flags])
     if cmd == "grid":
         m, b_max, kind = rest
         return _dir_output(tmp_path, ["grid", "-m", m, "-B", b_max,

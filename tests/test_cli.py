@@ -153,6 +153,27 @@ def test_grid_rejects_bad_target(m, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("b_max", ["6", "1000000000"])
+def test_grid_rejects_too_many_chords(b_max, tmp_path, capsys):
+    out = tmp_path / "g"
+    assert run(["grid", "-m", "1000000", "-B", b_max, "-o", str(out)]) == 2
+    assert "draws more than 10000000 chords" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("canvas", ["1", "80"])
+def test_canvas_inside_margins_rejected(canvas, tmp_path, capsys):
+    # a canvas no wider than its two 40 px margins has a negative radius
+    out = tmp_path / "out.svg"
+    for argv in (["stitch", "-m", "12", "-a", "5"],
+                 ["dance", "-a", "3", "-b", "2", "-n", "10"]):
+        assert run([*argv, "--canvas", canvas, "-o", str(out)]) == 2
+        assert "it must exceed 80" in capsys.readouterr().err
+        assert not out.exists()
+    assert run(["gallery", "--canvas", canvas, "-o", str(tmp_path / "gal")]) == 2
+    assert not (tmp_path / "gal").exists()
+
+
 def test_gallery_only(tmp_path):
     out = tmp_path / "gal"
     assert run(["gallery", "--only", "100,34", "--canvas", "150",
@@ -218,6 +239,18 @@ def test_verify_json(capsys):
         assert isinstance(t["elapsed_s"], float) and t["elapsed_s"] >= 0
     assert run(["verify", "--max-m", "2", "--bound", "1", "--json"]) == 0
     assert capsys.readouterr().out == first.out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--max-m", "1000000"], "max_m must be at most 600, got 1000000"),
+    (["--max-m", "601"], "max_m must be at most 600, got 601"),
+    (["--bound", "13"], "the dance bound must be at most 12, got 13"),
+])
+def test_verify_rejects_unbounded_work(flags, message, capsys):
+    assert run(["verify", *flags, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

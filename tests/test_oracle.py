@@ -199,3 +199,8 @@ def test_verify_all_moderate_bounds():
 def test_verify_all_validation():
     with pytest.raises(ValueError):
         verify_all(0, 1)
+    # the suites cost about max_m^2 and bound^4: the limits are 600 and 12
+    with pytest.raises(ValueError, match="at most 600"):
+        verify_all(601, 1)
+    with pytest.raises(ValueError, match="at most 12"):
+        verify_all(1, 13)
