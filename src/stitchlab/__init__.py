@@ -14,7 +14,7 @@ from .cycloid import CycloidSpec, EnvelopeReport, classify, verify_envelope
 from .dances import PlanetDance, Sampling, StitchGraph, mmt_chords, sample
 from .kernel import ChordSet, CirclePoint, DirectedChord, TorusPoint
 from .overlay import OverlayDecomposition, overlay_decompose, predict_family
-from .torusgeo import AliasAnalysis, natural_alias, shortest_sample_vector
+from .torusgeo import AliasAnalysis, natural_alias
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "overlay_decompose",
     "predict_family",
     "sample",
-    "shortest_sample_vector",
     "verify_envelope",
     "__version__",
 ]

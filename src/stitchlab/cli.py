@@ -41,7 +41,7 @@ def _style(args: argparse.Namespace) -> RenderStyle:
     # that analyze and --help do not load the SVG emitter
     from .render import RenderStyle
 
-    canvas = getattr(args, "canvas", None)
+    canvas = args.canvas
     if canvas is None:
         text = os.environ.get("STITCHLAB_CANVAS_PX", "800")
         try:
@@ -52,8 +52,8 @@ def _style(args: argparse.Namespace) -> RenderStyle:
             ) from None
     return RenderStyle(
         canvas_px=canvas,
-        show_points=getattr(args, "points", False),
-        extend_lines=getattr(args, "extend", False),
+        show_points=args.points,
+        extend_lines=args.extend,
     )
 
 
@@ -83,8 +83,8 @@ def build_report(m: int, a: int) -> dict:
         envelope = {"kind": spec.kind}
     return {
         "m": m,
-        "a": a % m,
-        "fundamental_dance": {"alpha": 1, "beta": a % m},
+        "a": analysis.a,
+        "fundamental_dance": {"alpha": 1, "beta": analysis.a},
         "shortest_vector": list(analysis.shortest_vector),
         "natural_dance": {"alpha": dance.alpha, "beta": dance.beta},
         "tie": analysis.tie,

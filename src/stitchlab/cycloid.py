@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .dances import PlanetDance
 
-#: default tolerance for exact-formula checks (double precision headroom)
+#: tolerance of `EnvelopeReport.passed` (double precision headroom)
 FORMULA_TOL = 1e-9
 
 TWO_PI = 2.0 * math.pi
@@ -51,11 +51,11 @@ class EnvelopeReport:
     max_parallelism_defect: float
     skipped_degenerate: int
 
-    def passed(self, tol: float = FORMULA_TOL) -> bool:
+    def passed(self) -> bool:
         return (
             self.samples > 0
-            and self.max_line_distance < tol
-            and self.max_parallelism_defect < tol
+            and self.max_line_distance < FORMULA_TOL
+            and self.max_parallelism_defect < FORMULA_TOL
         )
 
 
@@ -119,7 +119,7 @@ def offset_family_radius(c: Fraction) -> float:
     return math.sin(math.pi * float(Fraction(1, 2) - min(c, 1 - c)))
 
 
-def verify_envelope(d: PlanetDance, n: int, tol: float = FORMULA_TOL) -> EnvelopeReport:
+def verify_envelope(d: PlanetDance, n: int) -> EnvelopeReport:
     """Check tangency numerically over the n-sampled chord family.
 
     For each non-degenerate chord at s = k/n, measures the distance from
@@ -144,15 +144,15 @@ def verify_envelope(d: PlanetDance, n: int, tol: float = FORMULA_TOL) -> Envelop
     ax, ay = np.cos(ta), np.sin(ta)
     bx, by = np.cos(tb), np.sin(tb)
     denom = alpha + beta
-    px = (alpha * np.cos(tb) + beta * np.cos(ta)) / denom
-    py = (alpha * np.sin(tb) + beta * np.sin(ta)) / denom
+    px = (alpha * bx + beta * ax) / denom
+    py = (alpha * by + beta * ay) / denom
     # distance from curve point to the infinite chord line
     cx, cy = bx - ax, by - ay
     clen = np.hypot(cx, cy)
     line_dist = np.abs(cx * (py - ay) - cy * (px - ax)) / clen
     # curve tangent vs chord direction
-    tx = -(alpha * beta * np.sin(tb) + beta * alpha * np.sin(ta))
-    ty = alpha * beta * np.cos(tb) + beta * alpha * np.cos(ta)
+    tx = -(alpha * beta * by + beta * alpha * ay)
+    ty = alpha * beta * bx + beta * alpha * ax
     tlen = np.hypot(tx, ty)
     moving = tlen > 1e-12  # a point curve is tangent to every line through it
     defect = np.zeros_like(tlen)

@@ -78,11 +78,6 @@ def sample(s: Sampling) -> ChordSet:
     return ChordSet.from_rows(s.rate, sample_pairs(s.dance.alpha, s.dance.beta, s.rate))
 
 
-def sample_dance(alpha: int, beta: int, m: int) -> ChordSet:
-    """Convenience wrapper: the m-sampling of the dance (alpha, beta)."""
-    return sample(Sampling(PlanetDance(alpha, beta), m))
-
-
 def reduce_dance(d: PlanetDance) -> PlanetDance:
     """Divide out the gcd of the speeds; (0, 0) stays as is."""
     g = gcd(abs(d.alpha), abs(d.beta))

@@ -5,7 +5,8 @@ with it:
 
 - ``stitch_sampling_correspondence``: the rows of ``sample_pairs(1, a, m)``
   against endpoints built as running sums e_k = e_(k-1) + a (mod m), and
-  ``mmt_chords`` against ``sample`` for m <= 40;
+  for m <= 40 the ``den`` and rows of ``mmt_chords(StitchGraph(m, a - m))``
+  against m and the same sums;
 - ``alias_sampling_equality``: ``sample_pairs`` of two dances whose
   determinant is m;
 - ``intersection_counts``: ``intersection_count`` against
@@ -33,14 +34,7 @@ from math import gcd
 import numpy as np
 
 from .cycloid import offset_family_radius, verify_envelope
-from .dances import (
-    PlanetDance,
-    Sampling,
-    StitchGraph,
-    mmt_chords,
-    sample,
-    sample_pairs,
-)
+from .dances import PlanetDance, StitchGraph, mmt_chords, sample_pairs
 from .kernel import TorusPoint, wrap
 from .overlay import nearest_congruent, overlay_decompose, predict_family
 from .torusgeo import TorusLine, intersection_count, line_contains, natural_alias
@@ -140,11 +134,13 @@ def _suite_correspondence(max_m: int) -> VerificationReport:
             cases += 1
             if not np.array_equal(sample_pairs(1, a, m), expected[a]):
                 failures.append((f"MMT({m},{a})", "equal chord sets", "differs"))
-    # full-API spot check on the small prefix
-    for m in range(1, min(max_m, 40) + 1):
+        if m > 40:
+            continue
+        # the full API on the small prefix, from a congruent negative multiplier
         for a in range(m):
             cases += 1
-            if mmt_chords(StitchGraph(m, a)) != sample(Sampling(PlanetDance(1, a), m)):
+            chords = mmt_chords(StitchGraph(m, a - m))
+            if chords.den != m or not np.array_equal(chords.rows, expected[a]):
                 failures.append((f"MMT({m},{a}) API", "equal chord sets", "differs"))
     return VerificationReport("stitch_sampling_correspondence", cases, tuple(failures[:20]))
 
@@ -347,8 +343,8 @@ def _suite_envelope(bound: int) -> VerificationReport:
             if gcd(alpha, abs(beta)) != 1 or alpha + beta == 0 or alpha == beta:
                 continue
             cases += 1
-            report = verify_envelope(PlanetDance(alpha, beta), 720, 1e-9)
-            if not report.passed(1e-9):
+            report = verify_envelope(PlanetDance(alpha, beta), 720)
+            if not report.passed():
                 failures.append(
                     (f"<{alpha},{beta}>", "tangency within 1e-9",
                      f"dist={report.max_line_distance:.3g} "

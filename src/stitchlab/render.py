@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .cycloid import classify, cycloid_point
-from .dances import PlanetDance, StitchGraph, mmt_chords, sample_dance, sample_pairs
+from .dances import PlanetDance, Sampling, StitchGraph, mmt_chords, sample
 from .kernel import MAX_INPUT, ChordSet, check_input_size
 from .overlay import nearest_congruent, overlay_decompose
 from .torusgeo import TorusLine
@@ -27,7 +27,8 @@ from .torusgeo import TorusLine
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_PALETTE = (
+#: Torus line colors of the gallery's overlay cosets, by coset index.
+COSET_PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f",
 )
@@ -35,6 +36,8 @@ CHORD_COLOR = "#000000"
 CURVE_COLOR = "#cc2222"
 FUNDAMENTAL_COLOR = "#e6a23c"
 POINT_RADIUS = 2.5
+MARGIN_PX = 40
+STROKE_WIDTH = 0.75
 SAMPLE_DOT_RADIUS = 2.0
 CURVE_SEGMENTS = 1024
 #: Elements made (and angles evaluated) per block; bounds the memory
@@ -45,38 +48,20 @@ _CHUNK_ROWS = 1 << 14
 _EXACT_LIMIT = 1e15
 #: The most chords one `render_grid` call may draw over all its cells.
 _GRID_CHORD_CAP = 10 * MAX_INPUT
-#: Palette colors are copied into element rows as they are, where a NUL
-#: byte would be taken for padding, so only hex digits are accepted.
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 @dataclass(frozen=True)
 class RenderStyle:
     canvas_px: int = 800
-    margin_px: int = 40
-    stroke_width: float = 0.75
     show_points: bool = False
     extend_lines: bool = False
-    coset_palette: tuple[str, ...] = DEFAULT_PALETTE
 
     def __post_init__(self) -> None:
-        if self.canvas_px < 1:
-            raise ValueError("canvas size must be positive")
-        if self.margin_px < 0:
-            raise ValueError("margin must be nonnegative")
-        if self.canvas_px <= 2 * self.margin_px:
+        if self.canvas_px <= 2 * MARGIN_PX:
             raise ValueError(
                 f"canvas size {self.canvas_px} leaves no room inside the "
-                f"{self.margin_px} px margins; it must exceed {2 * self.margin_px}"
+                f"{MARGIN_PX} px margins; it must exceed {2 * MARGIN_PX}"
             )
-        if self.stroke_width <= 0:
-            raise ValueError("stroke width must be positive")
-        if len(self.coset_palette) < 1:
-            raise ValueError("palette must have at least one color")
-        for color in self.coset_palette:
-            if (len(color) != 7 or color[0] != "#"
-                    or not _HEX_DIGITS.issuperset(color[1:])):
-                raise ValueError(f"not a 6-digit hex color: {color!r}")
 
 
 class SvgDocument:
@@ -227,9 +212,9 @@ def _place(n: int, *placed: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return out
 
 
-def _lines(x1, y1, x2, y2, color: str, width: float) -> np.ndarray:
+def _lines(x1, y1, x2, y2, color: str) -> np.ndarray:
     return _rows(b'<line x1="', x1, b'" y1="', y1, b'" x2="', x2, b'" y2="', y2,
-                 _element(f'" stroke="{color}" stroke-width="{fmt(width)}"/>'))
+                 _element(f'" stroke="{color}" stroke-width="{fmt(STROKE_WIDTH)}"/>'))
 
 
 def _dots(cx, cy, r: float, color: str) -> np.ndarray:
@@ -237,10 +222,10 @@ def _dots(cx, cy, r: float, color: str) -> np.ndarray:
                  _element(f'" r="{fmt(r)}" fill="{color}"/>'))
 
 
-def _polyline(xs, ys, color: str, width: float) -> bytes:
+def _polyline(xs, ys, color: str) -> bytes:
     points = _text(_rows(xs, b",", ys, b" "))[:-1]
-    return (b'<polyline points="' + points
-            + _element(f'" fill="none" stroke="{color}" stroke-width="{fmt(width)}"/>'))
+    return (b'<polyline points="' + points + _element(
+        f'" fill="none" stroke="{color}" stroke-width="{fmt(STROKE_WIDTH)}"/>'))
 
 
 def _clip_infinite(ax, ay, bx, by, x0, y0, x1, y1):
@@ -273,12 +258,10 @@ def _clip_infinite(ax, ay, bx, by, x0, y0, x1, y1):
 class _CircleScene:
     """Maps unit-circle geometry into a square canvas cell."""
 
-    def __init__(self, style: RenderStyle, ox: float = 0.0):
-        self.style = style
-        px = style.canvas_px
+    def __init__(self, px: int, ox: float = 0.0):
         self.cx = ox + px / 2.0
         self.cy = px / 2.0
-        self.radius = px / 2.0 - style.margin_px
+        self.radius = px / 2.0 - MARGIN_PX
         self.box = (ox, 0.0, ox + px, px)
 
     def to_canvas(self, p: tuple[float, float]) -> tuple[float, float]:
@@ -311,7 +294,7 @@ class _CircleScene:
         return _element(
             f'<circle cx="{fmt(self.cx)}" cy="{fmt(self.cy)}" '
             f'r="{fmt(self.radius)}" fill="none" stroke="{CHORD_COLOR}" '
-            f'stroke-width="{fmt(self.style.stroke_width)}"/>'
+            f'stroke-width="{fmt(STROKE_WIDTH)}"/>'
         )
 
     def chord_elements(self, chords: ChordSet, color: str,
@@ -332,7 +315,7 @@ class _CircleScene:
                 line = line[hit]
             yield _text(_place(
                 len(start),
-                (line, _lines(ax, ay, bx, by, color, self.style.stroke_width)),
+                (line, _lines(ax, ay, bx, by, color)),
                 (dot, _dots(xs[start[dot]], ys[start[dot]], POINT_RADIUS, color)),
             ))
 
@@ -350,12 +333,10 @@ class _CircleScene:
 class _TorusScene:
     """Maps the unit square torus into a square canvas cell."""
 
-    def __init__(self, style: RenderStyle):
-        self.style = style
-        px = style.canvas_px
-        self.x0 = style.margin_px
-        self.y0 = px - style.margin_px
-        self.scale = px - 2 * style.margin_px
+    def __init__(self, px: int):
+        self.x0 = MARGIN_PX
+        self.y0 = px - MARGIN_PX
+        self.scale = px - 2 * MARGIN_PX
 
     def to_canvas(self, x, y):
         return (self.x0 + self.scale * x, self.y0 - self.scale * y)
@@ -365,7 +346,7 @@ class _TorusScene:
         return _element(
             f'<rect x="{fmt(self.x0)}" y="{fmt(self.y0 - self.scale)}" '
             f'width="{side}" height="{side}" fill="none" '
-            f'stroke="{CHORD_COLOR}" stroke-width="{fmt(self.style.stroke_width)}"/>'
+            f'stroke="{CHORD_COLOR}" stroke-width="{fmt(STROKE_WIDTH)}"/>'
         )
 
     def line_elements(self, line: TorusLine, color: str) -> bytes:
@@ -375,13 +356,13 @@ class _TorusScene:
                          for segment in _unroll_segments(line)])
         ax, ay = self.to_canvas(ends[:, 0], ends[:, 1])
         bx, by = self.to_canvas(ends[:, 2], ends[:, 3])
-        return _text(_lines(ax, ay, bx, by, color, self.style.stroke_width))
+        return _text(_lines(ax, ay, bx, by, color))
 
-    def sample_dots(self, m: int, a: int) -> Iterator[bytes]:
-        pairs = sample_pairs(1, a, m)
-        for lo in range(0, m, _CHUNK_ROWS):
-            k, ak = pairs[lo:lo + _CHUNK_ROWS].T
-            x, y = self.to_canvas(k / m, ak / m)
+    def sample_dots(self, chords: ChordSet) -> Iterator[bytes]:
+        """A dot at (x, y) for each chord from x to y, in row order."""
+        for lo in range(0, len(chords.rows), _CHUNK_ROWS):
+            start, end = chords.rows[lo:lo + _CHUNK_ROWS].T
+            x, y = self.to_canvas(start / chords.den, end / chords.den)
             yield _text(_dots(x, y, SAMPLE_DOT_RADIUS, CHORD_COLOR))
 
 
@@ -424,7 +405,7 @@ def _unroll_segments(line: TorusLine):
 
 def render_stitch(chords: ChordSet, style: RenderStyle) -> SvgDocument:
     """Circle outline, optional boundary dots, and the chord family."""
-    scene = _CircleScene(style)
+    scene = _CircleScene(style.canvas_px)
 
     def body() -> Iterator[bytes]:
         yield scene.outline()
@@ -446,8 +427,8 @@ def render_dance_with_curve(d: PlanetDance, n: int,
 
     spec = classify(d)
     extend = style.extend_lines or spec.kind == "hypocycloid"
-    scene = _CircleScene(style)
-    chords = sample_dance(d.alpha, d.beta, n)
+    scene = _CircleScene(style.canvas_px)
+    chords = sample(Sampling(d, n))
     curve = None
     # a diagonal <c, c> draws the unit circle, its offset-0 family's envelope
     if spec.kind in ("epicycloid", "hypocycloid", "diagonal"):
@@ -458,7 +439,7 @@ def render_dance_with_curve(d: PlanetDance, n: int,
         yield scene.outline()
         yield from scene.chord_elements(chords, CHORD_COLOR, extend)
         if curve is not None:
-            yield _polyline(curve[:, 0], curve[:, 1], CURVE_COLOR, style.stroke_width)
+            yield _polyline(curve[:, 0], curve[:, 1], CURVE_COLOR)
 
     return SvgDocument(style.canvas_px, style.canvas_px, body)
 
@@ -503,20 +484,19 @@ def render_gallery_pair(m: int, a: int, style: RenderStyle) -> SvgDocument:
     px = style.canvas_px
     dec = overlay_decompose(m, a)
     a = dec.analysis.a
-    palette = style.coset_palette
     lines = [(TorusLine(PlanetDance(1, a), Fraction(0)), FUNDAMENTAL_COLOR)]
-    lines += [(c.line, palette[c.index % len(palette)]) for c in dec.cosets]
-    torus = _TorusScene(style)
-    scene = _CircleScene(style, ox=float(px))
+    lines += [(c.line, COSET_PALETTE[c.index % len(COSET_PALETTE)]) for c in dec.cosets]
+    torus = _TorusScene(px)
+    scene = _CircleScene(px, ox=float(px))
 
     def body() -> Iterator[bytes]:
+        # chord k of MMT(m, a) runs from k/m to a*k/m: the sample (k/m, a*k/m)
+        chords = mmt_chords(StitchGraph(m, a))
         yield torus.outline()
         for line, color in lines:
             yield torus.line_elements(line, color)
-        yield from torus.sample_dots(m, a)
+        yield from torus.sample_dots(chords)
         yield scene.outline()
-        yield from scene.chord_elements(
-            mmt_chords(StitchGraph(m, a)), CHORD_COLOR, style.extend_lines
-        )
+        yield from scene.chord_elements(chords, CHORD_COLOR, style.extend_lines)
 
     return SvgDocument(2 * px, px, body)

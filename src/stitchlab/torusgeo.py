@@ -127,14 +127,6 @@ def _pick(minima: list[Vec]) -> Vec:
     return min(pool, key=lambda v: abs(v[1]))
 
 
-def shortest_sample_vector(m: int, a: int) -> Vec:
-    """The lattice vector realizing the sample point nearest the origin."""
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    check_input_size(m, a)
-    return _pick(minimal_vectors(m, a))
-
-
 def natural_alias(m: int, a: int) -> AliasAnalysis:
     """The full answer for one stitch graph: alias dance, coset count, tie."""
     if m < 1:

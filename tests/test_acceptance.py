@@ -17,7 +17,7 @@ from pathlib import Path
 import _gatelog
 
 from stitchlab import cli, oracle
-from stitchlab.dances import PlanetDance, StitchGraph, mmt_chords, sample_dance
+from stitchlab.dances import PlanetDance, Sampling, StitchGraph, mmt_chords, sample
 from stitchlab.overlay import overlay_decompose
 
 
@@ -46,7 +46,7 @@ def test_criterion_01_fundamental_correspondence():
 
 def test_criterion_02_mmt_100_34():
     start = time.perf_counter()
-    ok = mmt_chords(StitchGraph(100, 34)) == sample_dance(3, 2, 100)
+    ok = mmt_chords(StitchGraph(100, 34)) == sample(Sampling(PlanetDance(3, 2), 100))
     _gate(2, "MMT(100,34) = 100-sampling of <3,2>", ok,
           time.perf_counter() - start, 1.0)
 

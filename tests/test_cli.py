@@ -161,7 +161,7 @@ def test_grid_rejects_too_many_chords(b_max, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("canvas", ["1", "80"])
+@pytest.mark.parametrize("canvas", ["1", "80", "0", "-5"])
 def test_canvas_inside_margins_rejected(canvas, tmp_path, capsys):
     # a canvas no wider than its two 40 px margins has a negative radius
     out = tmp_path / "out.svg"

@@ -12,10 +12,13 @@ from stitchlab.dances import (
     mmt_chords,
     reduce_dance,
     sample,
-    sample_dance,
     sample_pairs,
 )
 from stitchlab.kernel import ChordSet, DirectedChord, wrap
+
+
+def sampled(alpha, beta, rate):
+    return sample(Sampling(PlanetDance(alpha, beta), rate))
 
 
 def test_dance_canonical_orientation():
@@ -59,20 +62,20 @@ def test_mmt_small_example():
 
 def test_multiplication_table_is_integral_sampling():
     for m, a in [(1, 0), (7, 3), (12, 2), (30, 7), (50, 25)]:
-        assert mmt_chords(StitchGraph(m, a)) == sample_dance(1, a, m)
+        assert mmt_chords(StitchGraph(m, a)) == sampled(1, a, m)
 
 
 def test_sampling_periodicity_in_beta():
     # shifting the second speed by the rate leaves the sampling unchanged
-    assert sample_dance(3, 2, 10) == sample_dance(3, 12, 10)
-    assert sample_dance(3, 2, 10) == sample_dance(3, -8, 10)
+    assert sampled(3, 2, 10) == sampled(3, 12, 10)
+    assert sampled(3, 2, 10) == sampled(3, -8, 10)
 
 
 def test_sampling_unit_invertibility():
     # multiplying both speeds by a unit mod m permutes the samples
-    assert sample_dance(1, 7, 10) == sample_dance(3, 21, 10)
+    assert sampled(1, 7, 10) == sampled(3, 21, 10)
     # ... but not by a zero divisor
-    assert sample_dance(1, 7, 10) != sample_dance(2, 14, 10)
+    assert sampled(1, 7, 10) != sampled(2, 14, 10)
 
 
 def test_reduce_dance():
@@ -102,4 +105,4 @@ def test_sample_pairs_matches_sample():
         assert got.dtype == np.int64
         assert [tuple(row) for row in got] == expected
     # <3,2> at t = 1/2 runs from 1/2 to 0
-    assert DirectedChord(wrap(Fraction(1, 2)), wrap(0)) in set(sample_dance(3, 2, 2))
+    assert DirectedChord(wrap(Fraction(1, 2)), wrap(0)) in set(sampled(3, 2, 2))

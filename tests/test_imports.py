@@ -10,6 +10,10 @@ itself: code in another of its top-level statements refers to it, it is
 exported in `stitchlab.__all__`, or it is the console script `cli.main`.
 A name that only tests call is dead weight in the library.
 
+Every parameter of a function or method of the package is read in its
+body (`self`, `cls` and the parameters of dunder methods aside): a
+parameter that nothing reads is a knob that does nothing.
+
 Paths that build no arrays (`--help`, `analyze`, `import stitchlab`) must
 not load numpy, whose import would dominate their start-up time.
 """
@@ -121,6 +125,47 @@ def test_no_test_only_names():
                    if isinstance(node, ast.Assign)
                    and any(getattr(t, "id", None) == "__all__" for t in node.targets))
     assert unreached_names(sources, set(exports) | {"cli.main"}) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """`function.parameter` for each parameter that its function's body
+    never loads; `self`, `cls` and dunder methods are exempt."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, (args.vararg, args.kwarg))]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{node.name}.{p.arg}" for p in params
+                if p.arg not in ("self", "cls") and p.arg not in read]
+    return sorted(out)
+
+
+def test_guard_flags_unread_parameters():
+    source = (
+        "def f(x, tol=1e-9, *rest, key, **opts):\n"
+        "    tol = 0\n"
+        "    return x, key\n"
+        "class C:\n"
+        "    def __init__(self, unused):\n"
+        "        pass\n"
+        "    def method(self, n):\n"
+        "        def inner(k):\n"
+        "            return n\n"
+        "        return inner\n"
+    )
+    assert unread_parameters(source) == ["f.opts", "f.rest", "f.tol", "inner.k"]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/stitchlab/*.py")),
+                         ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
 
 
 # Each probe runs in a fresh interpreter and prints, as its last line,

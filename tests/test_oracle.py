@@ -9,6 +9,7 @@ import pytest
 
 from stitchlab import oracle, torusgeo
 from stitchlab.dances import PlanetDance, sample_pairs
+from stitchlab.kernel import ChordSet
 from stitchlab.oracle import (
     VerificationReport,
     brute_intersections,
@@ -91,6 +92,20 @@ def test_suite_correspondence_checks_library_rows(monkeypatch):
     monkeypatch.setattr(oracle, "sample_pairs", off_by_one)
     report = oracle._suite_correspondence(12)
     assert report.failures == (("MMT(11,5)", "equal chord sets", "differs"),)
+
+
+def test_suite_correspondence_spot_check_catches_lost_chord(monkeypatch):
+    # every chord set of den 11 loses its last row, whichever path builds it
+    real = ChordSet.from_rows.__func__
+
+    def drop_last(cls, den, rows):
+        return real(cls, den, rows[:-1] if den == 11 else rows)
+
+    monkeypatch.setattr(ChordSet, "from_rows", classmethod(drop_last))
+    report = oracle._suite_correspondence(12)
+    assert report.cases_run == 78 + 78
+    assert report.failures == tuple(
+        (f"MMT(11,{a}) API", "equal chord sets", "differs") for a in range(11))
 
 
 def test_suite_families_checks_rotation_step(monkeypatch):

@@ -90,7 +90,7 @@ def test_golden_file_through_fallback(monkeypatch):
 
 
 def test_at_turns_is_the_scalar_map():
-    scene = _CircleScene(RenderStyle(canvas_px=160), ox=160.0)
+    scene = _CircleScene(160, ox=160.0)
     for den in (1, 7, 360, 10007):
         xs, ys = scene.at_turns(np.arange(den), den)
         for n in range(den):
@@ -140,14 +140,6 @@ def test_style_validation():
     with pytest.raises(ValueError, match="it must exceed 80"):
         RenderStyle(canvas_px=80)  # no room inside the 40 px margins
     assert RenderStyle(canvas_px=81).canvas_px == 81
-    with pytest.raises(ValueError):
-        RenderStyle(canvas_px=20, margin_px=10)
-    with pytest.raises(ValueError):
-        RenderStyle(coset_palette=("#12345g",))
-    with pytest.raises(ValueError):
-        RenderStyle(stroke_width=0)
-    with pytest.raises(ValueError):
-        RenderStyle(coset_palette=("red",))
 
 
 def test_stitch_deterministic():
@@ -221,7 +213,7 @@ def test_torus_render_has_samples():
 def test_overlay_uses_palette():
     # one torus line per coset, colored by coset index; d = 2 here
     doc = render_gallery_pair(206, 35, RenderStyle())
-    palette = RenderStyle().coset_palette
+    palette = render.COSET_PALETTE
     assert palette[0] in doc.text
     assert palette[1] in doc.text
     assert palette[2] not in doc.text

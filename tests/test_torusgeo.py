@@ -12,7 +12,6 @@ from stitchlab.torusgeo import (
     line_contains,
     minimal_vectors,
     natural_alias,
-    shortest_sample_vector,
 )
 
 
@@ -63,15 +62,15 @@ def test_intersection_count_requires_reduced():
 
 
 def test_shortest_vector_known_cases():
-    assert shortest_sample_vector(206, 35) == (6, 4)
-    assert shortest_sample_vector(207, 35) == (6, 3)
-    assert shortest_sample_vector(100, 34) == (3, 2)
-    assert shortest_sample_vector(100, 2) == (1, 2)
+    assert natural_alias(206, 35).shortest_vector == (6, 4)
+    assert natural_alias(207, 35).shortest_vector == (6, 3)
+    assert natural_alias(100, 34).shortest_vector == (3, 2)
+    assert natural_alias(100, 2).shortest_vector == (1, 2)
 
 
 def test_shortest_vector_trivial_modulus():
     # for m = 1 every integer pair is a lattice vector
-    assert shortest_sample_vector(1, 0) == (1, 0)
+    assert natural_alias(1, 0).shortest_vector == (1, 0)
 
 
 def test_tie_detection():
