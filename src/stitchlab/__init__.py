@@ -12,7 +12,7 @@ arrays, so importing the package and the exact analysis path
 
 from .cycloid import CycloidSpec, EnvelopeReport, classify, verify_envelope
 from .dances import PlanetDance, Sampling, StitchGraph, mmt_chords, sample
-from .kernel import ChordSet, CirclePoint, DirectedChord, TorusPoint
+from .kernel import ChordSet, CirclePoint, DirectedChord, wrap
 from .overlay import OverlayDecomposition, overlay_decompose, predict_family
 from .torusgeo import AliasAnalysis, natural_alias
 
@@ -29,7 +29,6 @@ __all__ = [
     "PlanetDance",
     "Sampling",
     "StitchGraph",
-    "TorusPoint",
     "classify",
     "mmt_chords",
     "natural_alias",
@@ -37,5 +36,6 @@ __all__ = [
     "predict_family",
     "sample",
     "verify_envelope",
+    "wrap",
     "__version__",
 ]

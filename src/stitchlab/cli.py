@@ -1,8 +1,7 @@
 """Command-line interface: construct, analyze, verify, and render.
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments, 3 I/O
-error.  The canvas size for all rendering commands can be overridden
-with the STITCHLAB_CANVAS_PX environment variable.
+error.  The rendering commands take the canvas size from `--canvas`.
 """
 
 from __future__ import annotations
@@ -41,17 +40,8 @@ def _style(args: argparse.Namespace) -> RenderStyle:
     # that analyze and --help do not load the SVG emitter
     from .render import RenderStyle
 
-    canvas = args.canvas
-    if canvas is None:
-        text = os.environ.get("STITCHLAB_CANVAS_PX", "800")
-        try:
-            canvas = int(text)
-        except ValueError:
-            raise ValueError(
-                f"STITCHLAB_CANVAS_PX must be an integer, got {text!r}"
-            ) from None
     return RenderStyle(
-        canvas_px=canvas,
+        canvas_px=args.canvas,
         show_points=args.points,
         extend_lines=args.extend,
     )
@@ -232,9 +222,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_style_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--canvas", type=int, default=None,
-                   help="canvas size in pixels (default 800 or "
-                        "$STITCHLAB_CANVAS_PX)")
+    p.add_argument("--canvas", type=int, default=800,
+                   help="canvas size in pixels (default 800)")
     p.add_argument("--points", action="store_true",
                    help="mark chord endpoints with dots")
     p.add_argument("--extend", action="store_true",

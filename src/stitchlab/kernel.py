@@ -40,14 +40,6 @@ class CirclePoint:
             raise ValueError(f"circle position {self.turn} outside [0, 1)")
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    """A point of the flat torus: a pair of circle positions."""
-
-    x: CirclePoint
-    y: CirclePoint
-
-
 @dataclass(frozen=True, order=True)
 class DirectedChord:
     """An ordered pair of circle points.

@@ -2,11 +2,12 @@
 
 A graph whose alias analysis yields d cosets splits by sample-index
 residue mod d; each coset lies exactly on one offset copy of the alias
-line on the torus.  The uniform offset formula k/(d*alpha) for coset k
-holds whenever (alpha*a - beta) / reduced_rate = 1 (mod d) -- true for
-every ceiling/floor family -- but not universally (MMT(9, 6) sends coset
-1 to offset 2/3, not 1/3), so offsets are computed from the cosets
-themselves and stay exact either way.
+line on the torus, the line through its first sample k.  Each offset
+and rotation is a closed form in n = (alpha*a - beta)*k mod m.  The
+uniform offset k/(d*alpha) for coset k holds whenever
+(alpha*a - beta) / reduced_rate = 1 (mod d) -- true for every
+ceiling/floor family -- but not universally (MMT(9, 6) sends coset 1 to
+offset 2/3, not 1/3).
 """
 
 from __future__ import annotations
@@ -25,10 +26,14 @@ class Coset:
     """One residue class of chords and the torus line carrying it.
 
     Coset k's chords are rows ``[k::d]`` of
-    ``mmt_chords(StitchGraph(m, a)).rows``.  ``rotation`` is the turn by
-    which the base dance is rotated to cover this coset; it is absent for
-    diagonal aliases (alpha = beta), where the coset is a
-    constant-separation chord family instead.
+    ``mmt_chords(StitchGraph(m, a)).rows``.  ``line`` runs in the alias
+    direction (alpha, beta) through sample k, (k/m, a*k/m); its offset
+    is n/(alpha*m) with n = (alpha*a - beta)*k mod m.  ``rotation`` is the
+    turn by which the base dance is rotated to cover this coset: where
+    the line meets the diagonal, n/(m*(alpha - beta)), taken in
+    [0, 1/|alpha - beta|) since the dance has that rotational symmetry.
+    It is absent for diagonal aliases (alpha = beta), where the coset is
+    a constant-separation chord family instead.
     """
 
     index: int
@@ -55,40 +60,21 @@ class FamilyPrediction:
     rotation_step: Fraction
 
 
-def line_through(direction: PlanetDance, x: Fraction, y: Fraction) -> TorusLine:
-    """The torus line in the given direction through (x, y), with the
-    minimal nonnegative offset."""
-    alpha, beta = direction.alpha, direction.beta
-    if alpha == 0:
-        return TorusLine(direction, x % 1)
-    # alpha * c = alpha*y - beta*x (mod 1); smallest c >= 0
-    return TorusLine(direction, ((alpha * y - beta * x) % 1) / alpha)
-
-
-def _rotation_of(line: TorusLine) -> Fraction | None:
-    """Where the line meets the diagonal: the rotation of the base dance.
-
-    The dance has |alpha - beta|-fold rotational symmetry, so the
-    smallest nonnegative diagonal crossing is reported.
-    """
-    alpha, beta = line.direction.alpha, line.direction.beta
-    if alpha == beta:
-        return None
-    # (alpha - beta) * rho = alpha * offset (mod 1)
-    rho = (alpha * line.offset % 1) / (alpha - beta)
-    return (rho % 1) % Fraction(1, abs(alpha - beta))
-
-
 def overlay_decompose(m: int, a: int) -> OverlayDecomposition:
     """Split MMT(m, a) into its d alias cosets with lines and rotations."""
     analysis = natural_alias(m, a)
-    a = analysis.a
-    dance = analysis.reduced_dance
+    # alpha >= 1: the shortest vector is never (0, m), and at m = 1 the
+    # tie-break picks (1, 0) over (0, 1)
+    alpha, beta = analysis.reduced_dance.alpha, analysis.reduced_dance.beta
+    span = abs(alpha - beta)
     cosets = []
     for k in range(analysis.coset_count):
-        # sample k is the first of its coset and lies on the coset's line
-        line = line_through(dance, Fraction(k, m), Fraction(a * k, m))
-        cosets.append(Coset(index=k, line=line, rotation=_rotation_of(line)))
+        n = (alpha * analysis.a - beta) * k % m
+        # -n/(m*span) when alpha < beta, brought into [0, 1/span)
+        rotation = (Fraction(n if alpha > beta else -n % m, m * span)
+                    if span else None)
+        line = TorusLine(analysis.reduced_dance, Fraction(n, alpha * m))
+        cosets.append(Coset(index=k, line=line, rotation=rotation))
     return OverlayDecomposition(analysis=analysis, cosets=tuple(cosets))
 
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from .cycloid import classify, cycloid_point
 from .dances import PlanetDance, Sampling, StitchGraph, mmt_chords, sample
 from .kernel import MAX_INPUT, ChordSet, check_input_size
-from .overlay import nearest_congruent, overlay_decompose
+from .overlay import nearest_congruent, overlay_decompose, predict_family
 from .torusgeo import TorusLine
 
 if TYPE_CHECKING:
@@ -445,7 +445,7 @@ def render_dance_with_curve(d: PlanetDance, n: int,
 
 
 def render_grid(m_target: int, b_max: int, kind: str,
-                style: RenderStyle | None = None) -> list[GridCell]:
+                style: RenderStyle) -> list[GridCell]:
     """One stitch graph per (b, r): rows b = 2..b_max, columns r = 1..b-1.
 
     A grid that would draw more than `_GRID_CHORD_CAP` chords in all is
@@ -456,9 +456,6 @@ def render_grid(m_target: int, b_max: int, kind: str,
     check_input_size(m_target)
     if b_max < 2:
         raise ValueError(f"b_max must be at least 2, got {b_max}")
-    if kind not in ("ceiling", "floor"):
-        raise ValueError(f"kind must be 'ceiling' or 'floor', got {kind!r}")
-    style = style or RenderStyle()
     cells = []
     chords = 0
     for b in range(2, b_max + 1):
@@ -470,7 +467,8 @@ def render_grid(m_target: int, b_max: int, kind: str,
                     f"a grid near m = {m_target} with b up to {b_max} draws "
                     f"more than {_GRID_CHORD_CAP} chords"
                 )
-            a = math.ceil(m / b) if kind == "ceiling" else math.floor(m / b)
+            # m = r (mod b) and m > b, so only a bad kind can raise here
+            a = predict_family(m, b, kind).a
             cells.append(GridCell(b=b, r=r, m=m, a=a, style=style))
     return cells
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .dances import PlanetDance, reduce_dance
-from .kernel import TorusPoint, check_input_size
+from .kernel import check_input_size
 
 Vec = tuple[int, int]
 
@@ -55,16 +55,6 @@ class AliasAnalysis:
     coset_count: int
     reduced_rate: int
     tie: bool
-
-
-def line_contains(line: TorusLine, pt: TorusPoint) -> bool:
-    """Exact membership test of a torus point on a torus line."""
-    alpha, beta = line.direction.alpha, line.direction.beta
-    x, y = pt.x.turn, pt.y.turn
-    if alpha == 0:
-        return (x - line.offset).denominator == 1
-    value = beta * x - alpha * y + alpha * line.offset
-    return value.denominator == 1
 
 
 def intersection_count(d1: PlanetDance, d2: PlanetDance) -> int:

@@ -167,7 +167,6 @@ def _measured_call(argv, out):
     """Wall seconds, own peak RSS in MB and exit code of one CLI call."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("STITCHLAB_CANVAS_PX", None)
     launched = subprocess.run(
         [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "stitchlab.cli",
          *argv, "-o", str(out)],

@@ -11,7 +11,10 @@ own `--canvas`, were recorded from the per-element `fmt` loops that the
 block formatter replaced; at canvas 800 integer parts of two, three
 (`stitch`) and four digits (the gallery's right half) go through it.
 Directory outputs (grid, gallery) are hashed as the sorted (relative
-path, bytes) pairs.
+path, bytes) pairs.  The `verify` pin is the stdout of `verify --json`
+at its defaults, which holds every suite's case count and `info` notes;
+it was recorded while `overlay_partition` still derived the coset
+offsets itself and `brute_intersections` still walked `Fraction` points.
 """
 
 import hashlib
@@ -51,6 +54,7 @@ PINS = {
     "analyze 100 34": "34b045f7cdda8617cca751947d040a72289813726ad7a87b2e9f6e6268945ff4",
     "analyze 10 6": "b754becf307491dff36909e0c1651aef0dab1030c81bc0fd458ab438cd711864",
     "analyze 1000000 1000": "32a8f18369dc9b98894f5d671da0fc67273aa9b7ac81b18780355d5002deeeae",
+    "verify": "94dbc5785165c0ad72a3d7b5981146267c5e38ff0bee66f2c46cca77d0449457",
 }
 
 
@@ -100,6 +104,10 @@ def output_digest(name, tmp_path, capsys):
                                       "--kind", kind])
     if cmd == "gallery":
         return _dir_output(tmp_path, ["gallery", *rest])
+    if cmd == "verify":
+        capsys.readouterr()
+        assert cli.main(["verify", "--json"]) == 0
+        return _sha(capsys.readouterr().out.encode())
     m, a = rest
     capsys.readouterr()
     assert cli.main(["analyze", "-m", m, "-a", a, "--json"]) == 0

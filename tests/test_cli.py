@@ -161,6 +161,15 @@ def test_grid_rejects_too_many_chords(b_max, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_canvas_default_and_flag(tmp_path):
+    out = tmp_path / "out.svg"
+    assert run(["stitch", "-m", "12", "-a", "2", "-o", str(out)]) == 0
+    assert 'width="800" height="800"' in out.read_text()
+    assert run(["stitch", "-m", "12", "-a", "2", "--canvas", "321",
+                "-o", str(out)]) == 0
+    assert 'width="321" height="321"' in out.read_text()
+
+
 @pytest.mark.parametrize("canvas", ["1", "80", "0", "-5"])
 def test_canvas_inside_margins_rejected(canvas, tmp_path, capsys):
     # a canvas no wider than its two 40 px margins has a negative radius
@@ -202,22 +211,6 @@ def test_gallery_unwritable_dir(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")
     assert run(["gallery", "--only", "12,5", "-o", str(blocker)]) == 3
-
-
-def test_canvas_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("STITCHLAB_CANVAS_PX", "321")
-    out = tmp_path / "out.svg"
-    assert run(["stitch", "-m", "12", "-a", "2", "-o", str(out)]) == 0
-    assert 'width="321" height="321"' in out.read_text()
-
-
-def test_canvas_env_not_an_integer(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("STITCHLAB_CANVAS_PX", "abc")
-    out = tmp_path / "out.svg"
-    assert run(["stitch", "-m", "12", "-a", "2", "-o", str(out)]) == 2
-    assert ("STITCHLAB_CANVAS_PX must be an integer, got 'abc'"
-            in capsys.readouterr().err)
-    assert not out.exists()
 
 
 def test_verify_small_bounds(capsys):

@@ -124,7 +124,47 @@ def test_suite_families_checks_rotation_step(monkeypatch):
 def test_brute_intersections_counts():
     assert brute_intersections(PlanetDance(1, 2), PlanetDance(3, 2)) == 4
     assert brute_intersections(PlanetDance(1, 0), PlanetDance(0, 1)) == 1
+    assert brute_intersections(PlanetDance(2, 1), PlanetDance(1, -1)) == 3
+    assert brute_intersections(PlanetDance(1, 1), PlanetDance(1, -1)) == 2
     assert brute_intersections(PlanetDance(3, 2), PlanetDance(3, 2)) is None
+
+
+def test_suite_overlay_reads_library_lines(monkeypatch):
+    assert oracle._suite_overlay(12).passed
+    # coset 1 moved by 1/7 off its line; diagonal aliases are left alone,
+    # since their radii are read from the lines as well
+    real = oracle.overlay_decompose
+
+    def moved(m, a):
+        dec = real(m, a)
+        if len(dec.cosets) < 2 or dec.analysis.reduced_dance == PlanetDance(1, 1):
+            return dec
+        first, one, *rest = dec.cosets
+        line = replace(one.line, offset=(one.line.offset + Fraction(1, 7)) % 1)
+        return replace(dec, cosets=(first, replace(one, line=line), *rest))
+
+    monkeypatch.setattr(oracle, "overlay_decompose", moved)
+    report = oracle._suite_overlay(12)
+    assert report.failures[0] == ("(m,a)=(4,2)", "all cosets on their lines",
+                                  "membership fails")
+    assert all(expected == "all cosets on their lines"
+               for _, expected, _ in report.failures)
+
+
+def test_suite_cusps_counts_library_rows(monkeypatch):
+    report = oracle._suite_cusps(6)
+    assert report.passed and report.cases_run == 46
+    # <3,1> sampled at m = 10 loses one of its two degenerate rows
+    real = oracle.sample_pairs
+
+    def dropped(alpha, beta, m):
+        rows = real(alpha, beta, m)
+        if (alpha, beta) != (3, 1):
+            return rows
+        return np.delete(rows, np.flatnonzero(rows[:, 0] == rows[:, 1])[-1], axis=0)
+
+    monkeypatch.setattr(oracle, "sample_pairs", dropped)
+    assert oracle._suite_cusps(6).failures == (("<3,1>", "2", "1"),)
 
 
 def test_brute_intersections_validation():

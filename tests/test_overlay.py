@@ -5,16 +5,7 @@ from fractions import Fraction
 import pytest
 
 from stitchlab.dances import PlanetDance, StitchGraph, mmt_chords
-from stitchlab.kernel import ChordSet, TorusPoint, wrap
-from stitchlab.overlay import line_through, overlay_decompose, predict_family
-from stitchlab.torusgeo import line_contains
-
-
-def test_line_through_point():
-    line = line_through(PlanetDance(2, 1), Fraction(1, 207), Fraction(35, 207))
-    assert line_contains(line, TorusPoint(wrap(Fraction(1, 207)),
-                                          wrap(Fraction(35, 207))))
-    assert line.offset == Fraction(1, 6)
+from stitchlab.overlay import overlay_decompose, predict_family
 
 
 def test_overlay_halved_graph():
@@ -34,14 +25,18 @@ def test_overlay_thirds_graph():
 
 
 def test_overlay_coset_membership_is_exact():
-    for m, a in [(206, 35), (207, 35), (9, 6), (100, 51)]:
+    # chord (k/m, e/m) lies on the line in direction (alpha, beta) with
+    # offset p/q iff beta*k/m - alpha*e/m + alpha*p/q is an integer
+    for m, a in [(206, 35), (207, 35), (9, 6), (100, 51), (1, 0)]:
         dec = overlay_decompose(m, a)
         d = dec.analysis.coset_count
-        rows = mmt_chords(StitchGraph(m, a)).rows
+        chords = mmt_chords(StitchGraph(m, a))
+        assert chords.den == m
         for coset in dec.cosets:
-            for chord in ChordSet.from_rows(m, rows[coset.index::d]):
-                pt = TorusPoint(chord.start, chord.end)
-                assert line_contains(coset.line, pt)
+            alpha, beta = coset.line.direction.alpha, coset.line.direction.beta
+            p, q = coset.line.offset.numerator, coset.line.offset.denominator
+            for k, e in chords.rows[coset.index::d].tolist():
+                assert (q * (beta * k - alpha * e) + alpha * p * m) % (m * q) == 0
 
 
 def test_overlay_permuted_offsets():

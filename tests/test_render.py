@@ -242,11 +242,12 @@ def test_grid_shape():
 def test_grid_chord_cap():
     # every cell draws m chords; 3 and 6 cells of about 10^6 stay within
     # the 10^7 cap, 15 do not, and a huge b_max is refused at once
-    assert len(render_grid(10**6, 3, "ceiling")) == 3
-    assert len(render_grid(10**6, 4, "floor")) == 6
+    style = RenderStyle()
+    assert len(render_grid(10**6, 3, "ceiling", style)) == 3
+    assert len(render_grid(10**6, 4, "floor", style)) == 6
     for m_target, b_max in ((10**6, 6), (1, 10**9)):
         with pytest.raises(ValueError, match="more than 10000000 chords"):
-            render_grid(m_target, b_max, "ceiling")
+            render_grid(m_target, b_max, "ceiling", style)
 
 
 def test_document_is_made_in_chunks(monkeypatch, tmp_path):
@@ -261,12 +262,13 @@ def test_document_is_made_in_chunks(monkeypatch, tmp_path):
 
 
 def test_grid_validation():
+    style = RenderStyle()
     with pytest.raises(ValueError):
-        render_grid(200, 1, "ceiling")
-    with pytest.raises(ValueError):
-        render_grid(200, 4, "nearest")
+        render_grid(200, 1, "ceiling", style)
+    with pytest.raises(ValueError, match="kind must be 'ceiling' or 'floor'"):
+        render_grid(200, 4, "nearest", style)
     with pytest.raises(ValueError, match="target modulus must be positive"):
-        render_grid(0, 3, "ceiling")
+        render_grid(0, 3, "ceiling", style)
 
 
 def test_gallery_pair_is_double_wide():

@@ -5,18 +5,12 @@ from fractions import Fraction
 import pytest
 
 from stitchlab.dances import PlanetDance
-from stitchlab.kernel import TorusPoint, wrap
 from stitchlab.torusgeo import (
     TorusLine,
     intersection_count,
-    line_contains,
     minimal_vectors,
     natural_alias,
 )
-
-
-def _pt(x, y):
-    return TorusPoint(wrap(Fraction(*x)), wrap(Fraction(*y)))
 
 
 def test_torus_line_validation():
@@ -24,28 +18,6 @@ def test_torus_line_validation():
         TorusLine(PlanetDance(6, 4), Fraction(0))
     with pytest.raises(ValueError):
         TorusLine(PlanetDance(1, 2), Fraction(3, 2))
-
-
-def test_line_contains_through_origin():
-    line = TorusLine(PlanetDance(3, 2), Fraction(0))
-    assert line_contains(line, _pt((0, 1), (0, 1)))
-    assert line_contains(line, _pt((3, 206), (2, 206)))
-    assert line_contains(line, _pt((1, 3), (8, 9)))  # x wraps once at t=4/9
-    assert not line_contains(line, _pt((3, 206), (105, 206)))
-    assert not line_contains(line, _pt((1, 2), (1, 6)))
-
-
-def test_line_contains_with_offset():
-    line = TorusLine(PlanetDance(2, 1), Fraction(1, 6))
-    # y = x/2 + 1/6 at x = 1/3 gives y = 1/3
-    assert line_contains(line, _pt((1, 3), (1, 3)))
-    assert not line_contains(line, _pt((1, 3), (1, 6)))
-
-
-def test_line_contains_vertical():
-    line = TorusLine(PlanetDance(0, 1), Fraction(1, 4))
-    assert line_contains(line, _pt((1, 4), (2, 3)))
-    assert not line_contains(line, _pt((1, 3), (2, 3)))
 
 
 def test_intersection_count():
