@@ -67,7 +67,7 @@ def build_report(m: int, a: int) -> dict:
     elif spec.kind == "diagonal":
         envelope = {
             "kind": spec.kind,
-            "radii": [offset_family_radius(c.line.offset) for c in dec.cosets],
+            "radii": [offset_family_radius(c.offset) for c in dec.cosets],
         }
     else:
         envelope = {"kind": spec.kind}
@@ -84,7 +84,7 @@ def build_report(m: int, a: int) -> dict:
             {
                 "k": c.index,
                 "rotation": None if c.rotation is None else _frac(c.rotation),
-                "line_offset": _frac(c.line.offset),
+                "line_offset": _frac(c.offset),
             }
             for c in dec.cosets
         ],
@@ -221,11 +221,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 
-def _add_style_flags(p: argparse.ArgumentParser) -> None:
+def _add_style_flags(p: argparse.ArgumentParser, points: bool) -> None:
     p.add_argument("--canvas", type=int, default=800,
                    help="canvas size in pixels (default 800)")
-    p.add_argument("--points", action="store_true",
-                   help="mark chord endpoints with dots")
+    if points:
+        p.add_argument("--points", action="store_true",
+                       help="mark chord endpoints with dots")
+    else:  # dance and gallery draw no endpoint dots
+        p.set_defaults(points=False)
     p.add_argument("--extend", action="store_true",
                    help="extend chords to full lines")
 
@@ -241,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, required=True, help="number of points")
     p.add_argument("-a", type=int, required=True, help="multiplier")
     p.add_argument("-o", "--out", required=True, help="output SVG path")
-    _add_style_flags(p)
+    _add_style_flags(p, points=True)
     p.set_defaults(func=cmd_stitch)
 
     p = sub.add_parser("analyze", help="alias analysis report for MMT(m,a)")
@@ -256,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--rate", type=int, required=True, dest="rate",
                    help="number of sample chords")
     p.add_argument("-o", "--out", required=True, help="output SVG path")
-    _add_style_flags(p)
+    _add_style_flags(p, points=False)
     p.set_defaults(func=cmd_dance)
 
     p = sub.add_parser("grid", help="grid of graphs near a target modulus")
@@ -265,14 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest row index b")
     p.add_argument("--kind", choices=("ceiling", "floor"), default="ceiling")
     p.add_argument("-o", "--out", required=True, help="output directory")
-    _add_style_flags(p)
+    _add_style_flags(p, points=True)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("gallery", help="render the eight showcase pairs")
     p.add_argument("-o", "--out", required=True, help="output directory")
     p.add_argument("--only", action="append", metavar="M,A",
                    help="render only this pair (repeatable)")
-    _add_style_flags(p)
+    _add_style_flags(p, points=False)
     p.set_defaults(func=cmd_gallery)
 
     p = sub.add_parser("verify", help="run the brute-force oracle suites")

@@ -17,7 +17,8 @@ with it:
 - ``shortest_vector``: the vector and ``tie`` of ``natural_alias`` against
   :func:`brute_shortest_vectors`;
 - ``overlay_partition``: each chord on its ``overlay_decompose`` coset
-  line, by a congruence, and diagonal radii against center distances;
+  line, by a congruence, the alias direction reduced, each offset in
+  [0, 1/alpha), and diagonal radii against center distances;
 - ``family_predictions``: ``predict_family`` against ``overlay_decompose``;
 - ``envelope``: ``verify_envelope``, the curve at each chord's own
   parameter on the chord and parallel to it;
@@ -253,7 +254,7 @@ def _diagonal_radius_failures(dec: OverlayDecomposition) -> list[tuple[str, str,
     degenerate chord is a dot, whose distance is its radius.
     """
     m, a = dec.analysis.m, dec.analysis.a
-    radii = [offset_family_radius(c.line.offset) for c in dec.cosets]
+    radii = [offset_family_radius(c.offset) for c in dec.cosets]
     k = np.arange(m, dtype=np.int64)
     e = (a * k) % m
     ax, ay = np.cos(2 * np.pi * k / m), np.sin(2 * np.pi * k / m)
@@ -272,13 +273,17 @@ def _diagonal_radius_failures(dec: OverlayDecomposition) -> list[tuple[str, str,
 def _suite_overlay(max_m: int) -> VerificationReport:
     """Every chord k of every graph on ``overlay_decompose``'s line for
     coset k mod d, by an integer congruence, one 2-D batch per m.  For
-    each m the failures of d*m' = m come first, then those of
-    membership, then those of diagonal radii, each in the order of a.
+    each m the failures of d*m' = m come first, then those of a
+    direction (alpha, beta) that is not reduced, of an offset outside
+    [0, 1/alpha), of membership and of diagonal radii, each in the order
+    of a.
 
     Chord k is the torus point (k/m, e/m), e = a*k mod m.  It lies on the
     line in direction (alpha, beta), alpha >= 1, with offset p/q iff
     q*(beta*k - alpha*e) + alpha*p*m = 0 (mod m*q).  (A vertical line,
     alpha = 0, fails this for every k != 0, though no alias has one.)
+    The offsets p/q and p/q + 1/alpha name the same line, so the range
+    check 0 <= alpha*p < q is what pins each reported offset.
     """
     failures = []
     cases = 0
@@ -294,26 +299,37 @@ def _suite_overlay(max_m: int) -> VerificationReport:
                 graphs.append(dec)
             else:
                 failures.append((f"(m,a)=({m},{a})", "d*m' = m", f"{d}*{mp}"))
-        # graph j's cosets are rows first[j] .. first[j] + d[j] - 1
-        a = np.array([dec.analysis.a for dec in graphs], dtype=np.int64)[:, None]
+        # graph j's cosets are offsets first[j] .. first[j] + d[j] - 1
+        graph = np.array([(dec.analysis.a, dec.analysis.reduced_dance.alpha,
+                           dec.analysis.reduced_dance.beta) for dec in graphs],
+                         dtype=np.int64).reshape(-1, 3)
         d = np.array([len(dec.cosets) for dec in graphs], dtype=np.int64)
-        rows = np.array([(c.line.direction.alpha, c.line.direction.beta,
-                          *c.line.offset.as_integer_ratio())
-                         for dec in graphs for c in dec.cosets], dtype=np.int64)
-        rows = rows.reshape(-1, 4)
+        p, q = np.array([c.offset.as_integer_ratio()
+                         for dec in graphs for c in dec.cosets],
+                        dtype=np.int64).reshape(-1, 2).T
         first = np.cumsum(d) - d
+        names = [f"(m,a)=({m},{dec.analysis.a})" for dec in graphs]
+        _, alpha, beta = graph.T
+        for j in np.flatnonzero(np.gcd(alpha, beta) != 1).tolist():
+            failures.append((names[j], "a reduced direction",
+                             f"<{alpha[j]},{beta[j]}>"))
+        scaled = np.repeat(alpha, d) * p  # alpha*p of each coset
+        outside = (scaled < 0) | (scaled >= q)
+        for j in np.flatnonzero(np.logical_or.reduceat(outside, first)).tolist():
+            failures.append((names[j], "offsets in [0, 1/alpha)",
+                             "offset out of range"))
         # the uniform assignment puts coset i at offset i/(d*alpha)
-        i = np.arange(len(rows)) - np.repeat(first, d)
-        alpha, _, p, q = rows.T
-        moved = p * np.repeat(d, d) * alpha != i * q
-        nonstandard += int(np.logical_or.reduceat(moved, first).sum())
+        i = np.arange(len(p)) - np.repeat(first, d)
+        nonstandard += int(np.logical_or.reduceat(scaled * np.repeat(d, d) != i * q,
+                                                  first).sum())
         k = np.arange(m, dtype=np.int64)
         chord_row = first[:, None] + k % d[:, None]
-        alpha, beta, p, q = (np.take(column, chord_row) for column in rows.T)
+        p, q = np.take(p, chord_row), np.take(q, chord_row)
+        a, alpha, beta = graph.T[:, :, None]  # a row per graph, a column per k
         value = q * (beta * k - alpha * (a * k % m)) + alpha * p * m
         for j in np.flatnonzero((value % (m * q)).any(axis=1)).tolist():
-            failures.append((f"(m,a)=({m},{graphs[j].analysis.a})",
-                             "all cosets on their lines", "membership fails"))
+            failures.append((names[j], "all cosets on their lines",
+                             "membership fails"))
         for dec in graphs:
             if dec.analysis.reduced_dance.alpha == dec.analysis.reduced_dance.beta == 1:
                 diagonal += 1

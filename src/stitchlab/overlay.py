@@ -2,8 +2,9 @@
 
 A graph whose alias analysis yields d cosets splits by sample-index
 residue mod d; each coset lies exactly on one offset copy of the alias
-line on the torus, the line through its first sample k.  Each offset
-and rotation is a closed form in n = (alpha*a - beta)*k mod m.  The
+line on the torus, the line through its first sample k.  The copies
+share the alias direction, so a coset is only its offset and its
+rotation, each a closed form in n = (alpha*a - beta)*k mod m.  The
 uniform offset k/(d*alpha) for coset k holds whenever
 (alpha*a - beta) / reduced_rate = 1 (mod d) -- true for every
 ceiling/floor family -- but not universally (MMT(9, 6) sends coset 1 to
@@ -18,7 +19,7 @@ from math import ceil, floor, gcd
 
 from .dances import PlanetDance
 from .kernel import MAX_INPUT
-from .torusgeo import AliasAnalysis, TorusLine, natural_alias
+from .torusgeo import AliasAnalysis, natural_alias
 
 
 @dataclass(frozen=True)
@@ -26,9 +27,12 @@ class Coset:
     """One residue class of chords and the torus line carrying it.
 
     Coset k's chords are rows ``[k::d]`` of
-    ``mmt_chords(StitchGraph(m, a)).rows``.  ``line`` runs in the alias
-    direction (alpha, beta) through sample k, (k/m, a*k/m); its offset
-    is n/(alpha*m) with n = (alpha*a - beta)*k mod m.  ``rotation`` is the
+    ``mmt_chords(StitchGraph(m, a)).rows``.  Its line runs in the alias
+    direction ``dec.analysis.reduced_dance``, (alpha, beta) with
+    alpha >= 1, through sample k, (k/m, a*k/m).  ``offset`` is the
+    line's y-intercept c, of y = (beta/alpha) x + c: n/(alpha*m) with
+    n = (alpha*a - beta)*k mod m.  It lies in [0, 1/alpha), which holds
+    one intercept of each line in that direction.  ``rotation`` is the
     turn by which the base dance is rotated to cover this coset: where
     the line meets the diagonal, n/(m*(alpha - beta)), taken in
     [0, 1/|alpha - beta|) since the dance has that rotational symmetry.
@@ -37,7 +41,7 @@ class Coset:
     """
 
     index: int
-    line: TorusLine
+    offset: Fraction
     rotation: Fraction | None
 
 
@@ -51,9 +55,6 @@ class OverlayDecomposition:
 class FamilyPrediction:
     """Closed-form decomposition for the ceiling/floor graph families."""
 
-    b: int
-    r: int
-    kind: str
     a: int
     d: int
     dance: PlanetDance
@@ -61,7 +62,7 @@ class FamilyPrediction:
 
 
 def overlay_decompose(m: int, a: int) -> OverlayDecomposition:
-    """Split MMT(m, a) into its d alias cosets with lines and rotations."""
+    """Split MMT(m, a) into its d alias cosets with offsets and rotations."""
     analysis = natural_alias(m, a)
     # alpha >= 1: the shortest vector is never (0, m), and at m = 1 the
     # tie-break picks (1, 0) over (0, 1)
@@ -73,8 +74,7 @@ def overlay_decompose(m: int, a: int) -> OverlayDecomposition:
         # -n/(m*span) when alpha < beta, brought into [0, 1/span)
         rotation = (Fraction(n if alpha > beta else -n % m, m * span)
                     if span else None)
-        line = TorusLine(analysis.reduced_dance, Fraction(n, alpha * m))
-        cosets.append(Coset(index=k, line=line, rotation=rotation))
+        cosets.append(Coset(index=k, offset=Fraction(n, alpha * m), rotation=rotation))
     return OverlayDecomposition(analysis=analysis, cosets=tuple(cosets))
 
 
@@ -102,9 +102,7 @@ def predict_family(m: int, b: int, kind: str) -> FamilyPrediction:
         a = floor(m / b)
         dance = PlanetDance(b // d, -(r // d))
         step = Fraction(1, b + r)
-    return FamilyPrediction(
-        b=b, r=r, kind=kind, a=a, d=d, dance=dance, rotation_step=step
-    )
+    return FamilyPrediction(a=a, d=d, dance=dance, rotation_step=step)
 
 
 def nearest_congruent(target: int, r: int, b: int) -> int:

@@ -22,7 +22,6 @@ from .cycloid import classify, cycloid_point
 from .dances import PlanetDance, Sampling, StitchGraph, mmt_chords, sample
 from .kernel import MAX_INPUT, ChordSet, check_input_size
 from .overlay import nearest_congruent, overlay_decompose, predict_family
-from .torusgeo import TorusLine
 
 if TYPE_CHECKING:
     import numpy as np
@@ -349,11 +348,12 @@ class _TorusScene:
             f'stroke="{CHORD_COLOR}" stroke-width="{fmt(STROKE_WIDTH)}"/>'
         )
 
-    def line_elements(self, line: TorusLine, color: str) -> bytes:
+    def line_elements(self, alpha: int, beta: int, offset: Fraction,
+                      color: str) -> bytes:
         import numpy as np
 
         ends = np.array([[float(v) for end in segment for v in end]
-                         for segment in _unroll_segments(line)])
+                         for segment in _unroll_segments(alpha, beta, offset)])
         ax, ay = self.to_canvas(ends[:, 0], ends[:, 1])
         bx, by = self.to_canvas(ends[:, 2], ends[:, 3])
         return _text(_lines(ax, ay, bx, by, color))
@@ -366,17 +366,14 @@ class _TorusScene:
             yield _text(_dots(x, y, SAMPLE_DOT_RADIUS, CHORD_COLOR))
 
 
-def _unroll_segments(line: TorusLine):
-    """Break one period of a torus line into unit-square segments.
+def _unroll_segments(alpha: int, beta: int, c: Fraction):
+    """Break one period of the torus line y = (beta/alpha) x + c, alpha >= 1,
+    into unit-square segments.
 
     Breakpoints are computed exactly so segment order and endpoints are
     deterministic; each piece is translated into the square by the
     integer parts at its midpoint.
     """
-    alpha, beta = line.direction.alpha, line.direction.beta
-    c = line.offset
-    if alpha == 0:
-        return [((c, Fraction(0)), (c, Fraction(1)))]
     cuts = {Fraction(0), Fraction(1)}
     cuts.update(Fraction(i, alpha) for i in range(1, alpha))
     if beta != 0:
@@ -482,8 +479,10 @@ def render_gallery_pair(m: int, a: int, style: RenderStyle) -> SvgDocument:
     px = style.canvas_px
     dec = overlay_decompose(m, a)
     a = dec.analysis.a
-    lines = [(TorusLine(PlanetDance(1, a), Fraction(0)), FUNDAMENTAL_COLOR)]
-    lines += [(c.line, COSET_PALETTE[c.index % len(COSET_PALETTE)]) for c in dec.cosets]
+    alias = dec.analysis.reduced_dance
+    lines = [(1, a, Fraction(0), FUNDAMENTAL_COLOR)]
+    lines += [(alias.alpha, alias.beta, c.offset,
+               COSET_PALETTE[c.index % len(COSET_PALETTE)]) for c in dec.cosets]
     torus = _TorusScene(px)
     scene = _CircleScene(px, ox=float(px))
 
@@ -491,8 +490,8 @@ def render_gallery_pair(m: int, a: int, style: RenderStyle) -> SvgDocument:
         # chord k of MMT(m, a) runs from k/m to a*k/m: the sample (k/m, a*k/m)
         chords = mmt_chords(StitchGraph(m, a))
         yield torus.outline()
-        for line, color in lines:
-            yield torus.line_elements(line, color)
+        for line in lines:
+            yield torus.line_elements(*line)
         yield from torus.sample_dots(chords)
         yield scene.outline()
         yield from scene.chord_elements(chords, CHORD_COLOR, style.extend_lines)

@@ -9,32 +9,12 @@ the reduced basis resolves ties deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .dances import PlanetDance, reduce_dance
 from .kernel import check_input_size
 
 Vec = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class TorusLine:
-    """A closed line on the unit square torus.
-
-    For a direction (alpha, beta) with alpha != 0 the offset is the
-    y-intercept c of y = (beta/alpha) x + c; for alpha = 0 it is the
-    x-intercept of the vertical line.
-    """
-
-    direction: PlanetDance
-    offset: Fraction
-
-    def __post_init__(self) -> None:
-        if not self.direction.reduced:
-            raise ValueError(f"line direction {self.direction} is not reduced")
-        if not (0 <= self.offset < 1):
-            raise ValueError(f"line offset {self.offset} outside [0, 1)")
 
 
 @dataclass(frozen=True)

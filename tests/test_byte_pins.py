@@ -15,6 +15,10 @@ path, bytes) pairs.  The `verify` pin is the stdout of `verify --json`
 at its defaults, which holds every suite's case count and `info` notes;
 it was recorded while `overlay_partition` still derived the coset
 offsets itself and `brute_intersections` still walked `Fraction` points.
+The `gallery --only 207,34 --only 9,6 --extend` digest was recorded
+while every coset still carried its own `TorusLine`; (207, 34) aliases
+<2,-1> with three nonzero offsets and (9, 6) has permuted offsets, so
+it holds the torus segments for alpha > 1 and beta < 0.
 """
 
 import hashlib
@@ -48,6 +52,8 @@ PINS = {
     "gallery --only 400,115 --canvas 800":
         "e674e10bd2222da8ee9edd7f6ccb655048af5f296c18267c3742ec2872d229e3",
     "gallery --only 206,35": "c55d5e2427afd8c32022b5ac9d27c55f685c3a6ce9758c99e1504e22994b1335",
+    "gallery --only 207,34 --only 9,6 --extend":
+        "8dde8e246c1bed4a8357e0f5c0e522239b9cf38702e177101d6a5ee1a9adb1d6",
     "analyze 206 35": "6d9eca09b9a0d2afd4c24b3a227ace2036e294b09fe9672129e3ebfd55f4c4d0",
     "analyze 207 35": "8235a45da3c84a9ef3a742a649778d37a3faa576c780a47a18beb578f47a2819",
     "analyze 9 6": "8735635d3622a4f7c8bd51766ef957715fdbc9dea6430a65484044ad586613ee",

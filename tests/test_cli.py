@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import math
 import os
@@ -181,6 +182,51 @@ def test_canvas_inside_margins_rejected(canvas, tmp_path, capsys):
         assert not out.exists()
     assert run(["gallery", "--canvas", canvas, "-o", str(tmp_path / "gal")]) == 2
     assert not (tmp_path / "gal").exists()
+
+
+#: A small input for each drawing command, drawn once per flag setting.
+DRAWING_INPUTS = {
+    "stitch": ["-m", "12", "-a", "5"],
+    "dance": ["-a", "3", "-b", "2", "-n", "30"],
+    "grid": ["-m", "20", "-B", "3"],
+    "gallery": ["--only", "12,5"],
+}
+
+
+def _drawn(tmp_path, argv):
+    """The bytes a drawing command writes to a new path: its file, or its
+    directory's files in path order."""
+    out = tmp_path / str(len(list(tmp_path.iterdir())))
+    assert run([*argv, "--canvas", "160", "-o", str(out)]) == 0
+    if out.is_file():
+        return out.read_bytes()
+    return b"".join(str(p.relative_to(out)).encode() + p.read_bytes()
+                    for p in sorted(out.rglob("*")))
+
+
+def test_every_drawing_flag_changes_the_output(tmp_path):
+    # a store_true flag that a command registers but never reads is dead
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    checked = []
+    for name, argv in DRAWING_INPUTS.items():
+        plain = _drawn(tmp_path, [name, *argv])
+        for action in commands[name]._actions:
+            if isinstance(action, argparse._StoreTrueAction):
+                flag = action.option_strings[0]
+                assert _drawn(tmp_path, [name, *argv, flag]) != plain, (name, flag)
+                checked.append(f"{name} {flag}")
+    assert checked == ["stitch --points", "stitch --extend", "dance --extend",
+                       "grid --points", "grid --extend", "gallery --extend"]
+
+
+@pytest.mark.parametrize("command", ["dance", "gallery"])
+def test_points_only_where_drawn(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, *DRAWING_INPUTS[command], "--points",
+             "-o", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --points" in capsys.readouterr().err
 
 
 def test_gallery_only(tmp_path):

@@ -140,8 +140,9 @@ def test_suite_overlay_reads_library_lines(monkeypatch):
         if len(dec.cosets) < 2 or dec.analysis.reduced_dance == PlanetDance(1, 1):
             return dec
         first, one, *rest = dec.cosets
-        line = replace(one.line, offset=(one.line.offset + Fraction(1, 7)) % 1)
-        return replace(dec, cosets=(first, replace(one, line=line), *rest))
+        # kept in [0, 1/alpha), so that only membership fails
+        offset = (one.offset + Fraction(1, 7)) % Fraction(1, dec.analysis.reduced_dance.alpha)
+        return replace(dec, cosets=(first, replace(one, offset=offset), *rest))
 
     monkeypatch.setattr(oracle, "overlay_decompose", moved)
     report = oracle._suite_overlay(12)
@@ -149,6 +150,52 @@ def test_suite_overlay_reads_library_lines(monkeypatch):
                                   "membership fails")
     assert all(expected == "all cosets on their lines"
                for _, expected, _ in report.failures)
+
+
+def test_suite_overlay_checks_offset_range(monkeypatch):
+    # c and c + 1/alpha name the same torus line, so moving coset 0 by
+    # 1/alpha keeps every chord on its line; only the range check sees it
+    real = oracle.overlay_decompose
+
+    def shifted(m, a):
+        dec = real(m, a)
+        alpha = dec.analysis.reduced_dance.alpha
+        if alpha < 2:
+            return dec
+        zero, *rest = dec.cosets
+        return replace(dec, cosets=(
+            replace(zero, offset=zero.offset + Fraction(1, alpha)), *rest))
+
+    monkeypatch.setattr(oracle, "overlay_decompose", shifted)
+    shifted_graphs = [(5, 3), (7, 3), (7, 4), (9, 4), (9, 5), (10, 7),
+                      (11, 4), (11, 5), (11, 6), (11, 7)]
+    assert oracle._suite_overlay(12).failures == tuple(
+        (f"(m,a)=({m},{a})", "offsets in [0, 1/alpha)", "offset out of range")
+        for m, a in shifted_graphs)
+
+
+def test_suite_overlay_checks_reduced_direction(monkeypatch):
+    # the doubled direction (2*alpha, 2*beta) passes the membership
+    # congruence wherever (alpha, beta) does; every graph of m = 7 has
+    # d = 1, so its one offset, 0, stays in range
+    real = oracle.overlay_decompose
+
+    def doubled(m, a):
+        dec = real(m, a)
+        if m != 7:
+            return dec
+        alias = dec.analysis.reduced_dance
+        analysis = replace(dec.analysis,
+                           reduced_dance=PlanetDance(2 * alias.alpha, 2 * alias.beta))
+        return replace(dec, analysis=analysis)
+
+    monkeypatch.setattr(oracle, "overlay_decompose", doubled)
+    expected = []
+    for a in range(7):
+        alias = natural_alias(7, a).reduced_dance
+        expected.append((f"(m,a)=(7,{a})", "a reduced direction",
+                         f"<{2 * alias.alpha},{2 * alias.beta}>"))
+    assert oracle._suite_overlay(12).failures == tuple(expected)
 
 
 def test_suite_cusps_counts_library_rows(monkeypatch):

@@ -11,7 +11,7 @@ from stitchlab.overlay import overlay_decompose, predict_family
 def test_overlay_halved_graph():
     dec = overlay_decompose(206, 35)
     assert [c.rotation for c in dec.cosets] == [Fraction(0), Fraction(1, 2)]
-    assert [c.line.offset for c in dec.cosets] == [Fraction(0), Fraction(1, 6)]
+    assert [c.offset for c in dec.cosets] == [Fraction(0), Fraction(1, 6)]
 
 
 def test_overlay_thirds_graph():
@@ -19,7 +19,7 @@ def test_overlay_thirds_graph():
     assert [c.rotation for c in dec.cosets] == [
         Fraction(0), Fraction(1, 3), Fraction(2, 3)
     ]
-    assert [c.line.offset for c in dec.cosets] == [
+    assert [c.offset for c in dec.cosets] == [
         Fraction(0), Fraction(1, 6), Fraction(1, 3)
     ]
 
@@ -32,9 +32,10 @@ def test_overlay_coset_membership_is_exact():
         d = dec.analysis.coset_count
         chords = mmt_chords(StitchGraph(m, a))
         assert chords.den == m
+        alpha, beta = dec.analysis.reduced_dance.alpha, dec.analysis.reduced_dance.beta
         for coset in dec.cosets:
-            alpha, beta = coset.line.direction.alpha, coset.line.direction.beta
-            p, q = coset.line.offset.numerator, coset.line.offset.denominator
+            p, q = coset.offset.numerator, coset.offset.denominator
+            assert 0 <= alpha * p < q
             for k, e in chords.rows[coset.index::d].tolist():
                 assert (q * (beta * k - alpha * e) + alpha * p * m) % (m * q) == 0
 
@@ -45,7 +46,7 @@ def test_overlay_permuted_offsets():
     dec = overlay_decompose(9, 6)
     assert dec.analysis.reduced_dance == PlanetDance(1, 0)
     assert dec.analysis.coset_count == 3
-    assert [c.line.offset for c in dec.cosets] == [
+    assert [c.offset for c in dec.cosets] == [
         Fraction(0), Fraction(2, 3), Fraction(1, 3)
     ]
 
@@ -54,15 +55,16 @@ def test_overlay_diagonal_has_no_rotation():
     dec = overlay_decompose(100, 51)
     assert dec.analysis.reduced_dance == PlanetDance(1, 1)
     assert [c.rotation for c in dec.cosets] == [None, None]
-    assert [c.line.offset for c in dec.cosets] == [Fraction(0), Fraction(1, 2)]
+    assert [c.offset for c in dec.cosets] == [Fraction(0), Fraction(1, 2)]
 
 
 def test_predict_ceiling_family():
     # m = 207, b = 6: r = 3, a = ceil(207/6) = 35
     pred = predict_family(207, 6, "ceiling")
-    assert (pred.r, pred.a, pred.d) == (3, 35, 3)
+    r = 207 % 6
+    assert (pred.a, pred.d) == (35, 3)
     assert pred.dance == PlanetDance(2, 1)
-    assert pred.rotation_step == Fraction(1, 3)
+    assert pred.rotation_step == Fraction(1, r) == Fraction(1, 3)
     dec = overlay_decompose(207, pred.a)
     assert dec.analysis.coset_count == pred.d
     assert dec.analysis.reduced_dance == pred.dance
@@ -71,9 +73,10 @@ def test_predict_ceiling_family():
 
 def test_predict_floor_family():
     pred = predict_family(207, 6, "floor")
-    assert (pred.r, pred.a, pred.d) == (3, 34, 3)
+    r = 207 % 6
+    assert (pred.a, pred.d) == (34, 3)
     assert pred.dance == PlanetDance(2, -1)
-    assert pred.rotation_step == Fraction(1, 9)  # 1/(b + r)
+    assert pred.rotation_step == Fraction(1, 6 + r) == Fraction(1, 9)  # 1/(b + r)
     dec = overlay_decompose(207, pred.a)
     assert dec.analysis.coset_count == pred.d
     assert dec.analysis.reduced_dance == pred.dance

@@ -1,23 +1,13 @@
 """Tests for torus lines, aliasing, and the shortest-vector search."""
 
-from fractions import Fraction
-
 import pytest
 
 from stitchlab.dances import PlanetDance
 from stitchlab.torusgeo import (
-    TorusLine,
     intersection_count,
     minimal_vectors,
     natural_alias,
 )
-
-
-def test_torus_line_validation():
-    with pytest.raises(ValueError):
-        TorusLine(PlanetDance(6, 4), Fraction(0))
-    with pytest.raises(ValueError):
-        TorusLine(PlanetDance(1, 2), Fraction(3, 2))
 
 
 def test_intersection_count():
