@@ -94,11 +94,25 @@ def sample_pairs(alpha: int, beta: int, m: int) -> np.ndarray:
     Every chord set of the package is built here.  Sorting and removing
     duplicates go through the 1-D keys x*m + y, which order like the
     rows.  For alpha = 1 the rows are indexed by the sample index k.
+    The arithmetic runs in place, so at most two m-long arrays of keys
+    or coordinates are alive at once besides the result.
     """
     import numpy as np
 
-    k = np.arange(m, dtype=np.int64)
-    keys = np.sort((alpha % m) * k % m * m + (beta % m) * k % m)
-    # repeats dropped by hand: np.unique took 10-50x longer on numpy 2.4
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    return np.column_stack((keys // m, keys % m))
+    keys = np.arange(m, dtype=np.int64)
+    keys *= alpha % m
+    keys %= m
+    keys *= m
+    y = np.arange(m, dtype=np.int64)
+    y *= beta % m
+    y %= m
+    keys += y
+    del y
+    keys.sort()
+    repeat = keys[1:] == keys[:-1]
+    if repeat.any():  # repeats dropped by hand: np.unique took 10-50x longer
+        keys = keys[np.concatenate(([True], ~repeat))]
+    del repeat
+    rows = np.empty((len(keys), 2), np.int64)
+    np.divmod(keys, m, out=(rows[:, 0], rows[:, 1]))
+    return rows

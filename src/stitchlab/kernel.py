@@ -82,6 +82,12 @@ class ChordSet:
     def from_rows(cls, den: int, rows: np.ndarray) -> ChordSet:
         """The chords ``rows / den``; the rows must be sorted, unique and in
         ``[0, den)``, as :func:`stitchlab.dances.sample_pairs` returns them.
+
+        The set takes ownership of ``rows`` when it is a writeable,
+        C-contiguous int64 array that owns its data: it is kept (divided
+        in place when the gcd is above 1) and made read-only, so the
+        caller must not write to it afterwards.  Any other array, a view
+        or slice included, is copied.
         """
         self = object.__new__(cls)
         self._store(den, rows)
@@ -90,8 +96,13 @@ class ChordSet:
     def _store(self, den: int, rows: np.ndarray) -> None:
         import numpy as np
 
+        flags = rows.flags
+        if not (flags.owndata and flags.writeable and flags.c_contiguous
+                and rows.dtype == np.int64):
+            rows = np.array(rows, dtype=np.int64)  # never shares a view
         g = math.gcd(den, int(np.gcd.reduce(rows, axis=None)))
-        rows = np.asarray(rows, dtype=np.int64) // g  # always a fresh array
+        if g > 1:
+            rows //= g
         rows.flags.writeable = False
         object.__setattr__(self, "den", den // g)
         object.__setattr__(self, "rows", rows)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .cycloid import classify, cycloid_point
@@ -24,6 +23,8 @@ from .kernel import MAX_INPUT, ChordSet, check_input_size
 from .overlay import nearest_congruent, overlay_decompose, predict_family
 
 if TYPE_CHECKING:
+    import numbers
+
     import numpy as np
 
 #: Torus line colors of the gallery's overlay cosets, by coset index.
@@ -41,7 +42,7 @@ SAMPLE_DOT_RADIUS = 2.0
 CURVE_SEGMENTS = 1024
 #: Elements made (and angles evaluated) per block; bounds the memory
 #: that writing a document takes, whatever its size.
-_CHUNK_ROWS = 1 << 14
+_CHUNK_ROWS = 1 << 12
 #: `_format_block` rounds |x·10^6| below this with `np.rint`; larger and
 #: non-finite values go through `fmt`.
 _EXACT_LIMIT = 1e15
@@ -276,12 +277,9 @@ class _CircleScene:
         """
         import numpy as np
 
-        cos, sin = np.empty(len(n)), np.empty(len(n))
-        for lo in range(0, len(n), _CHUNK_ROWS):
-            angles = (2.0 * math.pi * (n[lo:lo + _CHUNK_ROWS] / den)).tolist()
-            end = lo + len(angles)
-            cos[lo:end] = np.fromiter(map(math.cos, angles), float, len(angles))
-            sin[lo:end] = np.fromiter(map(math.sin, angles), float, len(angles))
+        angles = (2.0 * math.pi * (n / den)).tolist()
+        cos = np.fromiter(map(math.cos, angles), float, len(angles))
+        sin = np.fromiter(map(math.sin, angles), float, len(angles))
         # in place, as self.cx + self.radius * cos and self.cy - self.radius * sin
         np.multiply(self.radius, cos, out=cos)
         np.add(self.cx, cos, out=cos)
@@ -302,7 +300,11 @@ class _CircleScene:
         order; an extended line that misses the canvas is left out."""
         import numpy as np
 
-        xs, ys = self.at_turns(np.arange(chords.den), chords.den)
+        xs, ys = np.empty(chords.den), np.empty(chords.den)
+        for lo in range(0, chords.den, _CHUNK_ROWS):
+            turns = np.arange(lo, min(lo + _CHUNK_ROWS, chords.den))
+            xs[lo:lo + len(turns)], ys[lo:lo + len(turns)] = self.at_turns(
+                turns, chords.den)
         for lo in range(0, len(chords.rows), _CHUNK_ROWS):
             start, end = chords.rows[lo:lo + _CHUNK_ROWS].T
             line = np.flatnonzero(start != end)
@@ -348,15 +350,14 @@ class _TorusScene:
             f'stroke="{CHORD_COLOR}" stroke-width="{fmt(STROKE_WIDTH)}"/>'
         )
 
-    def line_elements(self, alpha: int, beta: int, offset: Fraction,
-                      color: str) -> bytes:
-        import numpy as np
-
-        ends = np.array([[float(v) for end in segment for v in end]
-                         for segment in _unroll_segments(alpha, beta, offset)])
-        ax, ay = self.to_canvas(ends[:, 0], ends[:, 1])
-        bx, by = self.to_canvas(ends[:, 2], ends[:, 3])
-        return _text(_lines(ax, ay, bx, by, color))
+    def line_elements(self, alpha: int, beta: int, offset: numbers.Rational,
+                      color: str) -> Iterator[bytes]:
+        """The segments of one period of a torus line, block by block."""
+        for ends, den in _torus_segments(alpha, beta, offset):
+            ends = ends / den
+            ax, ay = self.to_canvas(ends[:, 0], ends[:, 1])
+            bx, by = self.to_canvas(ends[:, 2], ends[:, 3])
+            yield _text(_lines(ax, ay, bx, by, color))
 
     def sample_dots(self, chords: ChordSet) -> Iterator[bytes]:
         """A dot at (x, y) for each chord from x to y, in row order."""
@@ -366,38 +367,62 @@ class _TorusScene:
             yield _text(_dots(x, y, SAMPLE_DOT_RADIUS, CHORD_COLOR))
 
 
-def _unroll_segments(alpha: int, beta: int, c: Fraction):
-    """Break one period of the torus line y = (beta/alpha) x + c, alpha >= 1,
-    into unit-square segments.
+def _torus_segments(alpha: int, beta: int, offset: numbers.Rational
+                    ) -> Iterator[tuple[np.ndarray, int]]:
+    """Break one period of the torus line y = (beta/alpha) x + offset,
+    alpha >= 1, into unit-square segments, in blocks of up to `_CHUNK_ROWS`.
 
-    Breakpoints are computed exactly so segment order and endpoints are
-    deterministic; each piece is translated into the square by the
-    integer parts at its midpoint.
+    The line is traced as (alpha·t, beta·t + c), c = p/q the offset, for
+    t in [0, 1].  With s = max(|beta|, 1) and den = alpha·s·q, it is cut
+    where a coordinate is an integer, at t = u/den: alpha·t at the
+    multiples u of s·q, and beta·t + c at the u congruent to -alpha·p
+    (beta > 0) or alpha·p (beta < 0) modulo alpha·q.  The two
+    progressions are merged window by window, each window short enough
+    to hold at most `_CHUNK_ROWS` cuts.  The segment from one cut to the
+    next is moved into the square by the integer parts of the lower ends
+    of its coordinates.  Each block is (ends, den): per segment, in t
+    order, an int64 row (x0, y0, x1, y1) of endpoint numerators in
+    [0, den] over den.
+
+    Every intermediate is below (max(alpha, s) + 2)·den in magnitude,
+    which is checked to be below 2^53, so the integers are exact and so
+    are the endpoints' floats.  The gallery's lines stay far below it.
+    The fundamental line <1, a> has den = a < m.  A coset line has
+    q | alpha·d, and d·(alpha, beta) is no longer than the shortest
+    lattice vector, whose squared norm is at most 2m/sqrt(3); so
+    alpha, |beta| <= 1075 and den <= (2m/sqrt(3))^(3/2), about 1.24·10^9,
+    at m = 10^6.
     """
-    cuts = {Fraction(0), Fraction(1)}
-    cuts.update(Fraction(i, alpha) for i in range(1, alpha))
-    if beta != 0:
-        lo = min(c, beta + c)
-        hi = max(c, beta + c)
-        j = math.ceil(lo)
-        while j <= math.floor(hi):
-            t = Fraction(j - c, beta)
-            if 0 < t < 1:
-                cuts.add(t)
-            j += 1
-    ts = sorted(cuts)
-    segments = []
-    for t0, t1 in zip(ts, ts[1:]):
-        tm = (t0 + t1) / 2
-        ox = math.floor(alpha * tm)
-        oy = math.floor(beta * tm + c)
-        segments.append(
-            (
-                (alpha * t0 - ox, beta * t0 + c - oy),
-                (alpha * t1 - ox, beta * t1 + c - oy),
-            )
-        )
-    return segments
+    import numpy as np
+
+    p, q = offset.numerator, offset.denominator
+    s = max(abs(beta), 1)
+    den = alpha * s * q
+    if (max(alpha, s) + 2) * den >= 1 << 53:
+        raise ValueError(f"torus line <{alpha}, {beta}> + {offset} is too "
+                         "fine for exact int64 cuts")
+    # (first cut, step) of each progression; a window of width w holds at
+    # most w/step + 1 cuts of a progression, which has den/step in all
+    progressions = [(0, s * q)]
+    if beta:
+        progressions.append((alpha * ((p if beta < 0 else -p) % q), alpha * q))
+    width = max((_CHUNK_ROWS - len(progressions)) * den
+                // sum(den // step for _, step in progressions),
+                min(step for _, step in progressions))
+    cuts = np.empty(0, np.int64)
+    for lo in range(0, den + 1, width):
+        hi = min(lo + width, den + 1)
+        # the last cut so far, then first + k·step in [lo, hi) for each
+        cuts = np.sort(np.concatenate([cuts[-1:]] + [
+            np.arange(-((first - lo) // step), -((first - hi) // step),
+                      dtype=np.int64) * step + first
+            for first, step in progressions]))
+        cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
+        x = alpha * cuts
+        y = beta * cuts + p * alpha * s
+        ox = x[:-1] // den * den
+        oy = np.minimum(y[:-1], y[1:]) // den * den
+        yield np.column_stack((x[:-1] - ox, y[:-1] - oy, x[1:] - ox, y[1:] - oy)), den
 
 
 def render_stitch(chords: ChordSet, style: RenderStyle) -> SvgDocument:
@@ -480,7 +505,7 @@ def render_gallery_pair(m: int, a: int, style: RenderStyle) -> SvgDocument:
     dec = overlay_decompose(m, a)
     a = dec.analysis.a
     alias = dec.analysis.reduced_dance
-    lines = [(1, a, Fraction(0), FUNDAMENTAL_COLOR)]
+    lines = [(1, a, 0, FUNDAMENTAL_COLOR)]
     lines += [(alias.alpha, alias.beta, c.offset,
                COSET_PALETTE[c.index % len(COSET_PALETTE)]) for c in dec.cosets]
     torus = _TorusScene(px)
@@ -491,7 +516,7 @@ def render_gallery_pair(m: int, a: int, style: RenderStyle) -> SvgDocument:
         chords = mmt_chords(StitchGraph(m, a))
         yield torus.outline()
         for line in lines:
-            yield torus.line_elements(*line)
+            yield from torus.line_elements(*line)
         yield from torus.sample_dots(chords)
         yield scene.outline()
         yield from scene.chord_elements(chords, CHORD_COLOR, style.extend_lines)

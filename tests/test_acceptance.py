@@ -8,6 +8,7 @@ budget.
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import _gatelog
+from test_byte_pins import _tree_sha
 
 from stitchlab import cli, oracle
 from stitchlab.dances import PlanetDance, Sampling, StitchGraph, mmt_chords, sample
@@ -164,7 +166,9 @@ BOUNDED_OUTPUTS = {
 
 
 def _measured_call(argv, out):
-    """Wall seconds, own peak RSS in MB and exit code of one CLI call."""
+    """Wall seconds, own peak RSS in MB, exit code and output sha256 of one
+    CLI call.  A file output is hashed as it is, a directory output as the
+    byte pins hash one; the digest is None when the call wrote nothing."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     launched = subprocess.run(
@@ -172,15 +176,21 @@ def _measured_call(argv, out):
          *argv, "-o", str(out)],
         env=env, capture_output=True, text=True, timeout=300, check=True)
     wall, maxrss_kb, code = launched.stdout.split()
-    return float(wall), int(maxrss_kb) / 1024, int(code)
+    if out.is_dir():
+        digest = _tree_sha(out)
+    elif out.exists():
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    else:
+        digest = None
+    return float(wall), int(maxrss_kb) / 1024, int(code), digest
 
 
 def test_criterion_13_bounded_output(tmp_path):
     ok, walls, details = True, [], []
     for argv, digest in BOUNDED_OUTPUTS.items():
         out = tmp_path / "out.svg"
-        wall, rss_mb, code = _measured_call(argv, out)
-        same = code == 0 and hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        wall, rss_mb, code, got = _measured_call(argv, out)
+        same = code == 0 and got == digest
         out.unlink(missing_ok=True)
         ok = ok and same and rss_mb < 100
         walls.append(wall)
@@ -188,3 +198,18 @@ def test_criterion_13_bounded_output(tmp_path):
                        + ("" if same else " output differs"))
     _gate(13, "stitch and dance at 10^6 byte-identical, under 100 MB", ok,
           max(walls), 10.0, ", ".join(details))
+
+
+#: sha256 of the `gallery --only 1000000,999999` directory, hashed as the
+#: byte pins hash one, recorded from the `Fraction` torus unrolling.
+GALLERY_AT_CAP = "a206a7633c6e0225415824fdbedae0b4b88f6cba24e7d898173bc00e173f22de"
+
+
+def test_criterion_14_bounded_gallery(tmp_path):
+    out = tmp_path / "gallery"
+    wall, rss_mb, code, got = _measured_call(
+        ("gallery", "--only", "1000000,999999"), out)
+    same = code == 0 and got == GALLERY_AT_CAP
+    shutil.rmtree(out, ignore_errors=True)  # a 296 MB file
+    _gate(14, "gallery at 10^6 byte-identical, under 100 MB", same and rss_mb < 100,
+          wall, 10.0, f"{rss_mb:.0f}MB" + ("" if same else ", output differs"))

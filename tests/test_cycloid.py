@@ -71,7 +71,9 @@ def test_cycloid_point_stays_in_reach():
             assert math.hypot(x, y) <= reach + 1e-9
 
 
-def test_cusps_lie_on_circle():
+def test_touch_points_lie_on_circle():
+    # at s = j/|alpha - beta| the chord degenerates and the curve touches
+    # the unit circle; the cusps lie elsewhere, at the chords' diameters
     for d in [PlanetDance(1, 3), PlanetDance(5, -3), PlanetDance(3, 2)]:
         spec = classify(d)
         n = abs(d.alpha - d.beta)

@@ -55,6 +55,21 @@ def test_chord_set_immutable():
         ChordSet([DirectedChord(wrap(0), wrap(Fraction(1, 3)))]).rows[0, 1] = 2
 
 
+def test_from_rows_takes_owned_arrays_and_copies_views():
+    # an owned int64 array is kept, divided in place, and frozen
+    owned = np.array([[0, 2], [2, 0]], dtype=np.int64)
+    halves = ChordSet.from_rows(4, owned)
+    assert halves.rows is owned and not owned.flags.writeable
+    assert (halves.den, owned.tolist()) == (2, [[0, 1], [1, 0]])
+    # a strided slice is copied, so the set cannot change under it
+    base = np.array([[0, 1], [0, 2], [1, 3], [2, 1]], dtype=np.int64)
+    evens = ChordSet.from_rows(4, base[::2])
+    assert not np.shares_memory(evens.rows, base) and evens.rows.flags.c_contiguous
+    base[0, 1] = 3
+    assert evens.rows.tolist() == [[0, 1], [1, 3]]
+    assert base.flags.writeable
+
+
 def test_input_cap():
     check_input_size(MAX_INPUT, -MAX_INPUT)
     with pytest.raises(ValueError):

@@ -2,13 +2,17 @@
 
 import math
 import os
+import random
 import re
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from stitchlab import render
 from stitchlab.dances import PlanetDance, StitchGraph, mmt_chords
+from stitchlab.overlay import overlay_decompose
 from stitchlab.render import (
     GridCell,
     RenderStyle,
@@ -134,6 +138,115 @@ def test_clip_infinite_matches_scalar_clip():
     assert 0 < hit.sum() < len(ends)
 
 
+def _unroll_segments(alpha, beta, c):
+    """The `Fraction` unrolling that `render._torus_segments` replaced:
+    one period of y = (beta/alpha) x + c, alpha >= 1, as unit-square
+    segments between the sorted exact cuts, each moved into the square
+    by the integer parts at its midpoint."""
+    cuts = {Fraction(0), Fraction(1)}
+    cuts.update(Fraction(i, alpha) for i in range(1, alpha))
+    if beta != 0:
+        lo = min(c, beta + c)
+        hi = max(c, beta + c)
+        j = math.ceil(lo)
+        while j <= math.floor(hi):
+            t = Fraction(j - c, beta)
+            if 0 < t < 1:
+                cuts.add(t)
+            j += 1
+    ts = sorted(cuts)
+    segments = []
+    for t0, t1 in zip(ts, ts[1:]):
+        tm = (t0 + t1) / 2
+        ox = math.floor(alpha * tm)
+        oy = math.floor(beta * tm + c)
+        segments.append(
+            (
+                (alpha * t0 - ox, beta * t0 + c - oy),
+                (alpha * t1 - ox, beta * t1 + c - oy),
+            )
+        )
+    return segments
+
+
+def _integer_segments(alpha, beta, offset):
+    """The segments of `_torus_segments` with `Fraction` endpoints, and
+    its block lengths."""
+    segments, blocks = [], []
+    for ends, den in render._torus_segments(alpha, beta, offset):
+        blocks.append(len(ends))
+        segments += [((Fraction(x0, den), Fraction(y0, den)),
+                      (Fraction(x1, den), Fraction(y1, den)))
+                     for x0, y0, x1, y1 in ends.tolist()]
+    return segments, blocks
+
+
+def _seeded_lines():
+    """Lines with alpha <= 40, |beta| <= 40 and offsets n/(alpha*m) in
+    [0, 1/alpha), as coset lines have, and fundamental lines <1, a>."""
+    rng = random.Random(20261018)
+    lines = [(1, a, 0) for a in (0, 1, 2, 3, 35, 99, 115, 1000)]
+    for _ in range(300):
+        alpha, beta, m = rng.randint(1, 40), rng.randint(-40, 40), rng.randint(1, 10**6)
+        lines.append((alpha, beta, Fraction(rng.randrange(m), alpha * m)))
+    return lines
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_torus_segments_match_fraction_reference(chunk, monkeypatch):
+    if chunk:  # blocks of at most 7 segments split every line but the shortest
+        monkeypatch.setattr(render, "_CHUNK_ROWS", chunk)
+    split = 0
+    for alpha, beta, offset in _seeded_lines():
+        segments, blocks = _integer_segments(alpha, beta, offset)
+        assert segments == _unroll_segments(alpha, beta, Fraction(offset)), \
+            (alpha, beta, offset)
+        assert max(blocks) <= render._CHUNK_ROWS
+        split += len(blocks) > 1
+    assert split > 250 if chunk else split == 0
+
+
+def test_torus_segments_at_the_int64_extremes():
+    # <1, 999999> has the most cuts of any line the gallery draws: segment
+    # j runs from (j, 0) to (j + 1, 1) over 999999
+    j = np.arange(999999)
+    blocks = list(render._torus_segments(1, 999999, 0))
+    assert {den for _, den in blocks} == {999999}
+    assert max(len(ends) for ends, _ in blocks) <= render._CHUNK_ROWS
+    assert np.array_equal(np.concatenate([ends for ends, _ in blocks]),
+                          np.column_stack((j, np.zeros_like(j), j + 1,
+                                           np.full_like(j, 999999))))
+    # MMT(999963, 609639) aliases <766, 753>, the largest alpha*|beta|*m
+    # found for 10^6 - 3000 < m <= 10^6; it is within 0.1% of the bound
+    # m^2/sqrt(3) that a shortest lattice vector puts on alpha*|beta|*m
+    dec = overlay_decompose(999963, 609639)
+    alias = dec.analysis.reduced_dance
+    assert (alias.alpha, alias.beta) == (766, 753)
+    for c in dec.cosets:
+        segments, _ = _integer_segments(766, 753, c.offset)
+        assert segments == _unroll_segments(766, 753, c.offset)
+    # a line too fine for exact int64 cuts is refused, not drawn wrong
+    with pytest.raises(ValueError, match="too fine"):
+        next(render._torus_segments(1, 1 << 30, 0))
+
+
+#: The traced bytes that drawing a stitch graph may hold on top of its
+#: rows and the two den-long arrays of canvas positions, whatever its size.
+WORKING_SET_BYTES = 3 * 2**20
+
+
+@pytest.mark.parametrize("m", [1 << 15, 1 << 17])
+def test_stitch_working_set_is_bounded(m, tmp_path):
+    tracemalloc.start()
+    try:
+        chords = mmt_chords(StitchGraph(m, 377))
+        render_stitch(chords, RenderStyle()).save(tmp_path / "s.svg")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - chords.rows.nbytes - 2 * 8 * chords.den < WORKING_SET_BYTES
+
+
 def test_style_validation():
     with pytest.raises(ValueError):
         RenderStyle(canvas_px=0)
@@ -257,8 +370,10 @@ def test_document_is_made_in_chunks(monkeypatch, tmp_path):
     small = render_stitch(chords, style)
     path = tmp_path / "s.svg"
     small.save(path)
+    gallery = render_gallery_pair(207, 34, style).data
     monkeypatch.undo()
     assert path.read_bytes() == small.data == render_stitch(chords, style).data
+    assert gallery == render_gallery_pair(207, 34, style).data
 
 
 def test_grid_validation():
