@@ -12,8 +12,9 @@ with it:
 - ``intersection_counts``: ``intersection_count`` against
   :func:`brute_intersections`;
 - ``sampling_identities``: the shift and invertibility identities on keys
-  (alpha*k mod m)*m + (beta*k mod m) that :func:`_sampled_sets` builds for
-  a whole batch of dances at once;
+  (alpha*k mod m)*m + (beta*k mod m) that :func:`_sample_keys` builds as
+  one int32 batch per modulus; rows that differ term by term are compared
+  as sets in a canonical form, and rows equal term by term need no more;
 - ``shortest_vector``: the vector and ``tie`` of ``natural_alias`` against
   :func:`brute_shortest_vectors`;
 - ``overlay_partition``: each chord on its ``overlay_decompose`` coset
@@ -185,49 +186,103 @@ def _suite_intersections(bound: int) -> VerificationReport:
     return VerificationReport("intersection_counts", cases, tuple(failures[:20]))
 
 
-def _sampled_sets(alpha: int, betas: np.ndarray, m: int) -> np.ndarray:
-    """Row i: the m-sampling of <alpha, betas[i]> as a set in canonical form.
+#: The sampling-identities suite's bounds: speeds -_SPEED.._SPEED, alpha
+#: 1.._SHIFT_ALPHAS for the shift identity and 1.._INVERT_ALPHAS for
+#: invertibility, moduli up to _IDENTITIES_MAX_M.  Every intermediate fits
+#: in int32: a shift speed has |beta +/- m| <= 20*20 + 60 = 460, so
+#: |(beta +/- m)*k| <= 460*59 = 27,140; an invertibility speed alpha*a
+#: <= 12*59 = 708 gives alpha*a*k <= 708*59 = 41,772; alpha*k <= 20*59;
+#: and keys stay below m*m <= 3,600.  Widening any bound means checking
+#: the dtype again.
+_SPEED = 20
+_SHIFT_ALPHAS = 20
+_INVERT_ALPHAS = 12
+_IDENTITIES_MAX_M = 60
 
-    The keys (alpha*k mod m)*m + (beta*k mod m), k = 0..m-1, are sorted,
-    every key equal to its left neighbour becomes the sentinel m*m, and
-    the row is sorted again, so two rows are equal iff their dances sample
-    the same chord set.
+
+def _sample_keys(alphas: np.ndarray, betas: np.ndarray, m: int) -> np.ndarray:
+    """keys[..., k] = (alpha*k mod m)*m + (beta*k mod m), k = 0..m-1.
+
+    The int32 ``alphas`` broadcast against the int32 ``betas``; each row
+    of keys is the m-sampling of <alpha, beta>, chord k encoded as one
+    integer.  The alpha half is computed once per alpha and broadcast;
+    beta*k is reduced mod m for each k, never beta first.
     """
-    k = np.arange(m, dtype=np.int64)
-    keys = np.sort(alpha * k % m * m + betas[:, None] * k % m, axis=1)
-    keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = m * m
-    return np.sort(keys, axis=1)
+    k = np.arange(m, dtype=np.int32)
+    keys = betas[..., None] * k
+    keys %= m
+    keys += alphas[..., None] * k % m * m
+    return keys
+
+
+def _canonical(keys: np.ndarray, m: int) -> np.ndarray:
+    """Rows of keys as sets: sorted, every key equal to its left neighbour
+    replaced by the sentinel m*m, and sorted again, so two rows are equal
+    iff they hold the same keys."""
+    keys = np.sort(keys, axis=-1)
+    keys[..., 1:][keys[..., 1:] == keys[..., :-1]] = m * m
+    keys.sort(axis=-1)
+    return keys
+
+
+def _same_sets(lhs: np.ndarray, rhs: np.ndarray, m: int) -> np.ndarray:
+    """Whether each row of lhs holds the same keys as the row of rhs.
+
+    Rows equal term by term hold the same set, so only the rows that
+    differ term by term are brought to the canonical form.
+    """
+    lhs, rhs = np.broadcast_arrays(lhs, rhs)
+    same = (lhs == rhs).all(axis=-1)
+    differ = ~same
+    if differ.any():
+        same[differ] = (_canonical(lhs[differ], m)
+                        == _canonical(rhs[differ], m)).all(axis=-1)
+    return same
+
+
+def _shift_failures(betas: np.ndarray, m: int) -> list:
+    """Failures of the shift identity at m, keyed (alpha - 1, i, m, sign):
+    row alpha - 1 of ``betas`` holds the speeds beta of <alpha, beta>, and
+    each dance must sample the same set as <alpha, beta + m> (sign 0) and
+    <alpha, beta - m> (sign 1)."""
+    alphas = np.arange(1, len(betas) + 1, dtype=np.int32)[:, None]
+    keys = _sample_keys(alphas, np.concatenate((betas, betas + m, betas - m), axis=1), m)
+    base, *others = np.split(keys, 3, axis=1)
+    found = []
+    for sign, other in enumerate(others):
+        for j, i in zip(*np.nonzero(~_same_sets(base, other, m))):
+            shifted = int(betas[j, i]) + (m, -m)[sign]
+            found.append(((j, i, m, sign),
+                          (f"shift <{j + 1},{shifted}> m={m}", "equal", "differs")))
+    return found
+
+
+def _invertibility_failures(m: int) -> list:
+    """Failures of invertibility at m, keyed (alpha - 1, m, a): <1, a> and
+    <alpha, alpha*a> sample the same set iff gcd(alpha, m) = 1."""
+    alphas = np.arange(1, _INVERT_ALPHAS + 1, dtype=np.int32)[:, None]
+    a = np.arange(m, dtype=np.int32)
+    same = _same_sets(_sample_keys(np.int32(1), a, m),
+                      _sample_keys(alphas, alphas * a, m), m)
+    invertible = [gcd(alpha, m) == 1 for alpha in range(1, _INVERT_ALPHAS + 1)]
+    return [((j, m, i), (f"invertibility alpha={j + 1} m={m} a={i}",
+                         str(invertible[j]), str(bool(same[j, i]))))
+            for j, i in zip(*np.nonzero(same != np.array(invertible)[:, None]))]
 
 
 def _suite_identities(max_m: int) -> VerificationReport:
-    failures = []
+    speeds = np.arange(-_SPEED, _SPEED + 1, dtype=np.int32)
+    betas = np.arange(1, _SHIFT_ALPHAS + 1, dtype=np.int32)[:, None] * speeds
+    shifts, inverts = [], []
     cases = 0
-    top = min(max_m, 60)
-    speeds = np.arange(-20, 21, dtype=np.int64)
-    for alpha in range(1, 21):
-        betas = alpha * speeds
-        found = []
-        for m in range(1, top + 1):
-            cases += len(speeds)
-            rows = _sampled_sets(alpha, np.concatenate((betas, betas + m, betas - m)), m)
-            base, *others = np.split(rows, 3)
-            for j, other in enumerate(others):
-                for i in np.flatnonzero((base != other).any(axis=1)):
-                    shifted = int(betas[i]) + (m, -m)[j]
-                    found.append(((i, m, j), (f"shift <{alpha},{shifted}> m={m}",
-                                              "equal", "differs")))
-        # failures keep the order of a loop over a, then m, then the sign
-        failures.extend(failure for _, failure in sorted(found))
-    for alpha in range(1, 13):
-        for m in range(1, top + 1):
-            a = np.arange(m, dtype=np.int64)
-            cases += m
-            lhs, rhs = _sampled_sets(1, a, m), _sampled_sets(alpha, alpha * a, m)
-            equal = (lhs == rhs).all(axis=1)
-            invertible = gcd(alpha, m) == 1
-            for i in np.flatnonzero(equal != invertible):
-                failures.append((f"invertibility alpha={alpha} m={m} a={i}",
-                                 str(invertible), str(bool(equal[i]))))
+    # one batch per modulus and identity, freed before the next is built
+    for m in range(1, min(max_m, _IDENTITIES_MAX_M) + 1):
+        cases += betas.size + _INVERT_ALPHAS * m
+        shifts += _shift_failures(betas, m)
+        inverts += _invertibility_failures(m)
+    # the keys sort failures in the order of a loop over one dance at a
+    # time: alpha, speed, m, sign, then alpha, m, a
+    failures = [failure for _, failure in sorted(shifts) + sorted(inverts)]
     return VerificationReport("sampling_identities", cases, tuple(failures[:20]))
 
 

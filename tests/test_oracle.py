@@ -236,25 +236,86 @@ def test_reduced_dances_contents():
     assert all(PlanetDance(a, b).reduced for a, b in dances)
 
 
+def _sampled_sets(alpha, betas, m):
+    """Row i: the m-sampling of <alpha, betas[i]> as a set in canonical
+    form, in int64; how the identities suite made its keys before they
+    were batched per modulus."""
+    k = np.arange(m, dtype=np.int64)
+    keys = np.sort(alpha * k % m * m + betas[:, None] * k % m, axis=1)
+    keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = m * m
+    return np.sort(keys, axis=1)
+
+
+def _reference_identities(max_m, sampled_sets=_sampled_sets):
+    """`oracle._suite_identities` as one loop per (alpha, m), the reference
+    for the batched suite; reads `oracle.gcd`, so a fault injected there
+    reaches both."""
+    failures = []
+    cases = 0
+    top = min(max_m, 60)
+    speeds = np.arange(-20, 21, dtype=np.int64)
+    for alpha in range(1, 21):
+        betas = alpha * speeds
+        found = []
+        for m in range(1, top + 1):
+            cases += len(speeds)
+            rows = sampled_sets(alpha, np.concatenate((betas, betas + m, betas - m)), m)
+            base, *others = np.split(rows, 3)
+            for j, other in enumerate(others):
+                for i in np.flatnonzero((base != other).any(axis=1)):
+                    shifted = int(betas[i]) + (m, -m)[j]
+                    found.append(((i, m, j), (f"shift <{alpha},{shifted}> m={m}",
+                                              "equal", "differs")))
+        # failures keep the order of a loop over a, then m, then the sign
+        failures.extend(failure for _, failure in sorted(found))
+    for alpha in range(1, 13):
+        for m in range(1, top + 1):
+            a = np.arange(m, dtype=np.int64)
+            cases += m
+            lhs, rhs = sampled_sets(1, a, m), sampled_sets(alpha, alpha * a, m)
+            equal = (lhs == rhs).all(axis=1)
+            invertible = oracle.gcd(alpha, m) == 1
+            for i in np.flatnonzero(equal != invertible):
+                failures.append((f"invertibility alpha={alpha} m={m} a={i}",
+                                 str(invertible), str(bool(equal[i]))))
+    return VerificationReport("sampling_identities", cases, tuple(failures[:20]))
+
+
+def _minus_rows_off_by_one(keys):
+    """`keys` with the last third of its speeds, the beta - m rows of the
+    shift identity, off by one."""
+    def wrong(alpha, betas, m):
+        betas = betas.copy()
+        betas[..., 2 * (betas.shape[-1] // 3):] += 1
+        return keys(alpha, betas, m)
+    return wrong
+
+
+def _gcd_flipped_at_7(x, m):
+    return 2 if m == 7 else math.gcd(x, m)
+
+
 def test_sampled_sets_agree_with_sample_pairs():
     # the invertibility pairs <1,a> and <alpha,alpha*a> of the identities suite
     unequal = 0
+    alphas = np.arange(1, 13, dtype=np.int32)[:, None]
     for m in range(1, 31):
-        a = np.arange(m, dtype=np.int64)
+        a = np.arange(m, dtype=np.int32)
+        batched = oracle._same_sets(oracle._sample_keys(np.int32(1), a, m),
+                                    oracle._sample_keys(alphas, alphas * a, m), m)
         for alpha in range(1, 13):
-            lhs = oracle._sampled_sets(1, a, m)
-            rhs = oracle._sampled_sets(alpha, alpha * a, m)
-            batched = (lhs == rhs).all(axis=1)
             for i in range(m):
                 one, other = sample_pairs(1, i, m), sample_pairs(alpha, alpha * i, m)
-                assert batched[i] == np.array_equal(one, other), (alpha, m, i)
-            unequal += int((~batched).sum())
+                assert batched[alpha - 1, i] == np.array_equal(one, other), (alpha, m, i)
+        unequal += int((~batched).sum())
     assert unequal > 0
 
 
 def test_sampled_sets_canonical_form():
     # <2,0> and <2,2> at m=4 share (0,0) and differ in one pair
-    rows = oracle._sampled_sets(2, np.array([0, 2, 6]), 4)
+    keys = oracle._sample_keys(np.int32(2), np.array([0, 2, 6], dtype=np.int32), 4)
+    rows = oracle._canonical(keys, 4)
+    assert rows.dtype == np.int32
     assert rows.tolist() == [[0, 8, 16, 16], [0, 10, 16, 16], [0, 10, 16, 16]]
     # <2,2> visits each key twice; its row holds the set once, then sentinels
     keys = sample_pairs(2, 2, 4) @ np.array([4, 1])
@@ -265,22 +326,75 @@ def test_suite_identities_cases_and_failures(monkeypatch):
     report = oracle._suite_identities(60)
     assert report.passed and report.cases_run == 71160
     # an expectation flipped at one modulus fails every alpha there
-    monkeypatch.setattr(oracle, "gcd", lambda x, m: 2 if m == 7 else math.gcd(x, m))
+    monkeypatch.setattr(oracle, "gcd", _gcd_flipped_at_7)
     report = oracle._suite_identities(8)
     assert len(report.failures) == 20
     assert report.failures[0] == ("invertibility alpha=1 m=7 a=0", "False", "True")
     monkeypatch.undo()
     # the -m rows off by one: failures come in the order of a, then m
-    real = oracle._sampled_sets
-
-    def shifted_wrong(alpha, betas, m):
-        third = len(betas) // 3
-        return real(alpha, np.concatenate((betas[:2 * third], betas[2 * third:] + 1)), m)
-
-    monkeypatch.setattr(oracle, "_sampled_sets", shifted_wrong)
+    monkeypatch.setattr(oracle, "_sample_keys", _minus_rows_off_by_one(oracle._sample_keys))
     report = oracle._suite_identities(3)
     assert report.failures[:2] == (("shift <1,-22> m=2", "equal", "differs"),
                                    ("shift <1,-23> m=3", "equal", "differs"))
+
+
+@pytest.mark.parametrize("max_m", [1, 2, 3, 8, 60])
+def test_suite_identities_matches_reference(monkeypatch, max_m):
+    assert oracle._suite_identities(max_m) == _reference_identities(max_m)
+    monkeypatch.setattr(oracle, "gcd", _gcd_flipped_at_7)
+    assert oracle._suite_identities(max_m) == _reference_identities(max_m)
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_sample_keys", _minus_rows_off_by_one(oracle._sample_keys))
+    assert oracle._suite_identities(max_m) == _reference_identities(
+        max_m, _minus_rows_off_by_one(_sampled_sets))
+
+
+def test_same_sets_short_cut(monkeypatch):
+    m = 7
+    canonical = []
+    real = oracle._canonical
+
+    def counted(keys, m):
+        canonical.append(len(keys))
+        return real(keys, m)
+
+    monkeypatch.setattr(oracle, "_canonical", counted)
+    # <3,5> at m=7 samples m distinct keys
+    row = oracle._sample_keys(np.int32(3), np.array([5], dtype=np.int32), m)
+    assert len(set(row[0].tolist())) == m
+    assert oracle._same_sets(row, row.copy(), m).tolist() == [True]
+    assert canonical == []
+    # the same set in another order compares equal, through the canonical form
+    assert oracle._same_sets(row, row[:, ::-1], m).tolist() == [True]
+    assert canonical == [1, 1]
+    # one key changed compares unequal
+    changed = row.copy()
+    changed[0, 2] = min(set(range(m * m)) - set(row[0].tolist()))
+    assert oracle._same_sets(row, changed, m).tolist() == [False]
+    # the invertible pairs <1,a> and <alpha,alpha*a> differ term by term for
+    # alpha > 1 and are equal as sets
+    canonical.clear()
+    alphas = np.arange(2, m, dtype=np.int32)[:, None]
+    a = np.arange(m, dtype=np.int32)
+    lhs, rhs = oracle._sample_keys(np.int32(1), a, m), oracle._sample_keys(alphas, alphas * a, m)
+    assert not (lhs == rhs).all(axis=-1).any()
+    assert oracle._same_sets(lhs, rhs, m).all()
+    assert canonical == [rhs.shape[0] * m] * 2
+
+
+def test_identities_keys_fit_int32():
+    top = oracle._IDENTITIES_MAX_M
+    speed = oracle._SHIFT_ALPHAS * oracle._SPEED + top  # |beta +/- m|
+    invert_speed = oracle._INVERT_ALPHAS * (top - 1)  # alpha*a
+    bound = max(speed * (top - 1), invert_speed * (top - 1), top * top)
+    assert bound == 41772 and bound < 2 ** 31
+    # the keys at the extreme speeds, against Python integers
+    alpha = oracle._SHIFT_ALPHAS
+    betas = np.array([speed, -speed, invert_speed], dtype=np.int32)
+    keys = oracle._sample_keys(np.int32(alpha), betas, top)
+    assert keys.dtype == np.int32
+    assert keys.tolist() == [[alpha * k % top * top + beta * k % top for k in range(top)]
+                             for beta in betas.tolist()]
 
 
 def test_verify_all_trivial_bounds():
