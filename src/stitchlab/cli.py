@@ -7,6 +7,7 @@ error.  The rendering commands take the canvas size from `--canvas`.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -306,5 +307,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
 
+def console() -> int:
+    """The `stitchlab` script and `python -m stitchlab.cli`: :func:`main`,
+    then `gc.freeze()`, so that the exiting interpreter does not walk
+    numpy's module cycles to collect them (about 40 ms); :func:`main`
+    itself never freezes, since it runs many times in one process."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

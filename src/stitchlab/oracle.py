@@ -15,20 +15,33 @@ with it:
   (alpha*k mod m)*m + (beta*k mod m) that :func:`_sample_keys` builds as
   one int32 batch per modulus; rows that differ term by term are compared
   as sets in a canonical form, and rows equal term by term need no more;
-- ``shortest_vector``: the vector and ``tie`` of ``natural_alias`` against
-  :func:`brute_shortest_vectors`;
+- ``shortest_vector``: the vector and ``tie`` of each graph's alias
+  analysis against :func:`brute_shortest_vectors`;
 - ``overlay_partition``: each chord on its ``overlay_decompose`` coset
-  line, by a congruence, the alias direction reduced, each offset in
-  [0, 1/alpha), and diagonal radii against center distances;
+  line and on its coset's rotated dance, by two congruences, the alias
+  direction reduced, each offset in [0, 1/alpha), each rotation in
+  [0, 1/|alpha - beta|), and diagonal radii against center distances;
 - ``family_predictions``: ``predict_family`` against ``overlay_decompose``;
 - ``envelope``: ``verify_envelope``, the curve at each chord's own
   parameter on the chord and parallel to it;
 - ``cusp_count``: |alpha - beta| against the degenerate rows of
   ``sample_pairs``.
+
+``shortest_vector`` and ``overlay_partition`` come from one sweep that
+decomposes each graph MMT(m, a) once (:func:`_sweep`).  :func:`verify_all`
+runs the suites in two groups: where ``os.fork`` exists, a forked child
+runs ``stitch_sampling_correspondence`` and ``sampling_identities`` while
+the calling process runs the rest.  Each suite's ``elapsed_s`` is its wall
+time in the process that ran it; of the sweep's time, ``shortest_vector``
+gets the brute-force search and its comparisons and ``overlay_partition``
+the decompositions and the rest, so no time is counted twice.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, field, replace
 from math import gcd
@@ -39,14 +52,15 @@ from .cycloid import offset_family_radius, verify_envelope
 from .dances import PlanetDance, StitchGraph, mmt_chords, sample_pairs
 from .overlay import (OverlayDecomposition, nearest_congruent, overlay_decompose,
                       predict_family)
-from .torusgeo import intersection_count, natural_alias
+from .torusgeo import AliasAnalysis, intersection_count, natural_alias
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one suite: a passed suite has no failures.
 
-    ``elapsed_s``, the suite's wall time in :func:`verify_all`, is not compared.
+    ``elapsed_s``, the suite's wall time in :func:`verify_all` (see the
+    module docstring), is not compared.
     """
 
     suite: str
@@ -286,37 +300,37 @@ def _suite_identities(max_m: int) -> VerificationReport:
     return VerificationReport("sampling_identities", cases, tuple(failures[:20]))
 
 
-def _suite_shortest_vector(max_m: int) -> VerificationReport:
+def _shortest_vector_failures(m: int, analyses: list[AliasAnalysis]) -> list:
+    """The vector and ``tie`` of the alias analysis of each graph of m, in
+    the order of a, against :func:`brute_shortest_vectors`."""
+    vectors, ties = brute_shortest_vectors(m)
     failures = []
-    cases = 0
-    for m in range(1, max_m + 1):
-        vectors, ties = brute_shortest_vectors(m)
-        for a, (vector, tie) in enumerate(zip(vectors.tolist(), ties.tolist())):
-            cases += 1
-            analysis = natural_alias(m, a)
-            found = (analysis.shortest_vector, analysis.tie)
-            if found != (tuple(vector), tie):
-                failures.append((f"(m,a)=({m},{a})", f"{tuple(vector)} tie={tie}",
-                                 f"{found[0]} tie={found[1]}"))
-    return VerificationReport("shortest_vector", cases, tuple(failures[:20]))
+    for a, (analysis, vector, tie) in enumerate(
+            zip(analyses, vectors.tolist(), ties.tolist())):
+        found = (analysis.shortest_vector, analysis.tie)
+        if found != (tuple(vector), tie):
+            failures.append((f"(m,a)=({m},{a})", f"{tuple(vector)} tie={tie}",
+                             f"{found[0]} tie={found[1]}"))
+    return failures
 
 
-def _diagonal_radius_failures(dec: OverlayDecomposition) -> list[tuple[str, str, str]]:
+def _diagonal_radius_failures(dec: OverlayDecomposition, cos: np.ndarray,
+                              sin: np.ndarray) -> list[tuple[str, str, str]]:
     """Compare each coset's reported radius of a <1,1>-aliased graph with
     the center-to-chord-line distances of the coset's chords.
 
     Chord k joins k/m to a*k/m and belongs to coset k mod d; a
-    degenerate chord is a dot, whose distance is its radius.
+    degenerate chord is a dot, whose distance is its radius.  ``cos``
+    and ``sin`` hold cos(2*pi*k/m) and sin(2*pi*k/m) for k = 0..m-1.
     """
     m, a = dec.analysis.m, dec.analysis.a
     radii = [offset_family_radius(c.offset) for c in dec.cosets]
     k = np.arange(m, dtype=np.int64)
     e = (a * k) % m
-    ax, ay = np.cos(2 * np.pi * k / m), np.sin(2 * np.pi * k / m)
-    bx, by = np.cos(2 * np.pi * e / m), np.sin(2 * np.pi * e / m)
-    dist = np.hypot(ax, ay)
+    bx, by = cos[e], sin[e]
+    dist = np.hypot(cos, sin)
     line = e != k
-    dist[line] = np.abs(ax * by - ay * bx)[line] / np.hypot(bx - ax, by - ay)[line]
+    dist[line] = np.abs(cos * by - sin * bx)[line] / np.hypot(bx - cos, by - sin)[line]
     expected = np.array(radii)[k % len(radii)]
     return [
         (f"(m,a)=({m},{a}) chord {i}", f"radius {float(expected[i])!r}",
@@ -325,77 +339,151 @@ def _diagonal_radius_failures(dec: OverlayDecomposition) -> list[tuple[str, str,
     ]
 
 
-def _suite_overlay(max_m: int) -> VerificationReport:
-    """Every chord k of every graph on ``overlay_decompose``'s line for
-    coset k mod d, by an integer congruence, one 2-D batch per m.  For
-    each m the failures of d*m' = m come first, then those of a
-    direction (alpha, beta) that is not reduced, of an offset outside
-    [0, 1/alpha), of membership and of diagonal radii, each in the order
-    of a.
+def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list, int, int]:
+    """overlay_partition's failures at m, and its counts of graphs with a
+    permuted coset-to-offset assignment and of diagonal graphs.
 
-    Chord k is the torus point (k/m, e/m), e = a*k mod m.  It lies on the
-    line in direction (alpha, beta), alpha >= 1, with offset p/q iff
-    q*(beta*k - alpha*e) + alpha*p*m = 0 (mod m*q).  (A vertical line,
-    alpha = 0, fails this for every k != 0, though no alias has one.)
-    The offsets p/q and p/q + 1/alpha name the same line, so the range
-    check 0 <= alpha*p < q is what pins each reported offset.
+    The checks run as one 2-D batch over the graphs of m.  The failures
+    of d*m' = m come first, then those of a direction (alpha, beta) that
+    is not reduced, of an offset outside [0, 1/alpha), of a rotation
+    outside [0, 1/|alpha - beta|), of membership, of rotated dances that
+    miss their cosets and of diagonal radii, each in the order of a.
+
+    Chord i is the torus point (i/m, e/m), e = a*i mod m, and belongs to
+    coset i mod d.  It lies on the line in direction (alpha, beta),
+    alpha >= 1, with offset p/q iff q*(beta*i - alpha*e) + alpha*p*m = 0
+    (mod m*q).  (A vertical line, alpha = 0, fails this for every i != 0,
+    though no alias has one.)  The offsets p/q and p/q + 1/alpha name the
+    same line, so the range check 0 <= alpha*p < q is what pins each
+    reported offset.  Likewise the dance turned by u/v covers chord i iff
+    (i/m - u/v, e/m - u/v) lies on the line through the origin, that is
+    iff v*(beta*i - alpha*e) + (alpha - beta)*u*m = 0 (mod m*v); a turn by
+    1/|alpha - beta| is a symmetry of the dance, so 0 <= |alpha - beta|*u
+    < v pins each rotation.  Diagonal aliases (alpha = beta) have no
+    rotation; their cosets' radii are checked against the chords'
+    center distances instead.
     """
     failures = []
-    cases = 0
-    nonstandard = 0
-    diagonal = 0
+    graphs = []
+    for dec in decs:
+        d, mp = dec.analysis.coset_count, dec.analysis.reduced_rate
+        if d * mp == m:
+            graphs.append(dec)
+        else:
+            failures.append((f"(m,a)=({m},{dec.analysis.a})", "d*m' = m", f"{d}*{mp}"))
+    # graph j's cosets are rows first[j] .. first[j] + d[j] - 1
+    graph = np.array([(dec.analysis.a, dec.analysis.reduced_dance.alpha,
+                       dec.analysis.reduced_dance.beta) for dec in graphs],
+                     dtype=np.int64).reshape(-1, 3)
+    d = np.array([len(dec.cosets) for dec in graphs], dtype=np.int64)
+    # offset p/q and rotation u/v of each coset; a diagonal alias, which
+    # has no rotation, gets 0/1 and is left out of the rotation checks
+    p, q, u, v = np.array([(*c.offset.as_integer_ratio(),
+                            *((0, 1) if c.rotation is None else c.rotation.as_integer_ratio()))
+                           for dec in graphs for c in dec.cosets],
+                          dtype=np.int64).reshape(-1, 4).T
+    first = np.cumsum(d) - d
+    _, alpha, beta = graph.T
+    rotated = alpha != beta
+
+    def name(j):
+        return f"(m,a)=({m},{graph[j, 0]})"
+
+    for j in np.flatnonzero(np.gcd(alpha, beta) != 1).tolist():
+        failures.append((name(j), "a reduced direction", f"<{alpha[j]},{beta[j]}>"))
+    scaled = np.repeat(alpha, d) * p  # alpha*p of each coset
+    outside = (scaled < 0) | (scaled >= q)
+    for j in np.flatnonzero(np.logical_or.reduceat(outside, first)).tolist():
+        failures.append((name(j), "offsets in [0, 1/alpha)", "offset out of range"))
+    # the uniform assignment puts coset i at offset i/(d*alpha)
+    i = np.arange(len(p)) - np.repeat(first, d)
+    nonstandard = int(np.logical_or.reduceat(scaled * np.repeat(d, d) != i * q,
+                                             first).sum())
+    turned = np.repeat(np.abs(alpha - beta), d) * u  # |alpha - beta|*u of each coset
+    outside = np.logical_or.reduceat((turned < 0) | (turned >= v), first) & rotated
+    for j in np.flatnonzero(outside).tolist():
+        failures.append((name(j), "rotations in [0, 1/|alpha-beta|)",
+                         "rotation out of range"))
+    # chord i of graph j, a row per graph and a column per chord
+    k = np.arange(m, dtype=np.int64)
+    chord_row = first[:, None] + k % d[:, None]
+    p, q, u, v = (np.take(x, chord_row) for x in (p, q, u, v))
+    a, alpha, beta = graph.T[:, :, None]
+    cross = beta * k - alpha * (a * k % m)
+    for j in np.flatnonzero(((q * cross + alpha * p * m) % (m * q)).any(axis=1)).tolist():
+        failures.append((name(j), "all cosets on their lines", "membership fails"))
+    cover = ((v * cross + (alpha - beta) * u * m) % (m * v)).any(axis=1) & rotated
+    for j in np.flatnonzero(cover).tolist():
+        failures.append((name(j), "rotated dances on their cosets", "rotation fails"))
+    # one table of the m sample angles serves every diagonal graph of m
+    angle = 2 * np.pi * k / m
+    cos, sin = np.cos(angle), np.sin(angle)
+    diagonal = [dec for dec, turns in zip(graphs, rotated.tolist()) if not turns]
+    for dec in diagonal:
+        failures.extend(_diagonal_radius_failures(dec, cos, sin))
+    return failures, nonstandard, len(diagonal)
+
+
+def _sweep(max_m: int) -> tuple[VerificationReport, VerificationReport]:
+    """The shortest_vector and overlay_partition reports, from one
+    ``overlay_decompose`` per graph MMT(m, a), 0 <= a < m <= max_m.
+
+    A decomposition that raises is an overlay_partition failure, reported
+    for each m before those of :func:`_partition_failures`; the graph's
+    alias analysis is then taken from ``natural_alias`` for
+    shortest_vector.  Each report's ``elapsed_s`` is its share of the sweep's wall time:
+    ``shortest_vector`` gets the brute-force search and its comparisons,
+    ``overlay_partition`` the decompositions and the rest.
+    """
+    vector_failures, failures = [], []
+    cases = nonstandard = diagonal = 0
+    start = time.perf_counter()
+    vector_s = 0.0
     for m in range(1, max_m + 1):
-        graphs = []
+        analyses, decs = [], []
         for a in range(m):
-            cases += 1
-            dec = overlay_decompose(m, a)
-            d, mp = dec.analysis.coset_count, dec.analysis.reduced_rate
-            if d * mp == m:
-                graphs.append(dec)
+            try:
+                dec = overlay_decompose(m, a)
+            except Exception as exc:  # a library fault, reported as a failure
+                failures.append((f"(m,a)=({m},{a})", "a decomposition",
+                                 f"{type(exc).__name__}: {exc}"))
+                # so that the alias analysis is checked all the same
+                analyses.append(natural_alias(m, a))
             else:
-                failures.append((f"(m,a)=({m},{a})", "d*m' = m", f"{d}*{mp}"))
-        # graph j's cosets are offsets first[j] .. first[j] + d[j] - 1
-        graph = np.array([(dec.analysis.a, dec.analysis.reduced_dance.alpha,
-                           dec.analysis.reduced_dance.beta) for dec in graphs],
-                         dtype=np.int64).reshape(-1, 3)
-        d = np.array([len(dec.cosets) for dec in graphs], dtype=np.int64)
-        p, q = np.array([c.offset.as_integer_ratio()
-                         for dec in graphs for c in dec.cosets],
-                        dtype=np.int64).reshape(-1, 2).T
-        first = np.cumsum(d) - d
-        names = [f"(m,a)=({m},{dec.analysis.a})" for dec in graphs]
-        _, alpha, beta = graph.T
-        for j in np.flatnonzero(np.gcd(alpha, beta) != 1).tolist():
-            failures.append((names[j], "a reduced direction",
-                             f"<{alpha[j]},{beta[j]}>"))
-        scaled = np.repeat(alpha, d) * p  # alpha*p of each coset
-        outside = (scaled < 0) | (scaled >= q)
-        for j in np.flatnonzero(np.logical_or.reduceat(outside, first)).tolist():
-            failures.append((names[j], "offsets in [0, 1/alpha)",
-                             "offset out of range"))
-        # the uniform assignment puts coset i at offset i/(d*alpha)
-        i = np.arange(len(p)) - np.repeat(first, d)
-        nonstandard += int(np.logical_or.reduceat(scaled * np.repeat(d, d) != i * q,
-                                                  first).sum())
-        k = np.arange(m, dtype=np.int64)
-        chord_row = first[:, None] + k % d[:, None]
-        p, q = np.take(p, chord_row), np.take(q, chord_row)
-        a, alpha, beta = graph.T[:, :, None]  # a row per graph, a column per k
-        value = q * (beta * k - alpha * (a * k % m)) + alpha * p * m
-        for j in np.flatnonzero((value % (m * q)).any(axis=1)).tolist():
-            failures.append((names[j], "all cosets on their lines",
-                             "membership fails"))
-        for dec in graphs:
-            if dec.analysis.reduced_dance.alpha == dec.analysis.reduced_dance.beta == 1:
-                diagonal += 1
-                failures.extend(_diagonal_radius_failures(dec))
+                analyses.append(dec.analysis)
+                decs.append(dec)
+        cases += m
+        vector_start = time.perf_counter()
+        vector_failures += _shortest_vector_failures(m, analyses)
+        vector_s += time.perf_counter() - vector_start
+        found, permuted, diagonals = _partition_failures(m, decs)
+        failures += found
+        nonstandard += permuted
+        diagonal += diagonals
     info = (
         f"{nonstandard} of {cases} graphs need the permuted coset-to-offset "
         "assignment (offset (s*k mod d)/(d*alpha) with s = (alpha*a-beta)/m')",
         f"{diagonal} graphs alias <1,1>; each coset's radius matches its "
         "chords' center distances within 1e-12",
     )
-    return VerificationReport("overlay_partition", cases, tuple(failures[:20]), info)
+    return (
+        VerificationReport("shortest_vector", cases, tuple(vector_failures[:20]),
+                           elapsed_s=vector_s),
+        VerificationReport("overlay_partition", cases, tuple(failures[:20]), info,
+                           elapsed_s=time.perf_counter() - start - vector_s),
+    )
+
+
+def _suite_shortest_vector(max_m: int) -> VerificationReport:
+    """The vector and ``tie`` of every graph's alias analysis, from the
+    shared sweep."""
+    return _sweep(max_m)[0]
+
+
+def _suite_overlay(max_m: int) -> VerificationReport:
+    """Every graph's cosets on their lines and rotations, from the shared
+    sweep (see :func:`_partition_failures`)."""
+    return _sweep(max_m)[1]
 
 
 def _suite_families(m_target: int = 200) -> VerificationReport:
@@ -468,15 +556,77 @@ def _suite_cusps(bound: int) -> VerificationReport:
     return VerificationReport("cusp_count", cases, tuple(failures[:20]))
 
 
-#: The largest bounds `verify_all` accepts.  The max_m suites grow as
-#: max_m^2 and took 16 s in all at 600; the bound suites, which grow
-#: about as bound^4, took 0.8 s at 12 (2-core Xeon, Python 3.11).
+#: The largest bounds `verify_all` accepts.  The max_m suites check
+#: max_m^2/2 graphs; at 600 the sweep took 22 s and, in the forked child,
+#: the correspondence suite 8.4 s.  The bound suites, which grow about as
+#: bound^4, took 1.2 s at 12 (2-core Xeon, Python 3.11).
 _MAX_M = 600
 _MAX_BOUND = 12
 
 
+def _timed(suite, *args) -> tuple[VerificationReport]:
+    """Run one suite and time it in this process."""
+    start = time.perf_counter()
+    report = suite(*args)
+    return (replace(report, elapsed_s=time.perf_counter() - start),)
+
+
+def _run(group: list[tuple]) -> list[VerificationReport]:
+    """Run a group's jobs, each (function, *args) returning timed reports,
+    in order."""
+    return [report for job, *args in group for report in job(*args)]
+
+
+def _run_beside(here: list[tuple], there: list[tuple]) -> list[VerificationReport]:
+    """Run ``there`` in a forked child while this process runs ``here``.
+
+    The child sends its reports, or the exception a suite raised, back
+    pickled over a pipe and leaves with ``os._exit``, so it never returns
+    into the caller.  An exception here kills the child; either way it is
+    reaped before this returns.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (_run(there), None)
+            except Exception as exc:
+                outcome = (None, exc)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(outcome, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            reports = _run(here)
+            sent = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not sent:
+        raise RuntimeError(f"the forked verify process exited with status {code} "
+                           "without sending its reports")
+    theirs, error = pickle.loads(sent)
+    if error is not None:
+        raise error
+    return reports + theirs
+
+
 def verify_all(max_m: int, dance_bound: int) -> list[VerificationReport]:
-    """Run and time every suite within the given bounds, by suite name."""
+    """Run and time every suite within the given bounds, by suite name.
+
+    The suites run in two groups of about equal cost at the CLI
+    defaults, the second in a forked child where ``os.fork`` exists and
+    after the first otherwise.
+    """
     if max_m < 1 or dance_bound < 1:
         raise ValueError("bounds must be at least 1")
     if max_m > _MAX_M:
@@ -484,19 +634,20 @@ def verify_all(max_m: int, dance_bound: int) -> list[VerificationReport]:
     if dance_bound > _MAX_BOUND:
         raise ValueError(
             f"the dance bound must be at most {_MAX_BOUND}, got {dance_bound}")
-    suites = [
-        (_suite_correspondence, (max_m,)),
-        (_suite_aliasing, (dance_bound,)),
-        (_suite_intersections, (dance_bound,)),
-        (_suite_identities, (max_m,)),
-        (_suite_shortest_vector, (max_m,)),
-        (_suite_overlay, (max_m,)),
-        (_suite_families, ()),
-        (_suite_envelope, (dance_bound,)),
-        (_suite_cusps, (dance_bound,)),
+    here = [
+        (_sweep, max_m),
+        (_timed, _suite_aliasing, dance_bound),
+        (_timed, _suite_intersections, dance_bound),
+        (_timed, _suite_families),
+        (_timed, _suite_envelope, dance_bound),
+        (_timed, _suite_cusps, dance_bound),
     ]
-    reports = []
-    for suite, args in suites:
-        start = time.perf_counter()
-        reports.append(replace(suite(*args), elapsed_s=time.perf_counter() - start))
+    there = [
+        (_timed, _suite_correspondence, max_m),
+        (_timed, _suite_identities, max_m),
+    ]
+    if hasattr(os, "fork"):
+        reports = _run_beside(here, there)
+    else:
+        reports = _run(here) + _run(there)
     return sorted(reports, key=lambda r: r.suite)

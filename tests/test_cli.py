@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import argparse
+import gc
+import hashlib
 import json
 import math
 import os
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from test_byte_pins import CANVAS, PINS
 
 from stitchlab import cli, oracle
 from stitchlab.dances import StitchGraph, mmt_chords
@@ -327,3 +331,34 @@ def test_verify_reports_injected_fault(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "verify_all", patched)
     assert run(["verify", "--max-m", "3", "--bound", "1"]) == 1
     assert "FAIL (m,a)=(5,2)" in capsys.readouterr().out
+
+
+def test_main_never_freezes_the_collector(tmp_path, capsys):
+    frozen = gc.get_freeze_count()
+    assert run(["analyze", "-m", "206", "-a", "35"]) == 0
+    assert run(["stitch", "-m", "12", "-a", "5", "-o", str(tmp_path / "s.svg")]) == 0
+    assert run(["verify", "--max-m", "3", "--bound", "1", "--json"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+#: Runs the console script's entry point on the given arguments and
+#: prints its exit code and whether it froze the collector.
+_CONSOLE = (
+    "import gc, sys\n"
+    "from stitchlab.cli import console\n"
+    "sys.argv[0] = 'stitchlab'\n"
+    "code = console()\n"
+    "print(code, gc.get_freeze_count() > 0)\n"
+)
+
+
+def test_console_script_freezes_and_writes_pinned_bytes(tmp_path):
+    out = tmp_path / "s.svg"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CONSOLE, "stitch", "-m", "100", "-a", "34",
+         "--canvas", CANVAS, "-o", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.stdout, proc.stderr) == ("0 True\n", "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS["stitch 100 34"]

@@ -7,7 +7,7 @@ listed in a module's `__all__` count as used (re-exports).
 
 Every public top-level name of the package is reached from the package
 itself: code in another of its top-level statements refers to it, it is
-exported in `stitchlab.__all__`, or it is the console script `cli.main`.
+exported in `stitchlab.__all__`, or it is the console script `cli.console`.
 A name that only tests call is dead weight in the library.
 
 Every parameter of a function or method of the package is read in its
@@ -124,7 +124,7 @@ def test_no_test_only_names():
                    for node in ast.parse(sources["__init__"]).body
                    if isinstance(node, ast.Assign)
                    and any(getattr(t, "id", None) == "__all__" for t in node.targets))
-    assert unreached_names(sources, set(exports) | {"cli.main"}) == []
+    assert unreached_names(sources, set(exports) | {"cli.console"}) == []
 
 
 def unread_parameters(source: str) -> list[str]:

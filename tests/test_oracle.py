@@ -1,13 +1,16 @@
 """Tests pinning the closed forms to their brute-force oracles."""
 
 import math
+import os
+import pickle
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stitchlab import oracle, torusgeo
+from stitchlab import oracle, overlay, torusgeo
 from stitchlab.dances import PlanetDance, sample_pairs
 from stitchlab.kernel import ChordSet
 from stitchlab.oracle import (
@@ -17,6 +20,7 @@ from stitchlab.oracle import (
     reduced_dances,
     verify_all,
 )
+from stitchlab.overlay import overlay_decompose
 from stitchlab.torusgeo import intersection_count, natural_alias
 
 
@@ -67,14 +71,14 @@ def test_suite_shortest_vector_checks_vector_and_tie(monkeypatch):
     report = oracle._suite_shortest_vector(5)
     assert report.failures[0] == ("(m,a)=(1,0)", "(1, 0) tie=True", "(0, 1) tie=True")
     monkeypatch.undo()
-    # the tie flag flipped
+    # the tie flag flipped in the analysis that the sweep's decompositions read
     real = torusgeo.natural_alias
 
     def flipped(m, a):
         analysis = real(m, a)
         return replace(analysis, tie=not analysis.tie)
 
-    monkeypatch.setattr(oracle, "natural_alias", flipped)
+    monkeypatch.setattr(overlay, "natural_alias", flipped)
     report = oracle._suite_shortest_vector(3)
     assert report.cases_run == 6 and len(report.failures) == 6
     assert report.failures[1] == ("(m,a)=(2,0)", "(1, 0) tie=False", "(1, 0) tie=True")
@@ -196,6 +200,100 @@ def test_suite_overlay_checks_reduced_direction(monkeypatch):
         expected.append((f"(m,a)=(7,{a})", "a reduced direction",
                          f"<{2 * alias.alpha},{2 * alias.beta}>"))
     assert oracle._suite_overlay(12).failures == tuple(expected)
+
+
+def _last_coset_turned(dec, turn):
+    """dec with its last coset's rotation moved by turn."""
+    *rest, last = dec.cosets
+    return replace(dec, cosets=(*rest, replace(last, rotation=last.rotation + turn)))
+
+
+def _rotation_faults(m, a):
+    """The two turns of the last coset of MMT(m, a), with what each must
+    fail: 1/(2*d*|alpha - beta|) moves the dance off its chords, and
+    1/|alpha - beta|, a symmetry of the dance, only out of range."""
+    analysis = natural_alias(m, a)
+    span = abs(analysis.reduced_dance.alpha - analysis.reduced_dance.beta)
+    name = f"(m,a)=({m},{a})"
+    return [
+        (Fraction(1, 2 * analysis.coset_count * span),
+         (name, "rotated dances on their cosets", "rotation fails")),
+        (Fraction(1, span),
+         (name, "rotations in [0, 1/|alpha-beta|)", "rotation out of range")),
+    ]
+
+
+def test_suite_overlay_checks_rotations(monkeypatch):
+    real = oracle.overlay_decompose
+    for turn, failure in _rotation_faults(206, 35):
+        monkeypatch.setattr(oracle, "overlay_decompose", lambda m, a: (
+            _last_coset_turned(real(m, a), turn) if (m, a) == (206, 35) else real(m, a)))
+        report = oracle._suite_overlay(206)
+        assert report.failures == (failure,)
+        assert report.cases_run == sum(range(1, 207))
+
+
+@pytest.mark.parametrize("m, a", [(207, 35), (207, 34), (9, 6)])
+def test_rotation_checks_other_graphs(m, a):
+    decs = [overlay_decompose(m, b) for b in range(m)]
+    assert oracle._partition_failures(m, decs)[0] == []
+    for turn, failure in _rotation_faults(m, a):
+        moved = [_last_coset_turned(dec, turn) if b == a else dec
+                 for b, dec in enumerate(decs)]
+        assert oracle._partition_failures(m, moved)[0] == [failure]
+
+
+def test_suite_overlay_reports_a_decomposition_that_raises(monkeypatch):
+    real = oracle.overlay_decompose
+
+    def broken(m, a):
+        if (m, a) == (5, 2):
+            raise ZeroDivisionError("Fraction(0, 0)")
+        return real(m, a)
+
+    monkeypatch.setattr(oracle, "overlay_decompose", broken)
+    vectors, overlay_report = oracle._sweep(6)
+    assert overlay_report.failures == (
+        ("(m,a)=(5,2)", "a decomposition", "ZeroDivisionError: Fraction(0, 0)"),)
+    # the graph's alias analysis is checked all the same
+    assert vectors.passed and vectors.cases_run == overlay_report.cases_run == 21
+
+
+def _own_trig_radius_failures(dec):
+    """`oracle._diagonal_radius_failures` as it was before the sweep shared
+    one trig table per modulus: four trig arrays of its own per graph."""
+    m, a = dec.analysis.m, dec.analysis.a
+    radii = [oracle.offset_family_radius(c.offset) for c in dec.cosets]
+    k = np.arange(m, dtype=np.int64)
+    e = (a * k) % m
+    ax, ay = np.cos(2 * np.pi * k / m), np.sin(2 * np.pi * k / m)
+    bx, by = np.cos(2 * np.pi * e / m), np.sin(2 * np.pi * e / m)
+    dist = np.hypot(ax, ay)
+    line = e != k
+    dist[line] = np.abs(ax * by - ay * bx)[line] / np.hypot(bx - ax, by - ay)[line]
+    expected = np.array(radii)[k % len(radii)]
+    return [
+        (f"(m,a)=({m},{a}) chord {i}", f"radius {float(expected[i])!r}",
+         f"distance {float(dist[i])!r}")
+        for i in np.flatnonzero(np.abs(dist - expected) > 1e-12).tolist()
+    ]
+
+
+def test_diagonal_radii_from_shared_table_are_bit_identical(monkeypatch):
+    # every radius off by one, so that each chord's distance is printed
+    real = oracle.offset_family_radius
+    monkeypatch.setattr(oracle, "offset_family_radius", lambda c: real(c) + 1)
+    graphs = 0
+    for m in range(1, 121):
+        angle = 2 * np.pi * np.arange(m, dtype=np.int64) / m
+        cos, sin = np.cos(angle), np.sin(angle)
+        for a in range(m):
+            dec = overlay_decompose(m, a)
+            if dec.analysis.reduced_dance == PlanetDance(1, 1):
+                graphs += 1
+                found = oracle._diagonal_radius_failures(dec, cos, sin)
+                assert len(found) == m and found == _own_trig_radius_failures(dec)
+    assert graphs > 0
 
 
 def test_suite_cusps_counts_library_rows(monkeypatch):
@@ -420,3 +518,92 @@ def test_verify_all_validation():
         verify_all(601, 1)
     with pytest.raises(ValueError, match="at most 12"):
         verify_all(1, 13)
+
+
+def _one_by_one(max_m, bound):
+    """The nine suites run one after another in this process, by name."""
+    reports = [
+        oracle._suite_correspondence(max_m), oracle._suite_aliasing(bound),
+        oracle._suite_intersections(bound), oracle._suite_identities(max_m),
+        oracle._suite_shortest_vector(max_m), oracle._suite_overlay(max_m),
+        oracle._suite_families(), oracle._suite_envelope(bound),
+        oracle._suite_cusps(bound),
+    ]
+    return sorted(reports, key=lambda r: r.suite)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@pytest.mark.parametrize("max_m, bound", [(1, 1), (20, 3), (60, 4)])
+def test_verify_all_matches_suites_one_by_one(monkeypatch, max_m, bound):
+    expected = _one_by_one(max_m, bound)
+    reports = verify_all(max_m, bound)
+    assert reports == expected and len(reports) == 9
+    assert all(r.elapsed_s > 0 for r in reports)
+    _assert_no_child_left()
+    # without os.fork both groups run here, with the same reports
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert verify_all(max_m, bound) == expected
+
+
+@forks
+@pytest.mark.parametrize("error", [ValueError("no such modulus: 7"),
+                                   ZeroDivisionError("Fraction(0, 0)")])
+def test_verify_all_reraises_a_child_suite_error(monkeypatch, error):
+    def broken(max_m):
+        raise error
+
+    # the identities suite runs in the child
+    monkeypatch.setattr(oracle, "_suite_identities", broken)
+    with pytest.raises(type(error)) as raised:
+        verify_all(3, 1)
+    assert type(raised.value) is type(error) and str(raised.value) == str(error)
+    _assert_no_child_left()
+
+
+@forks
+def test_verify_all_names_a_silent_child_exit(monkeypatch):
+    # the correspondence suite runs in the child, which leaves at once
+    monkeypatch.setattr(oracle, "_suite_correspondence", lambda max_m: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with status 3"):
+        verify_all(3, 1)
+    _assert_no_child_left()
+
+
+@forks
+def test_verify_all_reaps_the_child_when_this_side_raises(monkeypatch):
+    def broken(bound):
+        raise KeyError(bound)
+
+    # the cusp suite runs in this process, beside the child
+    monkeypatch.setattr(oracle, "_suite_cusps", broken)
+    with pytest.raises(KeyError):
+        verify_all(60, 1)
+    _assert_no_child_left()
+
+
+@forks
+def test_verify_all_names_a_child_that_dies_mid_send(monkeypatch):
+    def torn(outcome, pipe):
+        pipe.write(pickle.dumps(outcome)[:5])
+        raise OSError("pipe torn")
+
+    # only the child pickles: it sends five bytes and leaves with status 1
+    monkeypatch.setattr(pickle, "dump", torn)
+    with pytest.raises(RuntimeError, match="exited with status 1"):
+        verify_all(3, 1)
+    _assert_no_child_left()
+
+
+def test_sweep_splits_its_time_between_two_reports():
+    start = time.perf_counter()
+    vectors, partition = oracle._sweep(40)
+    wall = time.perf_counter() - start
+    assert vectors.elapsed_s > 0 and partition.elapsed_s > 0
+    assert vectors.elapsed_s + partition.elapsed_s <= wall
