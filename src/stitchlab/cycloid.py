@@ -3,6 +3,10 @@
 Curve parameters are measured in turns (s in [0, 1)); the 2*pi factor is
 applied inside evaluation so the curve parameter and the dance time
 coincide, making "tangent at the chord's own parameter" literal.
+
+:func:`cycloid_point` is the one place the curve formula lives: `render`
+draws its values and :func:`verify_envelope` checks them against chords
+built independently, from numpy's cosine and sine of the sample angles.
 """
 
 from __future__ import annotations
@@ -10,8 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .dances import PlanetDance
+from .kernel import cos_sin
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: tolerance of `EnvelopeReport.passed` (double precision headroom)
 FORMULA_TOL = 1e-9
@@ -89,8 +98,10 @@ def classify(d: PlanetDance) -> CycloidSpec:
     )
 
 
-def cycloid_point(spec: CycloidSpec, s: Fraction | float) -> tuple[float, float]:
-    """Evaluate the parametric curve at parameter s (in turns)."""
+def cycloid_point(spec: CycloidSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y of the curve at each parameter of the 1-D float array s
+    (in turns): the scalar formula's float operations, in the same order,
+    with `math.cos` and `math.sin` for the trigonometry (`kernel.cos_sin`)."""
     alpha, beta = spec.alpha, spec.beta
     if alpha == 0 and beta == 0:
         raise DegenerateCurveError("the point curve has no parametrization")
@@ -98,12 +109,12 @@ def cycloid_point(spec: CycloidSpec, s: Fraction | float) -> tuple[float, float]
         raise DegenerateCurveError(
             "alpha + beta = 0: the parametric equations degenerate"
         )
-    ta = TWO_PI * alpha * float(s)
-    tb = TWO_PI * beta * float(s)
+    cos_a, sin_a = cos_sin(TWO_PI * alpha * s)
+    cos_b, sin_b = cos_sin(TWO_PI * beta * s)
     denom = alpha + beta
     return (
-        (alpha * math.cos(tb) + beta * math.cos(ta)) / denom,
-        (alpha * math.sin(tb) + beta * math.sin(ta)) / denom,
+        (alpha * cos_b + beta * cos_a) / denom,
+        (alpha * sin_b + beta * sin_a) / denom,
     )
 
 
@@ -123,8 +134,10 @@ def verify_envelope(d: PlanetDance, n: int) -> EnvelopeReport:
     """Check tangency numerically over the n-sampled chord family.
 
     For each non-degenerate chord at s = k/n, measures the distance from
-    the curve point to the infinite chord line and the cross product of
-    unit chord and unit curve-tangent directions, reporting the maxima.
+    the curve point, :func:`cycloid_point` at s, to the infinite chord
+    line and the cross product of unit chord and unit curve-tangent
+    directions, reporting the maxima.  Chord and tangent come from
+    numpy's cosine and sine of the sample angles, not from the curve.
     """
     alpha, beta = d.alpha, d.beta
     if alpha + beta == 0:
@@ -143,9 +156,7 @@ def verify_envelope(d: PlanetDance, n: int) -> EnvelopeReport:
     tb = TWO_PI * beta * s
     ax, ay = np.cos(ta), np.sin(ta)
     bx, by = np.cos(tb), np.sin(tb)
-    denom = alpha + beta
-    px = (alpha * bx + beta * ax) / denom
-    py = (alpha * by + beta * ay) / denom
+    px, py = cycloid_point(classify(d), s)
     # distance from curve point to the infinite chord line
     cx, cy = bx - ax, by - ay
     clen = np.hypot(cx, cy)

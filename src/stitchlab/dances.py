@@ -78,14 +78,6 @@ def sample(s: Sampling) -> ChordSet:
     return ChordSet.from_rows(s.rate, sample_pairs(s.dance.alpha, s.dance.beta, s.rate))
 
 
-def reduce_dance(d: PlanetDance) -> PlanetDance:
-    """Divide out the gcd of the speeds; (0, 0) stays as is."""
-    g = gcd(abs(d.alpha), abs(d.beta))
-    if g <= 1:
-        return PlanetDance(d.alpha, d.beta)
-    return PlanetDance(d.alpha // g, d.beta // g)
-
-
 def sample_pairs(alpha: int, beta: int, m: int) -> np.ndarray:
     """The m-sampling of the dance (alpha, beta) as integer rows.
 

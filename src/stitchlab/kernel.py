@@ -29,6 +29,18 @@ def check_input_size(*values: int) -> None:
             raise ValueError(f"integer input {v} exceeds the cap {MAX_INPUT}")
 
 
+def cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine and sine of each angle of a 1-D float array (radians),
+    from `math.cos` and `math.sin` one value at a time, so that plane
+    coordinates do not depend on numpy's vectorized (CPU-dependent)
+    trigonometry."""
+    import numpy as np
+
+    angles = angles.tolist()
+    return (np.fromiter(map(math.cos, angles), float, len(angles)),
+            np.fromiter(map(math.sin, angles), float, len(angles)))
+
+
 @dataclass(frozen=True, order=True)
 class CirclePoint:
     """A position on the unit circle, measured in turns, in [0, 1)."""

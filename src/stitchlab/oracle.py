@@ -22,8 +22,10 @@ with it:
   direction reduced, each offset in [0, 1/alpha), each rotation in
   [0, 1/|alpha - beta|), and diagonal radii against center distances;
 - ``family_predictions``: ``predict_family`` against ``overlay_decompose``;
-- ``envelope``: ``verify_envelope``, the curve at each chord's own
-  parameter on the chord and parallel to it;
+- ``envelope``: ``verify_envelope``, the library's curve
+  (``cycloid_point``) at each chord's own parameter on the chord and
+  parallel to it, the chords built from numpy's cosine and sine of the
+  sample angles;
 - ``cusp_count``: |alpha - beta| against the degenerate rows of
   ``sample_pairs``.
 
@@ -486,14 +488,18 @@ def _suite_overlay(max_m: int) -> VerificationReport:
     return _sweep(max_m)[1]
 
 
-def _suite_families(m_target: int = 200) -> VerificationReport:
-    """Each (b, r) cell near m_target against its family prediction: the
+#: The family-predictions suite checks the cells near this modulus.
+_FAMILY_M = 200
+
+
+def _suite_families() -> VerificationReport:
+    """Each (b, r) cell near `_FAMILY_M` against its family prediction: the
     coset count, the dance, and the rotations {k*rotation_step mod 1 : k < d}."""
     failures = []
     cases = 0
     for b in range(2, 10):
         for r in range(1, b):
-            m = nearest_congruent(m_target, r, b)
+            m = nearest_congruent(_FAMILY_M, r, b)
             for kind in ("ceiling", "floor"):
                 cases += 1
                 pred = predict_family(m, b, kind)

@@ -17,15 +17,15 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
+import numpy as np
+
 from .cycloid import classify, cycloid_point
 from .dances import PlanetDance, Sampling, StitchGraph, mmt_chords, sample
-from .kernel import MAX_INPUT, ChordSet, check_input_size
+from .kernel import MAX_INPUT, ChordSet, check_input_size, cos_sin
 from .overlay import nearest_congruent, overlay_decompose, predict_family
 
 if TYPE_CHECKING:
     import numbers
-
-    import numpy as np
 
 #: Torus line colors of the gallery's overlay cosets, by coset index.
 COSET_PALETTE = (
@@ -62,6 +62,7 @@ class RenderStyle:
                 f"canvas size {self.canvas_px} leaves no room inside the "
                 f"{MARGIN_PX} px margins; it must exceed {2 * MARGIN_PX}"
             )
+        check_input_size(self.canvas_px)
 
 
 class SvgDocument:
@@ -69,7 +70,7 @@ class SvgDocument:
 
     `body` returns an iterator over the bytes of the elements, each
     ending in a newline.  `save` writes every chunk as soon as it is
-    made; `data` and `text` join them.
+    made; `data` joins them.
     """
 
     __slots__ = ("_width", "_height", "_body")
@@ -92,10 +93,6 @@ class SvgDocument:
     @property
     def data(self) -> bytes:
         return b"".join(self._chunks())
-
-    @property
-    def text(self) -> str:
-        return self.data.decode("utf-8")
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -139,8 +136,6 @@ def _format_block(values: np.ndarray) -> np.ndarray:
     values at or beyond `_EXACT_LIMIT` and values that are not finite
     are formatted by `fmt` itself.
     """
-    import numpy as np
-
     flat = np.ravel(values)
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = flat * 1e6
@@ -179,8 +174,6 @@ def _format_block(values: np.ndarray) -> np.ndarray:
 def _rows(*pieces: bytes | np.ndarray) -> np.ndarray:
     """One uint8 row per element: literal pieces (bytes) with formatted
     numbers (float arrays of one length, a value per element) between."""
-    import numpy as np
-
     numbers = _format_block(np.stack([p for p in pieces if not isinstance(p, bytes)],
                                      axis=1))
     n = len(numbers)
@@ -200,8 +193,6 @@ def _text(rows: np.ndarray) -> bytes:
 def _place(n: int, *placed: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The rows of n elements from (positions, rows) pairs; an element
     that no pair places stays empty."""
-    import numpy as np
-
     placed = [(at, rows) for at, rows in placed if len(at)]
     if len(placed) == 1 and len(placed[0][0]) == n:  # one kind, all present
         return placed[0][1]
@@ -236,8 +227,6 @@ def _clip_infinite(ax, ay, bx, by, x0, y0, x1, y1):
     scalar Liang-Barsky clip in the same order, with `max`/`min` keeping
     the earlier operand on ties, so the endpoints match it bit for bit.
     """
-    import numpy as np
-
     dx, dy = bx - ax, by - ay
     tmin = np.full(len(dx), -math.inf)
     tmax = np.full(len(dx), math.inf)
@@ -264,28 +253,24 @@ class _CircleScene:
         self.radius = px / 2.0 - MARGIN_PX
         self.box = (ox, 0.0, ox + px, px)
 
-    def to_canvas(self, p: tuple[float, float]) -> tuple[float, float]:
-        return (self.cx + self.radius * p[0], self.cy - self.radius * p[1])
+    def canvas_xy(self, x: np.ndarray, y: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Canvas x and y of the unit-circle points (x, y), computed in
+        place, as self.cx + self.radius * x and self.cy - self.radius * y."""
+        np.multiply(self.radius, x, out=x)
+        np.add(self.cx, x, out=x)
+        np.multiply(self.radius, y, out=y)
+        np.subtract(self.cy, y, out=y)
+        return x, y
 
     def at_turns(self, n: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray]:
         """Canvas x and y of the turns n/den, for an int array n.
 
         The angle 2π·(n/den) is rounded as for a Python int n (true
         division of exactly converted operands), and its cosine and sine
-        come from `math.cos`/`math.sin` one at a time, so the result does
-        not depend on numpy's vectorized trigonometry.
+        come from `math.cos`/`math.sin` one at a time (`cos_sin`).
         """
-        import numpy as np
-
-        angles = (2.0 * math.pi * (n / den)).tolist()
-        cos = np.fromiter(map(math.cos, angles), float, len(angles))
-        sin = np.fromiter(map(math.sin, angles), float, len(angles))
-        # in place, as self.cx + self.radius * cos and self.cy - self.radius * sin
-        np.multiply(self.radius, cos, out=cos)
-        np.add(self.cx, cos, out=cos)
-        np.multiply(self.radius, sin, out=sin)
-        np.subtract(self.cy, sin, out=sin)
-        return cos, sin
+        return self.canvas_xy(*cos_sin(2.0 * math.pi * (n / den)))
 
     def outline(self) -> bytes:
         return _element(
@@ -298,8 +283,6 @@ class _CircleScene:
                        extend: bool) -> Iterator[bytes]:
         """Lines for regular chords, dots for degenerate ones, in row
         order; an extended line that misses the canvas is left out."""
-        import numpy as np
-
         xs, ys = np.empty(chords.den), np.empty(chords.den)
         for lo in range(0, chords.den, _CHUNK_ROWS):
             turns = np.arange(lo, min(lo + _CHUNK_ROWS, chords.den))
@@ -321,8 +304,6 @@ class _CircleScene:
             ))
 
     def boundary_dots(self, chords: ChordSet) -> Iterator[bytes]:
-        import numpy as np
-
         used = np.zeros(chords.den, bool)  # np.unique is 100x slower here
         used[chords.rows] = True
         points = np.flatnonzero(used)
@@ -393,8 +374,6 @@ def _torus_segments(alpha: int, beta: int, offset: numbers.Rational
     alpha, |beta| <= 1075 and den <= (2m/sqrt(3))^(3/2), about 1.24·10^9,
     at m = 10^6.
     """
-    import numpy as np
-
     p, q = offset.numerator, offset.denominator
     s = max(abs(beta), 1)
     den = alpha * s * q
@@ -445,8 +424,6 @@ def render_dance_with_curve(d: PlanetDance, n: int,
     Hypocycloids only touch the extended chords, so extension is forced
     on for them.
     """
-    import numpy as np
-
     spec = classify(d)
     extend = style.extend_lines or spec.kind == "hypocycloid"
     scene = _CircleScene(style.canvas_px)
@@ -454,14 +431,14 @@ def render_dance_with_curve(d: PlanetDance, n: int,
     curve = None
     # a diagonal <c, c> draws the unit circle, its offset-0 family's envelope
     if spec.kind in ("epicycloid", "hypocycloid", "diagonal"):
-        curve = np.array([scene.to_canvas(cycloid_point(spec, i / CURVE_SEGMENTS))
-                          for i in range(CURVE_SEGMENTS + 1)])
+        curve = scene.canvas_xy(*cycloid_point(
+            spec, np.arange(CURVE_SEGMENTS + 1) / CURVE_SEGMENTS))
 
     def body() -> Iterator[bytes]:
         yield scene.outline()
         yield from scene.chord_elements(chords, CHORD_COLOR, extend)
         if curve is not None:
-            yield _polyline(curve[:, 0], curve[:, 1], CURVE_COLOR)
+            yield _polyline(*curve, CURVE_COLOR)
 
     return SvgDocument(style.canvas_px, style.canvas_px, body)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .dances import PlanetDance, reduce_dance
+from .dances import PlanetDance
 from .kernel import check_input_size
 
 Vec = tuple[int, int]
@@ -51,46 +51,6 @@ def intersection_count(d1: PlanetDance, d2: PlanetDance) -> int:
     return abs(d1.alpha * d2.beta - d1.beta * d2.alpha)
 
 
-def _norm2(v: Vec) -> int:
-    return v[0] * v[0] + v[1] * v[1]
-
-
-def _lagrange_gauss(b1: Vec, b2: Vec) -> tuple[Vec, Vec]:
-    """Reduce a 2D integer basis so b1 is a shortest lattice vector."""
-    if _norm2(b1) > _norm2(b2):
-        b1, b2 = b2, b1
-    while True:
-        n1 = _norm2(b1)
-        dot = b1[0] * b2[0] + b1[1] * b2[1]
-        # nearest-integer quotient, half away from zero
-        mu = (2 * dot + n1) // (2 * n1) if dot >= 0 else -((2 * -dot + n1) // (2 * n1))
-        b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
-        if _norm2(b2) >= _norm2(b1):
-            return b1, b2
-        b1, b2 = b2, b1
-
-
-def _orient(v: Vec) -> Vec:
-    p, q = v
-    if p < 0 or (p == 0 and q < 0):
-        return (-p, -q)
-    return (p, q)
-
-
-def minimal_vectors(m: int, a: int) -> list[Vec]:
-    """All shortest nonzero vectors of the lattice {(p, q): q = a*p mod m},
-    one representative per +/- pair, in canonical orientation."""
-    b1, b2 = _lagrange_gauss((1, a), (0, m))
-    candidates = [
-        b1,
-        b2,
-        (b1[0] + b2[0], b1[1] + b2[1]),
-        (b1[0] - b2[0], b1[1] - b2[1]),
-    ]
-    best = _norm2(b1)
-    return sorted({_orient(v) for v in candidates if _norm2(v) == best})
-
-
 def _pick(minima: list[Vec]) -> Vec:
     """Tie-break among minimal vectors: prefer p*q > 0, then smaller |q|."""
     pool = [v for v in minima if v[0] * v[1] > 0] or minima
@@ -98,14 +58,42 @@ def _pick(minima: list[Vec]) -> Vec:
 
 
 def natural_alias(m: int, a: int) -> AliasAnalysis:
-    """The full answer for one stitch graph: alias dance, coset count, tie."""
+    """The full answer for one stitch graph: alias dance, coset count, tie.
+
+    Lagrange-Gauss reduction of the basis (1, a), (0, m) leaves (p1, q1)
+    a shortest vector of the lattice {(p, q): q = a*p mod m}, and every
+    shortest vector is, up to sign, one of b1 = (p1, q1), b2 = (p2, q2),
+    b1 + b2 and b1 - b2.  Those of b1's norm, in canonical orientation
+    (p > 0, or p = 0 < q), are the minima that :func:`_pick` chooses
+    among; a second one is a tie.
+    """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
     check_input_size(m, a)
     a %= m
-    minima = minimal_vectors(m, a)
+    # 1 + a*a <= m*m, so the reduction starts from (1, a) as b1
+    p1, q1, n1 = 1, a, 1 + a * a
+    p2, q2 = 0, m
+    while True:
+        dot = p1 * p2 + q1 * q2
+        # nearest-integer quotient, half away from zero
+        mu = (2 * dot + n1) // (2 * n1) if dot >= 0 else -((2 * -dot + n1) // (2 * n1))
+        p2, q2 = p2 - mu * p1, q2 - mu * q1
+        n2 = p2 * p2 + q2 * q2
+        if n2 >= n1:
+            break
+        p1, q1, n1, p2, q2 = p2, q2, n2, p1, q1
+    minima = sorted({(p, q) if p > 0 or (p == 0 and q > 0) else (-p, -q)
+                     for p, q in ((p1, q1), (p2, q2), (p1 + p2, q1 + q2),
+                                  (p1 - p2, q1 - q2))
+                     if p * p + q * q == n1})
     p, q = _pick(minima)
-    dance = reduce_dance(PlanetDance(p, q))
+    g = gcd(p, q)
+    # (p, q) is oriented and no longer than (0, m), so its reduced direction
+    # needs neither PlanetDance's sign flip nor a second size check
+    dance = object.__new__(PlanetDance)
+    object.__setattr__(dance, "alpha", p // g)
+    object.__setattr__(dance, "beta", q // g)
     reduced_rate = gcd(dance.alpha * a - dance.beta, m)
     return AliasAnalysis(
         m=m,
@@ -116,4 +104,3 @@ def natural_alias(m: int, a: int) -> AliasAnalysis:
         reduced_rate=reduced_rate,
         tie=len(minima) > 1,
     )
-

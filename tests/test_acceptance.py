@@ -95,7 +95,7 @@ def test_criterion_07_overlay_partition():
 
 
 def test_criterion_08_family_grid_agreement():
-    report, elapsed = _suite("_suite_families", 200)
+    report, elapsed = _suite("_suite_families")
     _gate(8, "ceiling/floor families match decompositions", report.passed,
           elapsed, 10.0, f"{report.cases_run} cells")
 

@@ -233,6 +233,36 @@ def test_points_only_where_drawn(command, tmp_path, capsys):
     assert "unrecognized arguments: --points" in capsys.readouterr().err
 
 
+def test_every_int_option_rejects_a_huge_value(tmp_path, capsys):
+    # an integer beyond every cap exits 2 with a message, before any output
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    inputs = {**DRAWING_INPUTS, "analyze": ["-m", "12", "-a", "5"],
+              "verify": ["--max-m", "3", "--bound", "1"]}
+    huge = "1" + "0" * 400
+    checked = []
+    for name, parser in commands.items():
+        for action in parser._actions:
+            if action.type is not int:
+                continue
+            flag = action.option_strings[0]
+            argv = list(inputs[name])
+            if flag in argv:
+                argv[argv.index(flag) + 1] = huge
+            else:
+                argv += [flag, huge]
+            if name in DRAWING_INPUTS:
+                argv += ["-o", str(tmp_path / "out")]
+            assert run([name, *argv]) == 2, (name, flag)
+            assert capsys.readouterr().err.startswith("stitchlab: "), (name, flag)
+            assert not any(tmp_path.iterdir()), (name, flag)
+            checked.append(f"{name} {flag}")
+    assert checked == ["stitch -m", "stitch -a", "stitch --canvas", "analyze -m",
+                       "analyze -a", "dance -a", "dance -b", "dance -n",
+                       "dance --canvas", "grid -m", "grid -B", "grid --canvas",
+                       "gallery --canvas", "verify --max-m", "verify --bound"]
+
+
 def test_gallery_only(tmp_path):
     out = tmp_path / "gal"
     assert run(["gallery", "--only", "100,34", "--canvas", "150",

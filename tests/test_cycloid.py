@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stitchlab.cycloid import (
@@ -48,27 +49,27 @@ def test_classify_degenerate_kinds():
 
 def test_cycloid_point_degenerate_errors():
     with pytest.raises(DegenerateCurveError):
-        cycloid_point(classify(PlanetDance(0, 0)), 0.1)
+        cycloid_point(classify(PlanetDance(0, 0)), np.array([0.1]))
     with pytest.raises(DegenerateCurveError):
-        cycloid_point(classify(PlanetDance(1, -1)), 0.1)
+        cycloid_point(classify(PlanetDance(1, -1)), np.array([0.1]))
 
 
 def test_cycloid_point_cardioid_extremes():
     spec = classify(PlanetDance(1, 2))
     # the curve touches the circle at s = 0 and half a turn later sits at
     # its sharp point on the fixed circle of radius 1/3
-    assert cycloid_point(spec, 0.0) == pytest.approx((1.0, 0.0))
-    x, y = cycloid_point(spec, 0.5)
-    assert (x, y) == pytest.approx((-1.0 / 3.0, 0.0))
+    x, y = cycloid_point(spec, np.array([0.0, 0.5]))
+    assert (x[0], y[0]) == pytest.approx((1.0, 0.0))
+    assert (x[1], y[1]) == pytest.approx((-1.0 / 3.0, 0.0))
 
 
 def test_cycloid_point_stays_in_reach():
     for d in [PlanetDance(1, 2), PlanetDance(3, 2), PlanetDance(5, -3)]:
         spec = classify(d)
         reach = float(spec.fixed_radius + 2 * spec.rolling_radius)
-        for i in range(97):
-            x, y = cycloid_point(spec, i / 97)
-            assert math.hypot(x, y) <= reach + 1e-9
+        x, y = cycloid_point(spec, np.arange(97) / 97)
+        assert len(x) == len(y) == 97
+        assert (np.hypot(x, y) <= reach + 1e-9).all()
 
 
 def test_touch_points_lie_on_circle():
@@ -77,22 +78,23 @@ def test_touch_points_lie_on_circle():
     for d in [PlanetDance(1, 3), PlanetDance(5, -3), PlanetDance(3, 2)]:
         spec = classify(d)
         n = abs(d.alpha - d.beta)
-        for s in [Fraction(j, n) for j in range(n)]:
-            x, y = cycloid_point(spec, s)
-            assert math.hypot(x, y) == pytest.approx(1.0, abs=1e-12)
+        x, y = cycloid_point(spec, np.array([float(Fraction(j, n)) for j in range(n)]))
+        assert np.hypot(x, y) == pytest.approx(np.ones(n), abs=1e-12)
 
 
 def test_tangency_point_matches_curve():
     # the chord at s touches the curve at (beta*A + alpha*B)/(alpha + beta)
     for d in [PlanetDance(1, 2), PlanetDance(3, 2), PlanetDance(5, -3)]:
         spec = classify(d)
-        for s in [Fraction(1, 7), Fraction(3, 11), Fraction(9, 13)]:
+        params = [Fraction(1, 7), Fraction(3, 11), Fraction(9, 13)]
+        x, y = cycloid_point(spec, np.array([float(s) for s in params]))
+        for i, s in enumerate(params):
             (ax, ay), (bx, by) = [(math.cos(2 * math.pi * float(v * s)),
                                    math.sin(2 * math.pi * float(v * s)))
                                   for v in (d.alpha, d.beta)]
             tp = ((d.beta * ax + d.alpha * bx) / (d.alpha + d.beta),
                   (d.beta * ay + d.alpha * by) / (d.alpha + d.beta))
-            assert tp == pytest.approx(cycloid_point(spec, s), abs=1e-12)
+            assert tp == pytest.approx((x[i], y[i]), abs=1e-12)
 
 
 def test_verify_envelope_passes():

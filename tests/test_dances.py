@@ -10,7 +10,6 @@ from stitchlab.dances import (
     Sampling,
     StitchGraph,
     mmt_chords,
-    reduce_dance,
     sample,
     sample_pairs,
 )
@@ -76,12 +75,6 @@ def test_sampling_unit_invertibility():
     assert sampled(1, 7, 10) == sampled(3, 21, 10)
     # ... but not by a zero divisor
     assert sampled(1, 7, 10) != sampled(2, 14, 10)
-
-
-def test_reduce_dance():
-    assert reduce_dance(PlanetDance(6, 4)) == PlanetDance(3, 2)
-    assert reduce_dance(PlanetDance(0, 5)) == PlanetDance(0, 1)
-    assert reduce_dance(PlanetDance(0, 0)) == PlanetDance(0, 0)
 
 
 def test_sample_pairs_matches_sample():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stitchlab import oracle, overlay, torusgeo
+from stitchlab import cycloid, oracle, overlay, torusgeo
 from stitchlab.dances import PlanetDance, sample_pairs
 from stitchlab.kernel import ChordSet
 from stitchlab.oracle import (
@@ -310,6 +310,20 @@ def test_suite_cusps_counts_library_rows(monkeypatch):
 
     monkeypatch.setattr(oracle, "sample_pairs", dropped)
     assert oracle._suite_cusps(6).failures == (("<3,1>", "2", "1"),)
+
+
+def test_suite_envelope_checks_the_library_curve(monkeypatch):
+    report = oracle._suite_envelope(4)
+    assert report.passed and report.cases_run == 21
+    # the curve that render draws, shifted by half of the suite's 1/720 step
+    real = cycloid.cycloid_point
+    monkeypatch.setattr(cycloid, "cycloid_point",
+                        lambda spec, s: real(spec, s + 1 / 1440))
+    report = oracle._suite_envelope(4)
+    # every dance but <1,0>, whose curve is one point that no shift moves
+    assert report.cases_run == 21 and len(report.failures) == 20
+    assert "<1,0>" not in [case for case, _, _ in report.failures]
+    assert report.failures[0][:2] == ("<1,-4>", "tangency within 1e-9")
 
 
 def test_brute_intersections_validation():

@@ -272,9 +272,10 @@ def test_stitch_golden_file():
 def test_stitch_element_counts():
     # 34*k = k (mod 100) only at k = 0, so exactly one degenerate chord
     doc = render_stitch(mmt_chords(StitchGraph(100, 34)), RenderStyle())
-    lines = doc.text.count("<line ")
-    dots = doc.text.count('r="2.500000"')  # degenerate chords drawn as dots
-    outline = doc.text.count('fill="none"')
+    text = doc.data.decode("utf-8")
+    lines = text.count("<line ")
+    dots = text.count('r="2.500000"')  # degenerate chords drawn as dots
+    outline = text.count('fill="none"')
     degenerate = sum(c.degenerate for c in mmt_chords(StitchGraph(100, 34)))
     assert degenerate == 1
     assert lines == 100 - degenerate
@@ -284,7 +285,7 @@ def test_stitch_element_counts():
 
 def test_svg_structure():
     doc = render_stitch(mmt_chords(StitchGraph(12, 2)), RenderStyle())
-    text = doc.text
+    text = doc.data.decode("utf-8")
     assert text.startswith('<svg xmlns="http://www.w3.org/2000/svg" ')
     assert 'viewBox="0 0 800 800"' in text
     assert text.endswith("</svg>\n")
@@ -294,42 +295,80 @@ def test_canvas_size_applies():
     doc = render_stitch(
         mmt_chords(StitchGraph(12, 2)), RenderStyle(canvas_px=200)
     )
-    assert 'width="200" height="200"' in doc.text
+    assert 'width="200" height="200"' in doc.data.decode("utf-8")
 
 
 def test_coordinates_stay_in_canvas():
     style = RenderStyle(canvas_px=400, extend_lines=True)
     doc = render_dance_with_curve(PlanetDance(5, -3), 60, style)
-    for sx, sy in re.findall(r'x1="([-\d.]+)" y1="([-\d.]+)"', doc.text):
+    text = doc.data.decode("utf-8")
+    for sx, sy in re.findall(r'x1="([-\d.]+)" y1="([-\d.]+)"', text):
         assert -1e-6 <= float(sx) <= 400 + 1e-6
         assert -1e-6 <= float(sy) <= 400 + 1e-6
 
 
 def test_dance_curve_presence():
     with_curve = render_dance_with_curve(PlanetDance(3, 2), 50, RenderStyle())
-    assert "<polyline " in with_curve.text
+    assert "<polyline " in with_curve.data.decode("utf-8")
     no_curve = render_dance_with_curve(PlanetDance(1, -1), 50, RenderStyle())
-    assert "<polyline " not in no_curve.text
+    assert "<polyline " not in no_curve.data.decode("utf-8")
+
+
+def _scalar_curve(d, px):
+    """The per-point loop that drew the dance's curve before: the scalar
+    curve formula and canvas map at s = i/CURVE_SEGMENTS."""
+    cx = cy = px / 2.0
+    radius = px / 2.0 - render.MARGIN_PX
+    xs, ys = [], []
+    for i in range(render.CURVE_SEGMENTS + 1):
+        s = i / render.CURVE_SEGMENTS
+        ta = 2.0 * math.pi * d.alpha * float(s)
+        tb = 2.0 * math.pi * d.beta * float(s)
+        denom = d.alpha + d.beta
+        x = (d.alpha * math.cos(tb) + d.beta * math.cos(ta)) / denom
+        y = (d.alpha * math.sin(tb) + d.beta * math.sin(ta)) / denom
+        xs.append(cx + radius * x)
+        ys.append(cy - radius * y)
+    return np.array(xs), np.array(ys)
+
+
+@pytest.mark.parametrize("alpha,beta", [(3, 2), (6, -5), (7, 3), (1, 1)])
+def test_dance_curve_is_the_scalar_loop(alpha, beta, monkeypatch):
+    drawn = []
+    real = render._polyline
+
+    def capture(xs, ys, color):
+        drawn.append((xs.copy(), ys.copy()))
+        return real(xs, ys, color)
+
+    monkeypatch.setattr(render, "_polyline", capture)
+    d = PlanetDance(alpha, beta)
+    assert b"<polyline " in render_dance_with_curve(d, 10, RenderStyle(canvas_px=300)).data
+    (xs, ys), = drawn
+    ref_x, ref_y = _scalar_curve(d, 300)
+    assert xs.tobytes() == ref_x.tobytes() and ys.tobytes() == ref_y.tobytes()
 
 
 def test_dance_all_degenerate():
     doc = render_dance_with_curve(PlanetDance(1, 1), 10, RenderStyle())
-    assert doc.text.count("<line ") == 0
-    assert doc.text.count('r="2.500000"') == 10  # one dot per sample
+    text = doc.data.decode("utf-8")
+    assert text.count("<line ") == 0
+    assert text.count('r="2.500000"') == 10  # one dot per sample
 
 
 def test_torus_render_has_samples():
     doc = render_gallery_pair(206, 35, RenderStyle())
-    assert doc.text.count('r="2.000000"') == 206
+    assert doc.data.decode("utf-8").count('r="2.000000"') == 206
 
 
 def test_overlay_uses_palette():
     # one torus line per coset, colored by coset index; d = 2 here
     doc = render_gallery_pair(206, 35, RenderStyle())
+    text = doc.data.decode("utf-8")
     palette = render.COSET_PALETTE
-    assert palette[0] in doc.text
-    assert palette[1] in doc.text
-    assert palette[2] not in doc.text
+    assert palette[0] in text
+    assert palette[1] in text
+    assert palette[2] not in text
 
 
 def test_nearest_congruent():
@@ -388,5 +427,5 @@ def test_grid_validation():
 
 def test_gallery_pair_is_double_wide():
     doc = render_gallery_pair(100, 34, RenderStyle(canvas_px=300))
-    assert 'width="600" height="300"' in doc.text
+    assert 'width="600" height="300"' in doc.data.decode("utf-8")
 

@@ -1,11 +1,13 @@
 """Tests for torus lines, aliasing, and the shortest-vector search."""
 
+from math import gcd
+
 import pytest
 
+from stitchlab import dances, torusgeo
 from stitchlab.dances import PlanetDance
 from stitchlab.torusgeo import (
     intersection_count,
-    minimal_vectors,
     natural_alias,
 )
 
@@ -40,7 +42,6 @@ def test_tie_detection():
     analysis = natural_alias(5, 2)
     assert analysis.tie
     assert analysis.shortest_vector == (1, 2)
-    assert len(minimal_vectors(5, 2)) > 1
     assert not natural_alias(206, 35).tie
 
 
@@ -71,3 +72,74 @@ def test_natural_alias_validates():
     with pytest.raises(ValueError):
         natural_alias(0, 1)
 
+
+
+def _norm2(v):
+    return v[0] * v[0] + v[1] * v[1]
+
+
+def _orient(v):
+    p, q = v
+    if p < 0 or (p == 0 and q < 0):
+        return (-p, -q)
+    return (p, q)
+
+
+def _reference_alias(m, a):
+    """The helper chain that `natural_alias` replaced: minimal vectors from
+    a Lagrange-Gauss reduction, the tie-break, the gcd reduction of the
+    vector's dance and the rate, as (vector, dance, d, m', tie)."""
+    a %= m
+    b1, b2 = (1, a), (0, m)
+    if _norm2(b1) > _norm2(b2):
+        b1, b2 = b2, b1
+    while True:
+        n1 = _norm2(b1)
+        dot = b1[0] * b2[0] + b1[1] * b2[1]
+        mu = (2 * dot + n1) // (2 * n1) if dot >= 0 else -((2 * -dot + n1) // (2 * n1))
+        b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
+        if _norm2(b2) >= _norm2(b1):
+            break
+        b1, b2 = b2, b1
+    candidates = [b1, b2, (b1[0] + b2[0], b1[1] + b2[1]),
+                  (b1[0] - b2[0], b1[1] - b2[1])]
+    minima = sorted({_orient(v) for v in candidates if _norm2(v) == _norm2(b1)})
+    pool = [v for v in minima if v[0] * v[1] > 0] or minima
+    p, q = min(pool, key=lambda v: abs(v[1]))
+    dance = PlanetDance(p, q)
+    g = gcd(abs(dance.alpha), abs(dance.beta))
+    if g > 1:
+        dance = PlanetDance(dance.alpha // g, dance.beta // g)
+    rate = gcd(dance.alpha * a - dance.beta, m)
+    return (p, q), dance, m // rate, rate, len(minima) > 1
+
+
+def test_natural_alias_matches_reference_chain():
+    for m in range(1, 301):
+        for a in range(m):
+            analysis = natural_alias(m, a)
+            found = (analysis.shortest_vector, analysis.reduced_dance,
+                     analysis.coset_count, analysis.reduced_rate, analysis.tie)
+            assert found == _reference_alias(m, a), (m, a)
+            assert analysis.m == m and analysis.a == a
+            assert type(analysis.reduced_dance) is PlanetDance
+    # a multiplier outside [0, m) is reduced first
+    assert natural_alias(100, -66) == natural_alias(100, 34)
+
+
+def test_natural_alias_checks_input_size_once(monkeypatch):
+    calls = []
+    real = torusgeo.check_input_size
+
+    def counted(*values):
+        calls.append(values)
+        real(*values)
+
+    monkeypatch.setattr(torusgeo, "check_input_size", counted)
+    monkeypatch.setattr(dances, "check_input_size", counted)
+    for m, a in [(1, 0), (5, 2), (206, 35), (1000000, 999999)]:
+        calls.clear()
+        natural_alias(m, a)
+        assert calls == [(m, a)]
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        natural_alias(1000001, 3)
