@@ -5,9 +5,13 @@ two-speed "planet dance" each one most naturally samples, decomposes
 graphs into rotated overlay copies, verifies cycloid envelopes
 numerically, and renders everything as deterministic SVG.
 
-Outside `oracle`, numpy is imported inside the functions that build
-arrays, so importing the package and the exact analysis path
-(`overlay_decompose`, `natural_alias`) do not load it.
+Value types are immutable `NamedTuple` records; the five that check or
+normalize their fields (`CirclePoint`, `PlanetDance`, `StitchGraph`,
+`Sampling`, `RenderStyle`) do it in `__new__`, which `_make` and
+`_replace` go through too.  Start-up stays small: outside `render` and
+`oracle`, numpy is imported inside the functions that build arrays, and
+only `oracle` uses `dataclasses`, so `import stitchlab`, `stitchlab
+--help` and `stitchlab analyze` load neither.
 """
 
 from .cycloid import CycloidSpec, EnvelopeReport, classify, verify_envelope

@@ -12,12 +12,11 @@ built independently, from numpy's cosine and sine of the sample angles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dances import PlanetDance
-from .kernel import cos_sin
+from .kernel import brief_int, cos_sin
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,8 +31,7 @@ class DegenerateCurveError(ValueError):
     """The parametric equations divide by alpha + beta = 0."""
 
 
-@dataclass(frozen=True)
-class CycloidSpec:
+class CycloidSpec(NamedTuple):
     """Curve classification and rolling/fixed radii for a speed pair.
 
     Radii follow the rolling-circle construction: for an epicycloid with
@@ -51,8 +49,7 @@ class CycloidSpec:
     rolling_radius: Fraction | None
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
+class EnvelopeReport(NamedTuple):
     """Numeric tangency summary over one sampled chord family."""
 
     samples: int
@@ -143,7 +140,7 @@ def verify_envelope(d: PlanetDance, n: int) -> EnvelopeReport:
     if alpha + beta == 0:
         raise DegenerateCurveError("alpha + beta = 0")
     if n < 1:
-        raise ValueError(f"sample count must be positive, got {n}")
+        raise ValueError(f"sample count must be positive, got {brief_int(n)}")
     import numpy as np
 
     k = np.arange(n)

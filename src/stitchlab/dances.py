@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .kernel import ChordSet, check_input_size
+from .kernel import ChordSet, brief_int, check_input_size, make_checked
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class PlanetDance:
+class _PlanetDance(NamedTuple):
+    alpha: int
+    beta: int
+
+
+class PlanetDance(_PlanetDance):
     """A pair of integer orbital speeds.
 
     The chord family traced by speeds (alpha, beta) equals the one traced
@@ -21,14 +24,14 @@ class PlanetDance:
     orientation alpha >= 0 (and beta >= 0 when alpha is zero).
     """
 
-    alpha: int
-    beta: int
+    __slots__ = ()
+    _make = classmethod(make_checked)
 
-    def __post_init__(self) -> None:
-        check_input_size(self.alpha, self.beta)
-        if self.alpha < 0 or (self.alpha == 0 and self.beta < 0):
-            object.__setattr__(self, "alpha", -self.alpha)
-            object.__setattr__(self, "beta", -self.beta)
+    def __new__(cls, alpha: int, beta: int) -> PlanetDance:
+        check_input_size(alpha, beta)
+        if alpha < 0 or (alpha == 0 and beta < 0):
+            alpha, beta = -alpha, -beta
+        return super().__new__(cls, alpha, beta)
 
     @property
     def reduced(self) -> bool:
@@ -37,35 +40,44 @@ class PlanetDance:
         )
 
 
-@dataclass(frozen=True)
-class StitchGraph:
+class _StitchGraph(NamedTuple):
+    m: int
+    a: int
+
+
+class StitchGraph(_StitchGraph):
     """Chord pattern parameters: modulus m and multiplier a.
 
     The multiplier is normalized into [0, m) at construction; congruent
     multipliers give the same set of chords.
     """
 
-    m: int
-    a: int
+    __slots__ = ()
+    _make = classmethod(make_checked)
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"modulus must be positive, got {self.m}")
-        check_input_size(self.m, self.a)
-        object.__setattr__(self, "a", self.a % self.m)
+    def __new__(cls, m: int, a: int) -> StitchGraph:
+        if m < 1:
+            raise ValueError(f"modulus must be positive, got {brief_int(m)}")
+        check_input_size(m, a)
+        return super().__new__(cls, m, a % m)
 
 
-@dataclass(frozen=True)
-class Sampling:
-    """A planet dance together with a positive sampling rate."""
-
+class _Sampling(NamedTuple):
     dance: PlanetDance
     rate: int
 
-    def __post_init__(self) -> None:
-        if self.rate < 1:
-            raise ValueError(f"sampling rate must be positive, got {self.rate}")
-        check_input_size(self.rate)
+
+class Sampling(_Sampling):
+    """A planet dance together with a positive sampling rate."""
+
+    __slots__ = ()
+    _make = classmethod(make_checked)
+
+    def __new__(cls, dance: PlanetDance, rate: int) -> Sampling:
+        if rate < 1:
+            raise ValueError(f"sampling rate must be positive, got {brief_int(rate)}")
+        check_input_size(rate)
+        return super().__new__(cls, dance, rate)
 
 
 def mmt_chords(g: StitchGraph) -> ChordSet:
@@ -85,12 +97,19 @@ def sample_pairs(alpha: int, beta: int, m: int) -> np.ndarray:
     k = 0..m-1, as an (n, 2) int64 array of endpoint numerators over m.
     Every chord set of the package is built here.  Sorting and removing
     duplicates go through the 1-D keys x*m + y, which order like the
-    rows.  For alpha = 1 the rows are indexed by the sample index k.
+    rows.  When alpha = 1 (mod m) the keys k*m + (beta*k mod m) already
+    are sorted and unique, so row k is built directly, as the sample k.
     The arithmetic runs in place, so at most two m-long arrays of keys
     or coordinates are alive at once besides the result.
     """
     import numpy as np
 
+    if alpha % m == 1 % m:
+        rows = np.empty((m, 2), np.int64)
+        rows[:, 0] = np.arange(m)
+        np.multiply(rows[:, 0], beta % m, out=rows[:, 1])
+        rows[:, 1] %= m
+        return rows
     keys = np.arange(m, dtype=np.int64)
     keys *= alpha % m
     keys %= m

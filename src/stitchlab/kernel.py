@@ -9,9 +9,8 @@ only where a position is mapped to plane coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -26,7 +25,28 @@ def check_input_size(*values: int) -> None:
     """Reject integers whose magnitude exceeds the desk-scale cap."""
     for v in values:
         if abs(v) > MAX_INPUT:
-            raise ValueError(f"integer input {v} exceeds the cap {MAX_INPUT}")
+            raise ValueError(f"integer input {brief_int(v)} exceeds the cap {MAX_INPUT}")
+
+
+def brief_int(v: int) -> str:
+    """``v`` in decimal, or, past 20 digits, its sign and digit count, such
+    as ``-(401 digits)``, so that an error message stays one short line."""
+    n = abs(v)
+    if n < 10**20:
+        return str(v)
+    # a lower bound from the bit length, raised to the exact count; str()
+    # would stop at Python's limit on integer-to-text conversion
+    digits = int((n.bit_length() - 1) * 0.30102999566)
+    while 10**digits <= n:
+        digits += 1
+    return f"{'-' if v < 0 else '+'}({digits} digits)"
+
+
+def make_checked(cls, iterable: Iterable):
+    """``_make`` of a record whose class checks its fields in ``__new__``:
+    through that constructor, so that neither ``_make`` nor ``_replace``
+    builds an unchecked record."""
+    return cls(*iterable)
 
 
 def cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -41,19 +61,23 @@ def cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.fromiter(map(math.sin, angles), float, len(angles)))
 
 
-@dataclass(frozen=True, order=True)
-class CirclePoint:
-    """A position on the unit circle, measured in turns, in [0, 1)."""
-
+class _CirclePoint(NamedTuple):
     turn: Fraction
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.turn < 1):
-            raise ValueError(f"circle position {self.turn} outside [0, 1)")
+
+class CirclePoint(_CirclePoint):
+    """A position on the unit circle, measured in turns, in [0, 1)."""
+
+    __slots__ = ()
+    _make = classmethod(make_checked)
+
+    def __new__(cls, turn: Fraction) -> CirclePoint:
+        if not (0 <= turn < 1):
+            raise ValueError(f"circle position {turn} outside [0, 1)")
+        return super().__new__(cls, turn)
 
 
-@dataclass(frozen=True, order=True)
-class DirectedChord:
+class DirectedChord(NamedTuple):
     """An ordered pair of circle points.
 
     A chord with coincident endpoints is degenerate; it is kept as data

@@ -52,6 +52,7 @@ import numpy as np
 
 from .cycloid import offset_family_radius, verify_envelope
 from .dances import PlanetDance, StitchGraph, mmt_chords, sample_pairs
+from .kernel import brief_int
 from .overlay import (OverlayDecomposition, nearest_congruent, overlay_decompose,
                       predict_family)
 from .torusgeo import AliasAnalysis, intersection_count, natural_alias
@@ -636,10 +637,11 @@ def verify_all(max_m: int, dance_bound: int) -> list[VerificationReport]:
     if max_m < 1 or dance_bound < 1:
         raise ValueError("bounds must be at least 1")
     if max_m > _MAX_M:
-        raise ValueError(f"max_m must be at most {_MAX_M}, got {max_m}")
+        raise ValueError(f"max_m must be at most {_MAX_M}, got {brief_int(max_m)}")
     if dance_bound > _MAX_BOUND:
         raise ValueError(
-            f"the dance bound must be at most {_MAX_BOUND}, got {dance_bound}")
+            f"the dance bound must be at most {_MAX_BOUND}, "
+            f"got {brief_int(dance_bound)}")
     here = [
         (_sweep, max_m),
         (_timed, _suite_aliasing, dance_bound),

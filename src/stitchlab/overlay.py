@@ -13,17 +13,16 @@ offset 2/3, not 1/3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
+from typing import NamedTuple
 
 from .dances import PlanetDance
 from .kernel import MAX_INPUT
 from .torusgeo import AliasAnalysis, natural_alias
 
 
-@dataclass(frozen=True)
-class Coset:
+class Coset(NamedTuple):
     """One residue class of chords and the torus line carrying it.
 
     Coset k's chords are rows ``[k::d]`` of
@@ -45,14 +44,12 @@ class Coset:
     rotation: Fraction | None
 
 
-@dataclass(frozen=True)
-class OverlayDecomposition:
+class OverlayDecomposition(NamedTuple):
     analysis: AliasAnalysis
     cosets: tuple[Coset, ...]
 
 
-@dataclass(frozen=True)
-class FamilyPrediction:
+class FamilyPrediction(NamedTuple):
     """Closed-form decomposition for the ceiling/floor graph families."""
 
     a: int

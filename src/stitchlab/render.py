@@ -14,14 +14,14 @@ block, so writing it never holds all of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .cycloid import classify, cycloid_point
 from .dances import PlanetDance, Sampling, StitchGraph, mmt_chords, sample
-from .kernel import MAX_INPUT, ChordSet, check_input_size, cos_sin
+from .kernel import (MAX_INPUT, ChordSet, brief_int, check_input_size, cos_sin,
+                     make_checked)
 from .overlay import nearest_congruent, overlay_decompose, predict_family
 
 if TYPE_CHECKING:
@@ -50,19 +50,25 @@ _EXACT_LIMIT = 1e15
 _GRID_CHORD_CAP = 10 * MAX_INPUT
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    canvas_px: int = 800
-    show_points: bool = False
-    extend_lines: bool = False
+class _RenderStyle(NamedTuple):
+    canvas_px: int
+    show_points: bool
+    extend_lines: bool
 
-    def __post_init__(self) -> None:
-        if self.canvas_px <= 2 * MARGIN_PX:
+
+class RenderStyle(_RenderStyle):
+    __slots__ = ()
+    _make = classmethod(make_checked)
+
+    def __new__(cls, canvas_px: int = 800, show_points: bool = False,
+                extend_lines: bool = False) -> RenderStyle:
+        if canvas_px <= 2 * MARGIN_PX:
             raise ValueError(
-                f"canvas size {self.canvas_px} leaves no room inside the "
+                f"canvas size {brief_int(canvas_px)} leaves no room inside the "
                 f"{MARGIN_PX} px margins; it must exceed {2 * MARGIN_PX}"
             )
-        check_input_size(self.canvas_px)
+        check_input_size(canvas_px)
+        return super().__new__(cls, canvas_px, show_points, extend_lines)
 
 
 class SvgDocument:
@@ -100,8 +106,7 @@ class SvgDocument:
                 fh.write(chunk)
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     """One cell of a family grid; its document is drawn when read."""
 
     b: int
@@ -451,10 +456,10 @@ def render_grid(m_target: int, b_max: int, kind: str,
     rejected; every cell draws m chords, and m > b.
     """
     if m_target < 1:
-        raise ValueError(f"target modulus must be positive, got {m_target}")
+        raise ValueError(f"target modulus must be positive, got {brief_int(m_target)}")
     check_input_size(m_target)
     if b_max < 2:
-        raise ValueError(f"b_max must be at least 2, got {b_max}")
+        raise ValueError(f"b_max must be at least 2, got {brief_int(b_max)}")
     cells = []
     chords = 0
     for b in range(2, b_max + 1):
@@ -463,8 +468,8 @@ def render_grid(m_target: int, b_max: int, kind: str,
             chords += m
             if chords > _GRID_CHORD_CAP:
                 raise ValueError(
-                    f"a grid near m = {m_target} with b up to {b_max} draws "
-                    f"more than {_GRID_CHORD_CAP} chords"
+                    f"a grid near m = {m_target} with b up to {brief_int(b_max)} "
+                    f"draws more than {_GRID_CHORD_CAP} chords"
                 )
             # m = r (mod b) and m > b, so only a bad kind can raise here
             a = predict_family(m, b, kind).a

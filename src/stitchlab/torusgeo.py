@@ -8,17 +8,16 @@ the reduced basis resolves ties deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .dances import PlanetDance
-from .kernel import check_input_size
+from .kernel import brief_int, check_input_size
 
 Vec = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class AliasAnalysis:
+class AliasAnalysis(NamedTuple):
     """The dance a stitch graph most naturally samples.
 
     ``shortest_vector`` is the nonzero lattice vector (p, q), q = a*p
@@ -68,7 +67,7 @@ def natural_alias(m: int, a: int) -> AliasAnalysis:
     among; a second one is a tie.
     """
     if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
+        raise ValueError(f"modulus must be positive, got {brief_int(m)}")
     check_input_size(m, a)
     a %= m
     # 1 + a*a <= m*m, so the reduction starts from (1, a) as b1
@@ -91,9 +90,7 @@ def natural_alias(m: int, a: int) -> AliasAnalysis:
     g = gcd(p, q)
     # (p, q) is oriented and no longer than (0, m), so its reduced direction
     # needs neither PlanetDance's sign flip nor a second size check
-    dance = object.__new__(PlanetDance)
-    object.__setattr__(dance, "alpha", p // g)
-    object.__setattr__(dance, "beta", q // g)
+    dance = tuple.__new__(PlanetDance, (p // g, q // g))
     reduced_rate = gcd(dance.alpha * a - dance.beta, m)
     return AliasAnalysis(
         m=m,

@@ -234,28 +234,32 @@ def test_points_only_where_drawn(command, tmp_path, capsys):
 
 
 def test_every_int_option_rejects_a_huge_value(tmp_path, capsys):
-    # an integer beyond every cap exits 2 with a message, before any output
+    # an integer beyond every cap, of either sign, exits 2 with a one-line
+    # message that does not echo its 401 digits, before any output
     commands = next(action.choices for action in cli.build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
     inputs = {**DRAWING_INPUTS, "analyze": ["-m", "12", "-a", "5"],
               "verify": ["--max-m", "3", "--bound", "1"]}
-    huge = "1" + "0" * 400
     checked = []
     for name, parser in commands.items():
         for action in parser._actions:
             if action.type is not int:
                 continue
             flag = action.option_strings[0]
-            argv = list(inputs[name])
-            if flag in argv:
-                argv[argv.index(flag) + 1] = huge
-            else:
-                argv += [flag, huge]
-            if name in DRAWING_INPUTS:
-                argv += ["-o", str(tmp_path / "out")]
-            assert run([name, *argv]) == 2, (name, flag)
-            assert capsys.readouterr().err.startswith("stitchlab: "), (name, flag)
-            assert not any(tmp_path.iterdir()), (name, flag)
+            for huge in ("1" + "0" * 400, "-1" + "0" * 400):
+                argv = list(inputs[name])
+                if flag in argv:
+                    argv[argv.index(flag) + 1] = huge
+                else:
+                    argv += [flag, huge]
+                if name in DRAWING_INPUTS:
+                    argv += ["-o", str(tmp_path / "out")]
+                case = (name, flag, huge[:2])
+                assert run([name, *argv]) == 2, case
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("stitchlab: "), case
+                assert err.count("\n") == 1 and len(err) <= 121, (*case, err)
+                assert not any(tmp_path.iterdir()), case
             checked.append(f"{name} {flag}")
     assert checked == ["stitch -m", "stitch -a", "stitch --canvas", "analyze -m",
                        "analyze -a", "dance -a", "dance -b", "dance -n",

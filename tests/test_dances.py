@@ -99,3 +99,27 @@ def test_sample_pairs_matches_sample():
         assert [tuple(row) for row in got] == expected
     # <3,2> at t = 1/2 runs from 1/2 to 0
     assert DirectedChord(wrap(Fraction(1, 2)), wrap(0)) in set(sampled(3, 2, 2))
+
+
+def sorted_pairs(alpha, beta, m):
+    """The sort-based path of `sample_pairs`, which every dance takes and
+    which alpha = 1 (mod m) skips: the keys x*m + y sorted, repeats
+    dropped, and split back into rows."""
+    k = np.arange(m, dtype=np.int64)
+    keys = np.unique(k * (alpha % m) % m * m + k * (beta % m) % m)
+    return np.stack(np.divmod(keys, m), axis=1)
+
+
+def test_sample_pairs_unit_alpha_matches_sorted_path():
+    cases = [(1, a, m) for m in range(1, 61) for a in range(m)]
+    cases += [(1, -7, 60), (1, -60, 60), (1, -61, 60), (1, 67, 60), (1, 120, 60),
+              (61, 5, 60), (61, -5, 60), (8, 3, 7), (1, 0, 1), (1, 5, 1), (2, -3, 1),
+              (1, 999_999, 10**6), (1 + 10**6, -3, 10**6)]
+    for alpha, beta, m in cases:
+        got = sample_pairs(alpha, beta, m)
+        assert np.array_equal(got, sorted_pairs(alpha, beta, m)), (alpha, beta, m)
+        # owned and writeable, so that a chord set takes it without a copy
+        assert got.dtype == np.int64 and got.flags.owndata and got.flags.writeable
+    # the other dances keep the sorted path, repeats and all
+    for alpha, beta, m in [(2, 3, 10), (3, 2, 100), (0, 1, 7), (-1, 4, 9), (7, 5, 60)]:
+        assert np.array_equal(sample_pairs(alpha, beta, m), sorted_pairs(alpha, beta, m))

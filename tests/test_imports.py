@@ -15,7 +15,10 @@ body (`self`, `cls` and the parameters of dunder methods aside): a
 parameter that nothing reads is a knob that does nothing.
 
 Paths that build no arrays (`--help`, `analyze`, `import stitchlab`) must
-not load numpy, whose import would dominate their start-up time.
+not load numpy, whose import would dominate their start-up time, nor
+`dataclasses`, which brings `inspect` and `ast` with it: the package's
+value types are `NamedTuple` records, and only `oracle`, which `verify`
+imports, keeps a dataclass.
 """
 
 import ast
@@ -169,7 +172,11 @@ def test_no_unread_parameters(path):
 
 
 # Each probe runs in a fresh interpreter and prints, as its last line,
-# whether numpy was loaded.  Only commands that build arrays may load it.
+# which of the modules that dominate start-up were loaded.  Only commands
+# that build arrays may load numpy; none of these paths may load
+# `dataclasses` or the `inspect` it imports.
+_HEAVY = ("numpy", "dataclasses", "inspect")
+_REPORT = f"print(' '.join(name for name in {_HEAVY!r} if name in sys.modules))\n"
 _PROBE_MAIN = (
     "import sys\n"
     "from stitchlab.cli import main\n"
@@ -177,23 +184,21 @@ _PROBE_MAIN = (
     "    main(sys.argv[1:])\n"
     "except SystemExit:\n"
     "    pass\n"
-    "print('numpy' in sys.modules)\n"
-)
+) + _REPORT
 _PROBE_PACKAGE = (
     "import sys\n"
     "import stitchlab\n"
     "for name in stitchlab.__all__:\n"
     "    getattr(stitchlab, name)\n"
-    "print('numpy' in sys.modules)\n"
-)
+) + _REPORT
 
 
-def _numpy_loaded(code, *argv):
+def _heavy_loaded(code, *argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return proc.stdout.splitlines()[-1].split()
 
 
 @pytest.mark.parametrize("argv", [
@@ -202,15 +207,16 @@ def _numpy_loaded(code, *argv):
     ["analyze", "-m", "1000000", "-a", "1000", "--json"],
 ], ids=" ".join)
 def test_cli_path_does_not_load_numpy(argv):
-    assert not _numpy_loaded(_PROBE_MAIN, *argv)
+    assert _heavy_loaded(_PROBE_MAIN, *argv) == []
 
 
 def test_package_import_does_not_load_numpy():
-    # resolving every public name must not load numpy either
-    assert not _numpy_loaded(_PROBE_PACKAGE)
+    # resolving every public name must not load them either
+    assert _heavy_loaded(_PROBE_PACKAGE) == []
 
 
 def test_probe_sees_numpy_when_a_command_loads_it(tmp_path):
     out = tmp_path / "out.svg"
-    assert _numpy_loaded(_PROBE_MAIN, "stitch", "-m", "10", "-a", "3", "-o", str(out))
+    assert "numpy" in _heavy_loaded(_PROBE_MAIN, "stitch", "-m", "10", "-a", "3",
+                                    "-o", str(out))
     assert out.exists()

@@ -10,6 +10,7 @@ from stitchlab.kernel import (
     ChordSet,
     CirclePoint,
     DirectedChord,
+    brief_int,
     check_input_size,
     wrap,
 )
@@ -77,3 +78,14 @@ def test_input_cap():
     # a chord set's common denominator is capped like a modulus
     with pytest.raises(ValueError):
         ChordSet([DirectedChord(wrap(0), wrap(Fraction(1, MAX_INPUT + 1)))])
+
+
+def test_brief_int_counts_digits_of_long_values():
+    assert [brief_int(v) for v in (0, -7, 10**20 - 1)] == ["0", "-7", "9" * 20]
+    assert brief_int(10**20) == "+(21 digits)"
+    assert brief_int(-(10**400)) == "-(401 digits)"
+    assert brief_int(10**400 - 1) == "+(400 digits)"
+    # past the 4300 digits that str() converts
+    assert brief_int(-(10**5000) + 1) == "-(5000 digits)"
+    with pytest.raises(ValueError, match=r"^integer input \+\(401 digits\) exceeds"):
+        check_input_size(10**400)

@@ -4,7 +4,6 @@ import math
 import os
 import pickle
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -76,7 +75,7 @@ def test_suite_shortest_vector_checks_vector_and_tie(monkeypatch):
 
     def flipped(m, a):
         analysis = real(m, a)
-        return replace(analysis, tie=not analysis.tie)
+        return analysis._replace(tie=not analysis.tie)
 
     monkeypatch.setattr(overlay, "natural_alias", flipped)
     report = oracle._suite_shortest_vector(3)
@@ -116,8 +115,8 @@ def test_suite_families_checks_rotation_step(monkeypatch):
     assert oracle._suite_families().passed
     # the floor rotations step by 1/(b + r), not by 1/r
     real = oracle.predict_family
-    monkeypatch.setattr(oracle, "predict_family", lambda m, b, kind: replace(
-        real(m, b, kind), rotation_step=Fraction(1, m % b)))
+    monkeypatch.setattr(oracle, "predict_family", lambda m, b, kind: real(
+        m, b, kind)._replace(rotation_step=Fraction(1, m % b)))
     report = oracle._suite_families()
     assert len(report.failures) == 9
     assert all(cell.startswith("floor") for cell, _, _ in report.failures)
@@ -146,7 +145,7 @@ def test_suite_overlay_reads_library_lines(monkeypatch):
         first, one, *rest = dec.cosets
         # kept in [0, 1/alpha), so that only membership fails
         offset = (one.offset + Fraction(1, 7)) % Fraction(1, dec.analysis.reduced_dance.alpha)
-        return replace(dec, cosets=(first, replace(one, offset=offset), *rest))
+        return dec._replace(cosets=(first, one._replace(offset=offset), *rest))
 
     monkeypatch.setattr(oracle, "overlay_decompose", moved)
     report = oracle._suite_overlay(12)
@@ -167,8 +166,8 @@ def test_suite_overlay_checks_offset_range(monkeypatch):
         if alpha < 2:
             return dec
         zero, *rest = dec.cosets
-        return replace(dec, cosets=(
-            replace(zero, offset=zero.offset + Fraction(1, alpha)), *rest))
+        return dec._replace(cosets=(
+            zero._replace(offset=zero.offset + Fraction(1, alpha)), *rest))
 
     monkeypatch.setattr(oracle, "overlay_decompose", shifted)
     shifted_graphs = [(5, 3), (7, 3), (7, 4), (9, 4), (9, 5), (10, 7),
@@ -189,9 +188,9 @@ def test_suite_overlay_checks_reduced_direction(monkeypatch):
         if m != 7:
             return dec
         alias = dec.analysis.reduced_dance
-        analysis = replace(dec.analysis,
-                           reduced_dance=PlanetDance(2 * alias.alpha, 2 * alias.beta))
-        return replace(dec, analysis=analysis)
+        analysis = dec.analysis._replace(
+            reduced_dance=PlanetDance(2 * alias.alpha, 2 * alias.beta))
+        return dec._replace(analysis=analysis)
 
     monkeypatch.setattr(oracle, "overlay_decompose", doubled)
     expected = []
@@ -205,7 +204,7 @@ def test_suite_overlay_checks_reduced_direction(monkeypatch):
 def _last_coset_turned(dec, turn):
     """dec with its last coset's rotation moved by turn."""
     *rest, last = dec.cosets
-    return replace(dec, cosets=(*rest, replace(last, rotation=last.rotation + turn)))
+    return dec._replace(cosets=(*rest, last._replace(rotation=last.rotation + turn)))
 
 
 def _rotation_faults(m, a):
