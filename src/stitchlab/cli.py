@@ -32,8 +32,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _frac(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+def _frac(f: Fraction | None) -> str | None:
+    return None if f is None else f"{f.numerator}/{f.denominator}"
 
 
 def _style(args: argparse.Namespace) -> RenderStyle:
@@ -56,6 +56,7 @@ def build_report(m: int, a: int) -> dict:
     """
     dec = overlay_decompose(m, a)
     analysis = dec.analysis
+    cosets = range(len(dec.numerators))
     dance = analysis.reduced_dance
     spec = classify(dance)
     if spec.kind in ("epicycloid", "hypocycloid"):
@@ -68,7 +69,7 @@ def build_report(m: int, a: int) -> dict:
     elif spec.kind == "diagonal":
         envelope = {
             "kind": spec.kind,
-            "radii": [offset_family_radius(c.offset) for c in dec.cosets],
+            "radii": [offset_family_radius(dec.offset(k)) for k in cosets],
         }
     else:
         envelope = {"kind": spec.kind}
@@ -83,11 +84,11 @@ def build_report(m: int, a: int) -> dict:
         "reduced_rate": analysis.reduced_rate,
         "cosets": [
             {
-                "k": c.index,
-                "rotation": None if c.rotation is None else _frac(c.rotation),
-                "line_offset": _frac(c.offset),
+                "k": k,
+                "rotation": _frac(dec.rotation(k)),
+                "line_offset": _frac(dec.offset(k)),
             }
-            for c in dec.cosets
+            for k in cosets
         ],
         "envelope": envelope,
     }
@@ -167,11 +168,31 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _shown(text: str) -> str:
+    """``repr(text)``, shortened past 20 characters to the repr of its
+    first 20 and its length, as ``brief_int`` shortens integers."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
+def _integer(text: str) -> int:
+    """``text`` as an integer, for the integer options and gallery pairs.
+    A decimal past the 4300 digits ``int`` reads is read in pieces, to be
+    refused as too large like any integer past the caps."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.lstrip("+-")
+        if len(text) - len(digits) > 1 or not (digits.isascii() and digits.isdigit()):
+            raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}") from None
+    value = _integer(digits[:-4000]) * 10**4000 + int(digits[-4000:])
+    return -value if text[0] == "-" else value
+
+
 def _parse_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"expected 'm,a', got {text!r}")
-    return int(parts[0]), int(parts[1])
+        raise ValueError(f"expected 'm,a', got {_shown(text)}")
+    return _integer(parts[0]), _integer(parts[1])
 
 
 def cmd_gallery(args: argparse.Namespace) -> int:
@@ -223,7 +244,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_style_flags(p: argparse.ArgumentParser, points: bool) -> None:
-    p.add_argument("--canvas", type=int, default=800,
+    p.add_argument("--canvas", type=_integer, default=800,
                    help="canvas size in pixels (default 800)")
     if points:
         p.add_argument("--points", action="store_true",
@@ -242,30 +263,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stitch", help="render one stitch graph as SVG")
-    p.add_argument("-m", type=int, required=True, help="number of points")
-    p.add_argument("-a", type=int, required=True, help="multiplier")
+    p.add_argument("-m", type=_integer, required=True, help="number of points")
+    p.add_argument("-a", type=_integer, required=True, help="multiplier")
     p.add_argument("-o", "--out", required=True, help="output SVG path")
     _add_style_flags(p, points=True)
     p.set_defaults(func=cmd_stitch)
 
     p = sub.add_parser("analyze", help="alias analysis report for MMT(m,a)")
-    p.add_argument("-m", type=int, required=True, help="number of points")
-    p.add_argument("-a", type=int, required=True, help="multiplier")
+    p.add_argument("-m", type=_integer, required=True, help="number of points")
+    p.add_argument("-a", type=_integer, required=True, help="multiplier")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("dance", help="render a sampled dance with its cycloid")
-    p.add_argument("-a", "--alpha", type=int, required=True, dest="alpha")
-    p.add_argument("-b", "--beta", type=int, required=True, dest="beta")
-    p.add_argument("-n", "--rate", type=int, required=True, dest="rate",
+    p.add_argument("-a", "--alpha", type=_integer, required=True, dest="alpha")
+    p.add_argument("-b", "--beta", type=_integer, required=True, dest="beta")
+    p.add_argument("-n", "--rate", type=_integer, required=True, dest="rate",
                    help="number of sample chords")
     p.add_argument("-o", "--out", required=True, help="output SVG path")
     _add_style_flags(p, points=False)
     p.set_defaults(func=cmd_dance)
 
     p = sub.add_parser("grid", help="grid of graphs near a target modulus")
-    p.add_argument("-m", type=int, required=True, help="target modulus")
-    p.add_argument("-B", type=int, required=True, dest="b_max",
+    p.add_argument("-m", type=_integer, required=True, help="target modulus")
+    p.add_argument("-B", type=_integer, required=True, dest="b_max",
                    help="largest row index b")
     p.add_argument("--kind", choices=("ceiling", "floor"), default="ceiling")
     p.add_argument("-o", "--out", required=True, help="output directory")
@@ -280,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gallery)
 
     p = sub.add_parser("verify", help="run the brute-force oracle suites")
-    p.add_argument("--max-m", type=int, default=60, dest="max_m")
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--max-m", type=_integer, default=60, dest="max_m")
+    p.add_argument("--bound", type=_integer, default=4)
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=cmd_verify)
 
@@ -299,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
         # devnull so the interpreter's last flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"stitchlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

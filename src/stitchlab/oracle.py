@@ -327,7 +327,7 @@ def _diagonal_radius_failures(dec: OverlayDecomposition, cos: np.ndarray,
     and ``sin`` hold cos(2*pi*k/m) and sin(2*pi*k/m) for k = 0..m-1.
     """
     m, a = dec.analysis.m, dec.analysis.a
-    radii = [offset_family_radius(c.offset) for c in dec.cosets]
+    radii = [offset_family_radius(dec.offset(k)) for k in range(len(dec.numerators))]
     k = np.arange(m, dtype=np.int64)
     e = (a * k) % m
     bx, by = cos[e], sin[e]
@@ -352,19 +352,18 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
     outside [0, 1/|alpha - beta|), of membership, of rotated dances that
     miss their cosets and of diagonal radii, each in the order of a.
 
-    Chord i is the torus point (i/m, e/m), e = a*i mod m, and belongs to
-    coset i mod d.  It lies on the line in direction (alpha, beta),
-    alpha >= 1, with offset p/q iff q*(beta*i - alpha*e) + alpha*p*m = 0
-    (mod m*q).  (A vertical line, alpha = 0, fails this for every i != 0,
-    though no alias has one.)  The offsets p/q and p/q + 1/alpha name the
-    same line, so the range check 0 <= alpha*p < q is what pins each
-    reported offset.  Likewise the dance turned by u/v covers chord i iff
+    Chord i is the torus point (i/m, e/m), e = a*i mod m, in coset i mod
+    d with numerator n.  It lies on the coset's line, of offset n/(alpha*m)
+    in direction (alpha, beta), iff beta*i - alpha*e + n = 0 (mod m).  n
+    and n + m name the same line, so 0 <= n < m pins each coset's n, and
+    the uniform assignment, coset i at offset i/(d*alpha), is n*d = i*m.
+    The dance turned by the rotation u/v covers chord i iff
     (i/m - u/v, e/m - u/v) lies on the line through the origin, that is
     iff v*(beta*i - alpha*e) + (alpha - beta)*u*m = 0 (mod m*v); a turn by
     1/|alpha - beta| is a symmetry of the dance, so 0 <= |alpha - beta|*u
     < v pins each rotation.  Diagonal aliases (alpha = beta) have no
-    rotation; their cosets' radii are checked against the chords'
-    center distances instead.
+    rotation; their cosets' radii are checked against the chords' center
+    distances instead.
     """
     failures = []
     graphs = []
@@ -375,16 +374,15 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
         else:
             failures.append((f"(m,a)=({m},{dec.analysis.a})", "d*m' = m", f"{d}*{mp}"))
     # graph j's cosets are rows first[j] .. first[j] + d[j] - 1
-    graph = np.array([(dec.analysis.a, dec.analysis.reduced_dance.alpha,
-                       dec.analysis.reduced_dance.beta) for dec in graphs],
+    graph = np.array([(dec.analysis.a, *dec.analysis.reduced_dance) for dec in graphs],
                      dtype=np.int64).reshape(-1, 3)
-    d = np.array([len(dec.cosets) for dec in graphs], dtype=np.int64)
-    # offset p/q and rotation u/v of each coset; a diagonal alias, which
-    # has no rotation, gets 0/1 and is left out of the rotation checks
-    p, q, u, v = np.array([(*c.offset.as_integer_ratio(),
-                            *((0, 1) if c.rotation is None else c.rotation.as_integer_ratio()))
-                           for dec in graphs for c in dec.cosets],
-                          dtype=np.int64).reshape(-1, 4).T
+    d = np.array([len(dec.numerators) for dec in graphs], dtype=np.int64)
+    n = np.array([x for dec in graphs for x in dec.numerators], dtype=np.int64)
+    # the rotation u/v of each coset; a diagonal alias, which has no
+    # rotation, gets 0/1 and is left out of the rotation checks
+    turns = [dec.rotation(k) for dec in graphs for k in range(len(dec.numerators))]
+    u, v = np.array([(0, 1) if t is None else (t.numerator, t.denominator) for t in turns],
+                    dtype=np.int64).reshape(-1, 2).T
     first = np.cumsum(d) - d
     _, alpha, beta = graph.T
     rotated = alpha != beta
@@ -394,14 +392,11 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
 
     for j in np.flatnonzero(np.gcd(alpha, beta) != 1).tolist():
         failures.append((name(j), "a reduced direction", f"<{alpha[j]},{beta[j]}>"))
-    scaled = np.repeat(alpha, d) * p  # alpha*p of each coset
-    outside = (scaled < 0) | (scaled >= q)
-    for j in np.flatnonzero(np.logical_or.reduceat(outside, first)).tolist():
+    outside = np.logical_or.reduceat((n < 0) | (n >= m), first)
+    for j in np.flatnonzero(outside).tolist():
         failures.append((name(j), "offsets in [0, 1/alpha)", "offset out of range"))
-    # the uniform assignment puts coset i at offset i/(d*alpha)
-    i = np.arange(len(p)) - np.repeat(first, d)
-    nonstandard = int(np.logical_or.reduceat(scaled * np.repeat(d, d) != i * q,
-                                             first).sum())
+    i = np.arange(len(n)) - np.repeat(first, d)
+    nonstandard = int(np.logical_or.reduceat(n * np.repeat(d, d) != i * m, first).sum())
     turned = np.repeat(np.abs(alpha - beta), d) * u  # |alpha - beta|*u of each coset
     outside = np.logical_or.reduceat((turned < 0) | (turned >= v), first) & rotated
     for j in np.flatnonzero(outside).tolist():
@@ -410,10 +405,10 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
     # chord i of graph j, a row per graph and a column per chord
     k = np.arange(m, dtype=np.int64)
     chord_row = first[:, None] + k % d[:, None]
-    p, q, u, v = (np.take(x, chord_row) for x in (p, q, u, v))
+    n, u, v = (np.take(x, chord_row) for x in (n, u, v))
     a, alpha, beta = graph.T[:, :, None]
     cross = beta * k - alpha * (a * k % m)
-    for j in np.flatnonzero(((q * cross + alpha * p * m) % (m * q)).any(axis=1)).tolist():
+    for j in np.flatnonzero(((cross + n) % m).any(axis=1)).tolist():
         failures.append((name(j), "all cosets on their lines", "membership fails"))
     cover = ((v * cross + (alpha - beta) * u * m) % (m * v)).any(axis=1) & rotated
     for j in np.flatnonzero(cover).tolist():
@@ -512,7 +507,7 @@ def _suite_families() -> VerificationReport:
                 if dec.analysis.reduced_dance != pred.dance:
                     failures.append((cell, str(pred.dance), str(dec.analysis.reduced_dance)))
                     continue
-                computed = {c.rotation for c in dec.cosets}
+                computed = set(map(dec.rotation, range(len(dec.numerators))))
                 claimed = {k * pred.rotation_step % 1 for k in range(pred.d)}
                 if computed != claimed:
                     shown = ["rotations " + " ".join(map(str, sorted(rotations)))

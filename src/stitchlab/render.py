@@ -488,8 +488,8 @@ def render_gallery_pair(m: int, a: int, style: RenderStyle) -> SvgDocument:
     a = dec.analysis.a
     alias = dec.analysis.reduced_dance
     lines = [(1, a, 0, FUNDAMENTAL_COLOR)]
-    lines += [(alias.alpha, alias.beta, c.offset,
-               COSET_PALETTE[c.index % len(COSET_PALETTE)]) for c in dec.cosets]
+    lines += [(*alias, dec.offset(k), COSET_PALETTE[k % len(COSET_PALETTE)])
+              for k in range(len(dec.numerators))]
     torus = _TorusScene(px)
     scene = _CircleScene(px, ox=float(px))
 

@@ -45,7 +45,7 @@ def test_render_and_analysis_contract(monkeypatch):
     assert verify_envelope(PlanetDance(3, 2), 20).passed()
 
     dec = overlay_decompose(206, 35)
-    assert len(dec.cosets) == dec.analysis.coset_count == 2
+    assert len(dec.numerators) == dec.analysis.coset_count == 2
     full = cli.build_report(206, 35)
     stubbed = []
     monkeypatch.setattr(cli, "overlay_decompose",

@@ -44,10 +44,15 @@ def test_stitch_unwritable_path(tmp_path):
     assert run(["stitch", "-m", "12", "-a", "2", "-o", str(out)]) == 3
 
 
-def test_bad_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        run(["stitch", "-m", "twelve", "-a", "2", "-o", "x.svg"])
-    assert exc.value.code == 2
+def test_bad_flag_exits_2(capsys):
+    for text, shown in [("twelve", "'twelve'"),
+                        ("x" * 5000, "'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)")]:
+        with pytest.raises(SystemExit) as exc:
+            run(["stitch", "-m", text, "-a", "2", "-o", "x.svg"])
+        assert exc.value.code == 2
+        # argparse's usage, then the error with the text shortened
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error == f"stitchlab stitch: error: argument -m: not an integer: {shown}"
 
 
 def test_analyze_json_halved_graph(capsys):
@@ -85,8 +90,9 @@ def test_analyze_diagonal_alias(m, a, radii, capsys):
     # brute force: every chord line of coset k is radii[k] from the center
     d = len(radii)
     rows = mmt_chords(StitchGraph(m, a)).rows
-    for coset, radius in zip(overlay_decompose(m, a).cosets, radii, strict=True):
-        for chord in ChordSet.from_rows(m, rows[coset.index::d]):
+    cosets = range(len(overlay_decompose(m, a).numerators))
+    for k, radius in zip(cosets, radii, strict=True):
+        for chord in ChordSet.from_rows(m, rows[k::d]):
             (ax, ay), (bx, by) = [(math.cos(2 * math.pi * p.turn),
                                    math.sin(2 * math.pi * p.turn))
                                   for p in (chord.start, chord.end)]
@@ -235,18 +241,27 @@ def test_points_only_where_drawn(command, tmp_path, capsys):
 
 def test_every_int_option_rejects_a_huge_value(tmp_path, capsys):
     # an integer beyond every cap, of either sign, exits 2 with a one-line
-    # message that does not echo its 401 digits, before any output
+    # message that does not echo its digits, before any output; 5001 digits
+    # are past the 4300 that int() reads
     commands = next(action.choices for action in cli.build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
     inputs = {**DRAWING_INPUTS, "analyze": ["-m", "12", "-a", "5"],
               "verify": ["--max-m", "3", "--bound", "1"]}
+
+    def refused(argv, case):
+        assert run(argv) == 2, case
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("stitchlab: "), case
+        assert err.count("\n") == 1 and len(err) <= 121, (*case, err)
+        assert not any(tmp_path.iterdir()), case
+
     checked = []
     for name, parser in commands.items():
         for action in parser._actions:
-            if action.type is not int:
+            if action.type is not cli._integer:
                 continue
             flag = action.option_strings[0]
-            for huge in ("1" + "0" * 400, "-1" + "0" * 400):
+            for huge in ("1" + "0" * 400, "-1" + "0" * 400, "1" + "0" * 5000, "-1" + "0" * 5000):
                 argv = list(inputs[name])
                 if flag in argv:
                     argv[argv.index(flag) + 1] = huge
@@ -254,17 +269,15 @@ def test_every_int_option_rejects_a_huge_value(tmp_path, capsys):
                     argv += [flag, huge]
                 if name in DRAWING_INPUTS:
                     argv += ["-o", str(tmp_path / "out")]
-                case = (name, flag, huge[:2])
-                assert run([name, *argv]) == 2, case
-                out, err = capsys.readouterr()
-                assert out == "" and err.startswith("stitchlab: "), case
-                assert err.count("\n") == 1 and len(err) <= 121, (*case, err)
-                assert not any(tmp_path.iterdir()), case
+                refused([name, *argv], (name, flag, huge[:2], len(huge)))
             checked.append(f"{name} {flag}")
     assert checked == ["stitch -m", "stitch -a", "stitch --canvas", "analyze -m",
                        "analyze -a", "dance -a", "dance -b", "dance -n",
                        "dance --canvas", "grid -m", "grid -B", "grid --canvas",
                        "gallery --canvas", "verify --max-m", "verify --bound"]
+    # text that is no pair is echoed shortened
+    refused(["gallery", "--only", "1,2," + "0" * 3000, "-o", str(tmp_path / "out")],
+            ("gallery", "--only"))
 
 
 def test_gallery_only(tmp_path):

@@ -19,7 +19,7 @@ from stitchlab.oracle import (
     reduced_dances,
     verify_all,
 )
-from stitchlab.overlay import overlay_decompose
+from stitchlab.overlay import OverlayDecomposition, overlay_decompose
 from stitchlab.torusgeo import intersection_count, natural_alias
 
 
@@ -134,47 +134,52 @@ def test_brute_intersections_counts():
 
 def test_suite_overlay_reads_library_lines(monkeypatch):
     assert oracle._suite_overlay(12).passed
-    # coset 1 moved by 1/7 off its line; diagonal aliases are left alone,
+    # coset 1's n moved by 1 off its line; diagonal aliases are left alone,
     # since their radii are read from the lines as well
     real = oracle.overlay_decompose
 
     def moved(m, a):
         dec = real(m, a)
-        if len(dec.cosets) < 2 or dec.analysis.reduced_dance == PlanetDance(1, 1):
+        if len(dec.numerators) < 2 or dec.analysis.reduced_dance == PlanetDance(1, 1):
             return dec
-        first, one, *rest = dec.cosets
-        # kept in [0, 1/alpha), so that only membership fails
-        offset = (one.offset + Fraction(1, 7)) % Fraction(1, dec.analysis.reduced_dance.alpha)
-        return dec._replace(cosets=(first, one._replace(offset=offset), *rest))
+        first, one, *rest = dec.numerators
+        # kept in [0, m), so that only membership and the rotation that
+        # is read from the same n fail
+        return dec._replace(numerators=(first, (one + 1) % m, *rest))
 
     monkeypatch.setattr(oracle, "overlay_decompose", moved)
     report = oracle._suite_overlay(12)
     assert report.failures[0] == ("(m,a)=(4,2)", "all cosets on their lines",
                                   "membership fails")
-    assert all(expected == "all cosets on their lines"
-               for _, expected, _ in report.failures)
+    assert {expected for _, expected, _ in report.failures} == {
+        "all cosets on their lines", "rotated dances on their cosets"}
 
 
 def test_suite_overlay_checks_offset_range(monkeypatch):
-    # c and c + 1/alpha name the same torus line, so moving coset 0 by
-    # 1/alpha keeps every chord on its line; only the range check sees it
+    # n and n + m name the same torus line (offsets c and c + 1/alpha), so
+    # moving coset 0's n by m keeps every chord on its line; only the range
+    # checks see it
     real = oracle.overlay_decompose
 
     def shifted(m, a):
         dec = real(m, a)
-        alpha = dec.analysis.reduced_dance.alpha
-        if alpha < 2:
+        if dec.analysis.reduced_dance.alpha < 2:
             return dec
-        zero, *rest = dec.cosets
-        return dec._replace(cosets=(
-            zero._replace(offset=zero.offset + Fraction(1, alpha)), *rest))
+        zero, *rest = dec.numerators
+        return dec._replace(numerators=(zero + m, *rest))
 
     monkeypatch.setattr(oracle, "overlay_decompose", shifted)
-    shifted_graphs = [(5, 3), (7, 3), (7, 4), (9, 4), (9, 5), (10, 7),
-                      (11, 4), (11, 5), (11, 6), (11, 7)]
-    assert oracle._suite_overlay(12).failures == tuple(
-        (f"(m,a)=({m},{a})", "offsets in [0, 1/alpha)", "offset out of range")
-        for m, a in shifted_graphs)
+    shifted_graphs = {5: [3], 7: [3, 4], 9: [4, 5], 10: [7], 11: [4, 5, 6, 7]}
+    expected = []
+    for m, multipliers in shifted_graphs.items():
+        names = [f"(m,a)=({m},{a})" for a in multipliers]
+        expected += [(name, "offsets in [0, 1/alpha)", "offset out of range")
+                     for name in names]
+        # all ten have alpha > beta, so the rotation n/(m*(alpha - beta))
+        # moves by 1/(alpha - beta), a symmetry of the dance
+        expected += [(name, "rotations in [0, 1/|alpha-beta|)", "rotation out of range")
+                     for name in names]
+    assert oracle._suite_overlay(12).failures == tuple(expected)
 
 
 def test_suite_overlay_checks_reduced_direction(monkeypatch):
@@ -201,10 +206,19 @@ def test_suite_overlay_checks_reduced_direction(monkeypatch):
     assert oracle._suite_overlay(12).failures == tuple(expected)
 
 
-def _last_coset_turned(dec, turn):
-    """dec with its last coset's rotation moved by turn."""
-    *rest, last = dec.cosets
-    return dec._replace(cosets=(*rest, last._replace(rotation=last.rotation + turn)))
+#: The library's rotation, which the fault tests below wrap.
+_ROTATION = OverlayDecomposition.rotation
+
+
+def _turn_last_coset(monkeypatch, m, a, turn):
+    """Make the last coset of MMT(m, a) report its rotation plus turn."""
+    def turned(dec, k):
+        rotation = _ROTATION(dec, k)
+        if (dec.analysis.m, dec.analysis.a, k) == (m, a, len(dec.numerators) - 1):
+            return rotation + turn
+        return rotation
+
+    monkeypatch.setattr(OverlayDecomposition, "rotation", turned)
 
 
 def _rotation_faults(m, a):
@@ -223,23 +237,39 @@ def _rotation_faults(m, a):
 
 
 def test_suite_overlay_checks_rotations(monkeypatch):
-    real = oracle.overlay_decompose
     for turn, failure in _rotation_faults(206, 35):
-        monkeypatch.setattr(oracle, "overlay_decompose", lambda m, a: (
-            _last_coset_turned(real(m, a), turn) if (m, a) == (206, 35) else real(m, a)))
+        _turn_last_coset(monkeypatch, 206, 35, turn)
         report = oracle._suite_overlay(206)
         assert report.failures == (failure,)
         assert report.cases_run == sum(range(1, 207))
 
 
 @pytest.mark.parametrize("m, a", [(207, 35), (207, 34), (9, 6)])
-def test_rotation_checks_other_graphs(m, a):
+def test_rotation_checks_other_graphs(m, a, monkeypatch):
     decs = [overlay_decompose(m, b) for b in range(m)]
     assert oracle._partition_failures(m, decs)[0] == []
     for turn, failure in _rotation_faults(m, a):
-        moved = [_last_coset_turned(dec, turn) if b == a else dec
-                 for b, dec in enumerate(decs)]
-        assert oracle._partition_failures(m, moved)[0] == [failure]
+        _turn_last_coset(monkeypatch, m, a, turn)
+        assert oracle._partition_failures(m, decs)[0] == [failure]
+
+
+def test_suite_overlay_checks_the_rotation_sign(monkeypatch):
+    # n/(m*|alpha - beta|) in place of (-n mod m)/(m*|alpha - beta|) when
+    # alpha < beta turns the dance the wrong way; at m <= 60 only the
+    # <1,2> graphs with d = 3 have a coset where the two differ
+    def unsigned(dec, k):
+        alpha, beta = dec.analysis.reduced_dance
+        if alpha == beta:
+            return None
+        return Fraction(dec.numerators[k], dec.analysis.m * abs(alpha - beta))
+
+    monkeypatch.setattr(OverlayDecomposition, "rotation", unsigned)
+    graphs = [(42, 30)] + [(m, a) for m in range(45, 61, 3)
+                           for a in (m // 3 + 2, 2 * m // 3 + 2)]
+    assert oracle._suite_overlay(60).failures == tuple(
+        (f"(m,a)=({m},{a})", "rotated dances on their cosets", "rotation fails")
+        for m, a in graphs)
+    assert all(natural_alias(m, a).reduced_dance == PlanetDance(1, 2) for m, a in graphs)
 
 
 def test_suite_overlay_reports_a_decomposition_that_raises(monkeypatch):
@@ -262,7 +292,7 @@ def _own_trig_radius_failures(dec):
     """`oracle._diagonal_radius_failures` as it was before the sweep shared
     one trig table per modulus: four trig arrays of its own per graph."""
     m, a = dec.analysis.m, dec.analysis.a
-    radii = [oracle.offset_family_radius(c.offset) for c in dec.cosets]
+    radii = [oracle.offset_family_radius(dec.offset(k)) for k in range(len(dec.numerators))]
     k = np.arange(m, dtype=np.int64)
     e = (a * k) % m
     ax, ay = np.cos(2 * np.pi * k / m), np.sin(2 * np.pi * k / m)

@@ -31,13 +31,11 @@ RECORDS = [
      "AliasAnalysis(m=10, a=6, shortest_vector=(2, 2), "
      "reduced_dance=PlanetDance(alpha=1, beta=1), coset_count=2, "
      "reduced_rate=5, tie=False)"),
-    (overlay_decompose(9, 6).cosets[1],
-     "Coset(index=1, offset=Fraction(2, 3), rotation=Fraction(2, 3))"),
-    (overlay_decompose(4, 1),
-     "OverlayDecomposition(analysis=AliasAnalysis(m=4, a=1, "
-     "shortest_vector=(1, 1), reduced_dance=PlanetDance(alpha=1, beta=1), "
-     "coset_count=1, reduced_rate=4, tie=False), "
-     "cosets=(Coset(index=0, offset=Fraction(0, 1), rotation=None),))"),
+    # permuted cosets: coset 1's n = 6 puts it at offset 6/9 = 2/3
+    (overlay_decompose(9, 6),
+     "OverlayDecomposition(analysis=AliasAnalysis(m=9, a=6, "
+     "shortest_vector=(3, 0), reduced_dance=PlanetDance(alpha=1, beta=0), "
+     "coset_count=3, reduced_rate=3, tie=False), numerators=(0, 6, 3))"),
     (predict_family(23, 4, "ceiling"),
      "FamilyPrediction(a=6, d=1, dance=PlanetDance(alpha=4, beta=1), "
      "rotation_step=Fraction(1, 3))"),

@@ -222,9 +222,9 @@ def test_torus_segments_at_the_int64_extremes():
     dec = overlay_decompose(999963, 609639)
     alias = dec.analysis.reduced_dance
     assert (alias.alpha, alias.beta) == (766, 753)
-    for c in dec.cosets:
-        segments, _ = _integer_segments(766, 753, c.offset)
-        assert segments == _unroll_segments(766, 753, c.offset)
+    for k in range(len(dec.numerators)):
+        segments, _ = _integer_segments(766, 753, dec.offset(k))
+        assert segments == _unroll_segments(766, 753, dec.offset(k))
     # a line too fine for exact int64 cuts is refused, not drawn wrong
     with pytest.raises(ValueError, match="too fine"):
         next(render._torus_segments(1, 1 << 30, 0))
