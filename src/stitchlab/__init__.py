@@ -9,9 +9,9 @@ Value types are immutable `NamedTuple` records; the five that check or
 normalize their fields (`CirclePoint`, `PlanetDance`, `StitchGraph`,
 `Sampling`, `RenderStyle`) do it in `__new__`, which `_make` and
 `_replace` go through too.  Start-up stays small: outside `render` and
-`oracle`, numpy is imported inside the functions that build arrays, and
-only `oracle` uses `dataclasses`, so `import stitchlab`, `stitchlab
---help` and `stitchlab analyze` load neither.
+`oracle`, numpy is imported inside the functions that build arrays, so
+`import stitchlab`, `stitchlab --help` and `stitchlab analyze` do not
+load it.
 """
 
 from .cycloid import CycloidSpec, EnvelopeReport, classify, verify_envelope

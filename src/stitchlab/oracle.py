@@ -33,10 +33,11 @@ with it:
 decomposes each graph MMT(m, a) once (:func:`_sweep`).  :func:`verify_all`
 runs the suites in two groups: where ``os.fork`` exists, a forked child
 runs ``stitch_sampling_correspondence`` and ``sampling_identities`` while
-the calling process runs the rest.  Each suite's ``elapsed_s`` is its wall
-time in the process that ran it; of the sweep's time, ``shortest_vector``
-gets the brute-force search and its comparisons and ``overlay_partition``
-the decompositions and the rest, so no time is counted twice.
+the calling process runs the rest.  Each suite's wall time, taken in the
+process that ran it, comes back from the runner beside its report as a
+(report, seconds) pair; of the sweep's time, ``shortest_vector`` gets the
+brute-force search and its comparisons and ``overlay_partition`` the
+decompositions and the rest, so no time is counted twice.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import dataclass, field, replace
-from math import gcd
+from math import gcd, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,19 +59,13 @@ from .overlay import (OverlayDecomposition, nearest_congruent, overlay_decompose
 from .torusgeo import AliasAnalysis, intersection_count, natural_alias
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one suite: a passed suite has no failures.
-
-    ``elapsed_s``, the suite's wall time in :func:`verify_all` (see the
-    module docstring), is not compared.
-    """
+class VerificationReport(NamedTuple):
+    """Outcome of one suite: a passed suite has no failures."""
 
     suite: str
     cases_run: int
     failures: tuple[tuple[str, str, str], ...] = ()
     info: tuple[str, ...] = ()
-    elapsed_s: float = field(default=0.0, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -80,21 +75,27 @@ class VerificationReport:
 def brute_shortest_vectors(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Shortest sample vector and tie flag of MMT(m, a) for every 0 <= a < m.
 
-    Enumerates every lattice vector (p, q), q = a*p (mod m), with |p|, |q|
-    <= h = max(m // 2, 1), oriented so p > 0 or p = 0 < q.  The box holds
-    every shortest vector: for m >= 2, (p -/+ m, q) and (p, q -/+ m) are
-    shorter lattice vectors when |p| or |q| exceeds m/2, and nonzero except
-    for (+/-m, 0) and (0, +/-m), which are longer than (1, a lifted into
-    [-m/2, m/2]); for m = 1 the box holds both unit vectors.  Among the
-    minima p*q > 0 is preferred, then the smaller |q|, then the smaller
-    (p, q); a tie is a second minimum.  Returns the (m, 2) vectors and the
-    (m,) tie flags.
+    Enumerates every lattice vector (p, q), q = a*p (mod m), with
+    0 <= p <= min(H, h) and |q| <= h = max(m // 2, 1), oriented so p > 0
+    or p = 0 < q; H is the largest integer with 3*H^4 <= 4*m^2, and q runs
+    over a*p mod m shifted by -m, 0 and +m, which holds every q with
+    |q| <= h.  The box holds every shortest vector.  For m >= 2,
+    (p -/+ m, q) and (p, q -/+ m) are shorter lattice vectors when |p| or
+    |q| exceeds m/2, and nonzero except for (+/-m, 0) and (0, +/-m), which
+    are longer than (1, a lifted into [-m/2, m/2]); for m = 1, |p|, |q| <= h
+    holds both unit vectors.  And the lattice has determinant m, and
+    Hermite's constant in dimension 2 is 2/sqrt(3), so a shortest vector
+    has p^2 + q^2 <= 2*m/sqrt(3), so 3*p^4 <= 4*m^2 and p <= H.
+    Among the minima p*q > 0 is preferred, then the smaller |q|, then the
+    smaller (p, q); a tie is a second minimum.  Returns the (m, 2) vectors
+    and the (m,) tie flags.
     """
     h = max(m // 2, 1)
+    top = min(isqrt(isqrt(4 * m * m // 3)), h)  # floor((4*m^2/3)^(1/4)) is H
     a = np.arange(m, dtype=np.int64)[:, None, None]
-    p = np.arange(h + 1, dtype=np.int64)[None, :, None]
+    p = np.arange(top + 1, dtype=np.int64)[None, :, None]
     q = (a * p % m + np.array([-m, 0, m], dtype=np.int64)).reshape(m, -1)
-    p = np.broadcast_to(p, (m, h + 1, 3)).reshape(m, -1)
+    p = np.broadcast_to(p, (m, top + 1, 3)).reshape(m, -1)
     big = np.iinfo(np.int64).max
     norm = np.where((np.abs(q) <= h) & ((p > 0) | (q > 0)), p * p + q * q, big)
     minimal = norm == norm.min(axis=1, keepdims=True)
@@ -422,16 +423,17 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
     return failures, nonstandard, len(diagonal)
 
 
-def _sweep(max_m: int) -> tuple[VerificationReport, VerificationReport]:
-    """The shortest_vector and overlay_partition reports, from one
-    ``overlay_decompose`` per graph MMT(m, a), 0 <= a < m <= max_m.
+def _sweep(max_m: int) -> tuple[tuple[VerificationReport, float], ...]:
+    """The shortest_vector and overlay_partition reports, each beside its
+    seconds, from one ``overlay_decompose`` per graph MMT(m, a),
+    0 <= a < m <= max_m.
 
     A decomposition that raises is an overlay_partition failure, reported
     for each m before those of :func:`_partition_failures`; the graph's
     alias analysis is then taken from ``natural_alias`` for
-    shortest_vector.  Each report's ``elapsed_s`` is its share of the sweep's wall time:
-    ``shortest_vector`` gets the brute-force search and its comparisons,
-    ``overlay_partition`` the decompositions and the rest.
+    shortest_vector.  Each report's seconds are its share of the sweep's
+    wall time: ``shortest_vector`` gets the brute-force search and its
+    comparisons, ``overlay_partition`` the decompositions and the rest.
     """
     vector_failures, failures = [], []
     cases = nonstandard = diagonal = 0
@@ -465,23 +467,23 @@ def _sweep(max_m: int) -> tuple[VerificationReport, VerificationReport]:
         "chords' center distances within 1e-12",
     )
     return (
-        VerificationReport("shortest_vector", cases, tuple(vector_failures[:20]),
-                           elapsed_s=vector_s),
-        VerificationReport("overlay_partition", cases, tuple(failures[:20]), info,
-                           elapsed_s=time.perf_counter() - start - vector_s),
+        (VerificationReport("shortest_vector", cases, tuple(vector_failures[:20])),
+         vector_s),
+        (VerificationReport("overlay_partition", cases, tuple(failures[:20]), info),
+         time.perf_counter() - start - vector_s),
     )
 
 
 def _suite_shortest_vector(max_m: int) -> VerificationReport:
     """The vector and ``tie`` of every graph's alias analysis, from the
     shared sweep."""
-    return _sweep(max_m)[0]
+    return _sweep(max_m)[0][0]
 
 
 def _suite_overlay(max_m: int) -> VerificationReport:
     """Every graph's cosets on their lines and rotations, from the shared
     sweep (see :func:`_partition_failures`)."""
-    return _sweep(max_m)[1]
+    return _sweep(max_m)[1][0]
 
 
 #: The family-predictions suite checks the cells near this modulus.
@@ -519,19 +521,17 @@ def _suite_families() -> VerificationReport:
 def _suite_envelope(bound: int) -> VerificationReport:
     failures = []
     cases = 0
-    top = min(bound, 6)
-    for alpha in range(1, top + 1):
-        for beta in range(-top, top + 1):
-            if gcd(alpha, abs(beta)) != 1 or alpha + beta == 0 or alpha == beta:
-                continue
-            cases += 1
-            report = verify_envelope(PlanetDance(alpha, beta), 720)
-            if not report.passed():
-                failures.append(
-                    (f"<{alpha},{beta}>", "tangency within 1e-9",
-                     f"dist={report.max_line_distance:.3g} "
-                     f"defect={report.max_parallelism_defect:.3g}")
-                )
+    for alpha, beta in reduced_dances(min(bound, 6)):
+        if alpha == 0 or alpha + beta == 0 or alpha == beta:
+            continue
+        cases += 1
+        report = verify_envelope(PlanetDance(alpha, beta), 720)
+        if not report.passed():
+            failures.append(
+                (f"<{alpha},{beta}>", "tangency within 1e-9",
+                 f"dist={report.max_line_distance:.3g} "
+                 f"defect={report.max_parallelism_defect:.3g}")
+            )
     return VerificationReport("envelope", cases, tuple(failures[:20]))
 
 
@@ -544,48 +544,48 @@ def _suite_cusps(bound: int) -> VerificationReport:
     """
     failures = []
     cases = 0
-    top = min(bound, 6)
-    for alpha in range(1, top + 1):
-        for beta in range(-top, top + 1):
-            if gcd(alpha, abs(beta)) != 1 or alpha == beta:
-                continue
-            cases += 1
-            span = abs(alpha - beta)
-            rows = sample_pairs(alpha, beta, 5 * span)
-            degenerate = int((rows[:, 0] == rows[:, 1]).sum())
-            if degenerate != span:
-                failures.append((f"<{alpha},{beta}>", str(span), str(degenerate)))
+    for alpha, beta in reduced_dances(min(bound, 6)):
+        if alpha == 0 or alpha == beta:
+            continue
+        cases += 1
+        span = abs(alpha - beta)
+        rows = sample_pairs(alpha, beta, 5 * span)
+        degenerate = int((rows[:, 0] == rows[:, 1]).sum())
+        if degenerate != span:
+            failures.append((f"<{alpha},{beta}>", str(span), str(degenerate)))
     return VerificationReport("cusp_count", cases, tuple(failures[:20]))
 
 
 #: The largest bounds `verify_all` accepts.  The max_m suites check
-#: max_m^2/2 graphs; at 600 the sweep took 22 s and, in the forked child,
-#: the correspondence suite 8.4 s.  The bound suites, which grow about as
-#: bound^4, took 1.2 s at 12 (2-core Xeon, Python 3.11).
+#: max_m^2/2 graphs; at 600 the sweep took 9.8 s and, in the forked
+#: child, the correspondence suite 3.8 s.  The bound suites, which grow
+#: about as bound^4, took 0.9 s at 12 (2-core Xeon, Python 3.11, medians
+#: of 4 runs).
 _MAX_M = 600
 _MAX_BOUND = 12
 
 
-def _timed(suite, *args) -> tuple[VerificationReport]:
-    """Run one suite and time it in this process."""
+def _timed(suite, *args) -> tuple[tuple[VerificationReport, float]]:
+    """Run one suite in this process: its report beside its seconds."""
     start = time.perf_counter()
     report = suite(*args)
-    return (replace(report, elapsed_s=time.perf_counter() - start),)
+    return ((report, time.perf_counter() - start),)
 
 
-def _run(group: list[tuple]) -> list[VerificationReport]:
-    """Run a group's jobs, each (function, *args) returning timed reports,
-    in order."""
-    return [report for job, *args in group for report in job(*args)]
+def _run(group: list[tuple]) -> list[tuple[VerificationReport, float]]:
+    """Run a group's jobs, each (function, *args) returning (report,
+    seconds) pairs, in order."""
+    return [pair for job, *args in group for pair in job(*args)]
 
 
-def _run_beside(here: list[tuple], there: list[tuple]) -> list[VerificationReport]:
+def _run_beside(here: list[tuple], there: list[tuple]
+                ) -> list[tuple[VerificationReport, float]]:
     """Run ``there`` in a forked child while this process runs ``here``.
 
-    The child sends its reports, or the exception a suite raised, back
-    pickled over a pipe and leaves with ``os._exit``, so it never returns
-    into the caller.  An exception here kills the child; either way it is
-    reaped before this returns.
+    The child sends its (report, seconds) pairs, or the exception a suite
+    raised, back pickled over a pipe and leaves with ``os._exit``, so it
+    never returns into the caller.  An exception here kills the child;
+    either way it is reaped before this returns.
     """
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -605,7 +605,7 @@ def _run_beside(here: list[tuple], there: list[tuple]) -> list[VerificationRepor
     os.close(write_fd)
     with open(read_fd, "rb") as pipe:
         try:
-            reports = _run(here)
+            ours = _run(here)
             sent = pipe.read()
         except BaseException:
             os.kill(pid, signal.SIGKILL)
@@ -619,11 +619,12 @@ def _run_beside(here: list[tuple], there: list[tuple]) -> list[VerificationRepor
     theirs, error = pickle.loads(sent)
     if error is not None:
         raise error
-    return reports + theirs
+    return ours + theirs
 
 
-def verify_all(max_m: int, dance_bound: int) -> list[VerificationReport]:
-    """Run and time every suite within the given bounds, by suite name.
+def verify_all(max_m: int, dance_bound: int) -> list[tuple[VerificationReport, float]]:
+    """Run and time every suite within the given bounds: (report, seconds)
+    pairs by suite name.
 
     The suites run in two groups of about equal cost at the CLI
     defaults, the second in a forked child where ``os.fork`` exists and
@@ -650,7 +651,7 @@ def verify_all(max_m: int, dance_bound: int) -> list[VerificationReport]:
         (_timed, _suite_identities, max_m),
     ]
     if hasattr(os, "fork"):
-        reports = _run_beside(here, there)
+        pairs = _run_beside(here, there)
     else:
-        reports = _run(here) + _run(there)
-    return sorted(reports, key=lambda r: r.suite)
+        pairs = _run(here) + _run(there)
+    return sorted(pairs, key=lambda pair: pair[0].suite)

@@ -284,15 +284,22 @@ class _CircleScene:
             f'stroke-width="{fmt(STROKE_WIDTH)}"/>'
         )
 
-    def chord_elements(self, chords: ChordSet, color: str,
-                       extend: bool) -> Iterator[bytes]:
-        """Lines for regular chords, dots for degenerate ones, in row
-        order; an extended line that misses the canvas is left out."""
-        xs, ys = np.empty(chords.den), np.empty(chords.den)
+    def chord_elements(self, chords: ChordSet, color: str, extend: bool,
+                       points: bool = False) -> Iterator[bytes]:
+        """With `points`, a dot at each position that a chord uses, in
+        position order as the position table is filled; then lines for
+        regular chords and dots for degenerate ones, in row order.  An
+        extended line that misses the canvas is left out."""
+        xs, ys = np.zeros(chords.den), np.empty(chords.den)
+        if points:
+            xs[chords.rows] = 1.0  # marks the used positions until filled
         for lo in range(0, chords.den, _CHUNK_ROWS):
             turns = np.arange(lo, min(lo + _CHUNK_ROWS, chords.den))
-            xs[lo:lo + len(turns)], ys[lo:lo + len(turns)] = self.at_turns(
-                turns, chords.den)
+            x, y = self.at_turns(turns, chords.den)
+            if points:
+                at = np.flatnonzero(xs[lo:lo + len(turns)])
+                yield _text(_dots(x[at], y[at], POINT_RADIUS, color))
+            xs[lo:lo + len(turns)], ys[lo:lo + len(turns)] = x, y
         for lo in range(0, len(chords.rows), _CHUNK_ROWS):
             start, end = chords.rows[lo:lo + _CHUNK_ROWS].T
             line = np.flatnonzero(start != end)
@@ -307,14 +314,6 @@ class _CircleScene:
                 (line, _lines(ax, ay, bx, by, color)),
                 (dot, _dots(xs[start[dot]], ys[start[dot]], POINT_RADIUS, color)),
             ))
-
-    def boundary_dots(self, chords: ChordSet) -> Iterator[bytes]:
-        used = np.zeros(chords.den, bool)  # np.unique is 100x slower here
-        used[chords.rows] = True
-        points = np.flatnonzero(used)
-        for lo in range(0, len(points), _CHUNK_ROWS):
-            x, y = self.at_turns(points[lo:lo + _CHUNK_ROWS], chords.den)
-            yield _text(_dots(x, y, POINT_RADIUS, CHORD_COLOR))
 
 
 class _TorusScene:
@@ -415,9 +414,8 @@ def render_stitch(chords: ChordSet, style: RenderStyle) -> SvgDocument:
 
     def body() -> Iterator[bytes]:
         yield scene.outline()
-        if style.show_points:
-            yield from scene.boundary_dots(chords)
-        yield from scene.chord_elements(chords, CHORD_COLOR, style.extend_lines)
+        yield from scene.chord_elements(chords, CHORD_COLOR, style.extend_lines,
+                                        style.show_points)
 
     return SvgDocument(style.canvas_px, style.canvas_px, body)
 

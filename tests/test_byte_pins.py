@@ -18,7 +18,10 @@ offsets itself and `brute_intersections` still walked `Fraction` points.
 The `gallery --only 207,34 --only 9,6 --extend` digest was recorded
 while every coset still carried its own `TorusLine`; (207, 34) aliases
 <2,-1> with three nonzero offsets and (9, 6) has permuted offsets, so
-it holds the torus segments for alpha > 1 and beta < 0.
+it holds the torus segments for alpha > 1 and beta < 0.  The
+`stitch 10000 4321 --points` and `grid 200 5 ceiling --points` digests
+were recorded while the boundary dots still had their own pass over the
+used positions, apart from the chords' position table.
 """
 
 import hashlib
@@ -35,6 +38,8 @@ PINS = {
     "stitch 100 34 --extend": "84f2f2240b34e7ec2705c8423a95663a6013707fc652a083633e5613d33abc08",
     "stitch 1 0": "fd8bbb94aa76dab8d39cc3aa352cc6fe6db9a66dc917e28f7ba79a8bca7716e3",
     "stitch 10000 4321": "0b3780bf008611ae28b91ddbe65de6a39bad5495542ccfe3d277d2d2d142f44e",
+    "stitch 10000 4321 --points":
+        "137432f1799d3fb708e88872abd018448c9cfd5ffe129284d6afb32f933f36e5",
     "stitch 10000 4321 --points --extend":
         "ae9cd5603fa92aa85c66bd89aba4c9514423543d7f42427ea0801ec0780421c4",
     "stitch 100000 35911 --canvas 800":
@@ -48,6 +53,8 @@ PINS = {
     "dance 1 1 n10": "d9032094e534e44b068210646f456ac3a1c21e5be826581809e78ace6d21fd5a",
     "grid 200 9 ceiling": "6bf8cfd8e3e13223d50cc47fdd201ff74ee6ff5b261ae7c5265092b06b76b93b",
     "grid 200 9 floor": "06cf53d72a473f760abd2d5f5f460e2686f1d58ff899e4c6810cdec22eeacbf7",
+    "grid 200 5 ceiling --points":
+        "a3769bcf983c16fe964be40609ac0aefc319bf5b9935071651d435f4115ce9f9",
     "gallery": "6a6580871bef7c6de7262e2693745c8fca3bfdb4d3cb0124729c75f95dfc9858",
     "gallery --only 400,115 --canvas 800":
         "e674e10bd2222da8ee9edd7f6ccb655048af5f296c18267c3742ec2872d229e3",
@@ -105,9 +112,9 @@ def output_digest(name, tmp_path, capsys):
         return _file_output(tmp_path, ["dance", "-a", alpha, "-b", beta,
                                        "-n", n[1:], *flags])
     if cmd == "grid":
-        m, b_max, kind = rest
+        m, b_max, kind, *flags = rest
         return _dir_output(tmp_path, ["grid", "-m", m, "-B", b_max,
-                                      "--kind", kind])
+                                      "--kind", kind, *flags])
     if cmd == "gallery":
         return _dir_output(tmp_path, ["gallery", *rest])
     if cmd == "verify":

@@ -372,8 +372,9 @@ def test_verify_reports_injected_fault(monkeypatch, capsys):
     real = oracle.verify_all
 
     def patched(max_m, bound):
-        reports = [r for r in real(max_m, bound) if r.suite != "shortest_vector"]
-        return sorted(reports + [broken], key=lambda r: r.suite)
+        pairs = [(report, seconds) for report, seconds in real(max_m, bound)
+                 if report.suite != "shortest_vector"]
+        return sorted(pairs + [(broken, 0.0)], key=lambda pair: pair[0].suite)
 
     monkeypatch.setattr(oracle, "verify_all", patched)
     assert run(["verify", "--max-m", "3", "--bound", "1"]) == 1

@@ -16,9 +16,9 @@ parameter that nothing reads is a knob that does nothing.
 
 Paths that build no arrays (`--help`, `analyze`, `import stitchlab`) must
 not load numpy, whose import would dominate their start-up time, nor
-`dataclasses`, which brings `inspect` and `ast` with it: the package's
-value types are `NamedTuple` records, and only `oracle`, which `verify`
-imports, keeps a dataclass.
+`dataclasses`, which brings `inspect` and `ast` with it.  Every value
+type of the package is a `NamedTuple` record, so no path loads
+`dataclasses`, `verify` included.
 """
 
 import ast
@@ -213,6 +213,13 @@ def test_cli_path_does_not_load_numpy(argv):
 def test_package_import_does_not_load_numpy():
     # resolving every public name must not load them either
     assert _heavy_loaded(_PROBE_PACKAGE) == []
+
+
+def test_verify_does_not_load_dataclasses():
+    # verify needs numpy, and numpy imports inspect, but no record of the
+    # oracles is a dataclass
+    loaded = _heavy_loaded(_PROBE_MAIN, "verify", "--max-m", "1", "--bound", "1")
+    assert "numpy" in loaded and "dataclasses" not in loaded
 
 
 def test_probe_sees_numpy_when_a_command_loads_it(tmp_path):

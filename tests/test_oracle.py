@@ -48,6 +48,32 @@ def test_brute_nearest_agrees_with_search():
                 analysis.shortest_vector, analysis.tie), (m, a)
 
 
+def reference_shortest_vectors(m):
+    """`brute_shortest_vectors` as it was before Hermite's bound narrowed
+    its box: every p in [0, max(m // 2, 1)]."""
+    h = max(m // 2, 1)
+    a = np.arange(m, dtype=np.int64)[:, None, None]
+    p = np.arange(h + 1, dtype=np.int64)[None, :, None]
+    q = (a * p % m + np.array([-m, 0, m], dtype=np.int64)).reshape(m, -1)
+    p = np.broadcast_to(p, (m, h + 1, 3)).reshape(m, -1)
+    big = np.iinfo(np.int64).max
+    norm = np.where((np.abs(q) <= h) & ((p > 0) | (q > 0)), p * p + q * q, big)
+    minimal = norm == norm.min(axis=1, keepdims=True)
+    key = (((p * q <= 0) * (m + 1) + np.abs(q)) * (m + 1) + p) * (2 * m + 1) + q + m
+    best = np.where(minimal, key, big).argmin(axis=1)
+    rows = np.arange(m)
+    return np.column_stack((p[rows, best], q[rows, best])), minimal.sum(axis=1) > 1
+
+
+def test_brute_hermite_box_matches_the_half_modulus_box():
+    # vectors and tie flags, so every minimum the m/2 box finds is inside
+    for m in range(1, 151):
+        vectors, ties = brute_shortest_vectors(m)
+        expected_vectors, expected_ties = reference_shortest_vectors(m)
+        assert np.array_equal(vectors, expected_vectors), m
+        assert np.array_equal(ties, expected_ties), m
+
+
 def test_brute_minimal_norms():
     # a box of twice the width holds no shorter vector and no further minimum
     for m in (1, 2, 9, 37):
@@ -281,7 +307,7 @@ def test_suite_overlay_reports_a_decomposition_that_raises(monkeypatch):
         return real(m, a)
 
     monkeypatch.setattr(oracle, "overlay_decompose", broken)
-    vectors, overlay_report = oracle._sweep(6)
+    (vectors, _), (overlay_report, _) = oracle._sweep(6)
     assert overlay_report.failures == (
         ("(m,a)=(5,2)", "a decomposition", "ZeroDivisionError: Fraction(0, 0)"),)
     # the graph's alias analysis is checked all the same
@@ -539,14 +565,14 @@ def test_identities_keys_fit_int32():
 
 
 def test_verify_all_trivial_bounds():
-    reports = verify_all(1, 1)
+    reports = [report for report, _ in verify_all(1, 1)]
     assert all(isinstance(r, VerificationReport) for r in reports)
     assert all(r.passed for r in reports)
     assert [r.suite for r in reports] == sorted(r.suite for r in reports)
 
 
 def test_verify_all_moderate_bounds():
-    reports = verify_all(20, 3)
+    reports = [report for report, _ in verify_all(20, 3)]
     assert all(r.passed for r in reports)
     by_name = {r.suite: r for r in reports}
     assert by_name["stitch_sampling_correspondence"].cases_run > 0
@@ -586,13 +612,14 @@ forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("max_m, bound", [(1, 1), (20, 3), (60, 4)])
 def test_verify_all_matches_suites_one_by_one(monkeypatch, max_m, bound):
     expected = _one_by_one(max_m, bound)
-    reports = verify_all(max_m, bound)
-    assert reports == expected and len(reports) == 9
-    assert all(r.elapsed_s > 0 for r in reports)
+    reports, seconds = zip(*verify_all(max_m, bound))
+    assert list(reports) == expected and len(reports) == 9
+    assert all(s > 0 for s in seconds)
     _assert_no_child_left()
     # without os.fork both groups run here, with the same reports
     monkeypatch.delattr(os, "fork", raising=False)
-    assert verify_all(max_m, bound) == expected
+    reports, seconds = zip(*verify_all(max_m, bound))
+    assert list(reports) == expected and all(s > 0 for s in seconds)
 
 
 @forks
@@ -646,7 +673,8 @@ def test_verify_all_names_a_child_that_dies_mid_send(monkeypatch):
 
 def test_sweep_splits_its_time_between_two_reports():
     start = time.perf_counter()
-    vectors, partition = oracle._sweep(40)
+    (vectors, vector_s), (partition, partition_s) = oracle._sweep(40)
     wall = time.perf_counter() - start
-    assert vectors.elapsed_s > 0 and partition.elapsed_s > 0
-    assert vectors.elapsed_s + partition.elapsed_s <= wall
+    assert (vectors.suite, partition.suite) == ("shortest_vector", "overlay_partition")
+    assert vector_s > 0 and partition_s > 0
+    assert vector_s + partition_s <= wall

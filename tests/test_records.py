@@ -1,7 +1,8 @@
 """The package's value types are immutable `NamedTuple` records.
 
 Each one keeps the repr, equality, hashing and field order it had as a
-frozen dataclass, refuses assignment, and survives pickling.  The five
+frozen dataclass (`VerificationReport` less the `elapsed_s` field that
+equality ignored), refuses assignment, and survives pickling.  The five
 that check or normalize their fields do it in `__new__`, which `_make`
 and `_replace` go through as well.
 """
@@ -14,6 +15,7 @@ import pytest
 from stitchlab.cycloid import EnvelopeReport, classify
 from stitchlab.dances import PlanetDance, Sampling, StitchGraph
 from stitchlab.kernel import MAX_INPUT, CirclePoint, DirectedChord, wrap
+from stitchlab.oracle import VerificationReport
 from stitchlab.overlay import overlay_decompose, predict_family
 from stitchlab.render import RenderStyle, render_grid
 from stitchlab.torusgeo import natural_alias
@@ -49,6 +51,10 @@ RECORDS = [
     (render_grid(20, 2, "floor", RenderStyle(100))[0],
      "GridCell(b=2, r=1, m=19, a=9, style=RenderStyle(canvas_px=100, "
      "show_points=False, extend_lines=False))"),
+    # sent from the forked verify process over a pipe, so pickling matters
+    (VerificationReport("cusp_count", 2, (("<1,2>", "1", "0"),), ("a note",)),
+     "VerificationReport(suite='cusp_count', cases_run=2, "
+     "failures=(('<1,2>', '1', '0'),), info=('a note',))"),
 ]
 
 

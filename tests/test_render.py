@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from stitchlab import render
-from stitchlab.dances import PlanetDance, StitchGraph, mmt_chords
+from stitchlab.dances import PlanetDance, Sampling, StitchGraph, mmt_chords, sample
+from stitchlab.kernel import cos_sin
 from stitchlab.overlay import overlay_decompose
 from stitchlab.render import (
     GridCell,
@@ -413,6 +414,31 @@ def test_document_is_made_in_chunks(monkeypatch, tmp_path):
     monkeypatch.undo()
     assert path.read_bytes() == small.data == render_stitch(chords, style).data
     assert gallery == render_gallery_pair(207, 34, style).data
+
+
+def test_points_come_from_the_chord_position_table(monkeypatch):
+    # one angle per position: the boundary dots reuse the table that the
+    # chords are drawn from, with no pass of their own
+    angles = []
+
+    def counted(values):
+        angles.append(len(values))
+        return cos_sin(values)
+
+    monkeypatch.setattr(render, "cos_sin", counted)
+    doc = render_stitch(mmt_chords(StitchGraph(10000, 4321)), RenderStyle(show_points=True))
+    assert len(doc.data) > 0 and sum(angles) == 10000
+
+
+def test_points_mark_only_the_used_positions_before_the_chords():
+    # <2,3> sampled 6 times starts at 0, 2, 4 and ends at 0, 3
+    chords = sample(Sampling(PlanetDance(2, 3), 6))
+    plain = render_stitch(chords, RenderStyle()).data.splitlines()
+    dotted = render_stitch(chords, RenderStyle(show_points=True)).data.splitlines()
+    xs, ys = _CircleScene(800).at_turns(np.array([0, 2, 3, 4]), 6)
+    dots = [f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="2.500000" fill="#000000"/>'.encode()
+            for x, y in zip(xs.tolist(), ys.tolist())]
+    assert dotted == plain[:2] + dots + plain[2:]
 
 
 def test_grid_validation():
