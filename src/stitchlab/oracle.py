@@ -29,15 +29,12 @@ with it:
 - ``cusp_count``: |alpha - beta| against the degenerate rows of
   ``sample_pairs``.
 
-``shortest_vector`` and ``overlay_partition`` come from one sweep that
-decomposes each graph MMT(m, a) once (:func:`_sweep`).  :func:`verify_all`
-runs the suites in two groups: where ``os.fork`` exists, a forked child
-runs ``stitch_sampling_correspondence`` and ``sampling_identities`` while
-the calling process runs the rest.  Each suite's wall time, taken in the
-process that ran it, comes back from the runner beside its report as a
-(report, seconds) pair; of the sweep's time, ``shortest_vector`` gets the
-brute-force search and its comparisons and ``overlay_partition`` the
-decompositions and the rest, so no time is counted twice.
+``shortest_vector`` and ``overlay_partition`` each decompose every graph
+MMT(m, a) themselves.  :func:`verify_all` hands one list of the suites,
+longest first, to :func:`_run_suites`: where ``os.fork`` exists, the
+calling process and a forked child each take the next suite that neither
+has started.  Each suite's wall time, taken in the process that ran it,
+comes back beside its report as a (report, seconds) pair.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ from .dances import PlanetDance, StitchGraph, mmt_chords, sample_pairs
 from .kernel import brief_int
 from .overlay import (OverlayDecomposition, nearest_congruent, overlay_decompose,
                       predict_family)
-from .torusgeo import AliasAnalysis, intersection_count, natural_alias
+from .torusgeo import intersection_count, natural_alias
 
 
 class VerificationReport(NamedTuple):
@@ -304,20 +301,6 @@ def _suite_identities(max_m: int) -> VerificationReport:
     return VerificationReport("sampling_identities", cases, tuple(failures[:20]))
 
 
-def _shortest_vector_failures(m: int, analyses: list[AliasAnalysis]) -> list:
-    """The vector and ``tie`` of the alias analysis of each graph of m, in
-    the order of a, against :func:`brute_shortest_vectors`."""
-    vectors, ties = brute_shortest_vectors(m)
-    failures = []
-    for a, (analysis, vector, tie) in enumerate(
-            zip(analyses, vectors.tolist(), ties.tolist())):
-        found = (analysis.shortest_vector, analysis.tie)
-        if found != (tuple(vector), tie):
-            failures.append((f"(m,a)=({m},{a})", f"{tuple(vector)} tie={tie}",
-                             f"{found[0]} tie={found[1]}"))
-    return failures
-
-
 def _diagonal_radius_failures(dec: OverlayDecomposition, cos: np.ndarray,
                               sin: np.ndarray) -> list[tuple[str, str, str]]:
     """Compare each coset's reported radius of a <1,1>-aliased graph with
@@ -423,39 +406,49 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
     return failures, nonstandard, len(diagonal)
 
 
-def _sweep(max_m: int) -> tuple[tuple[VerificationReport, float], ...]:
-    """The shortest_vector and overlay_partition reports, each beside its
-    seconds, from one ``overlay_decompose`` per graph MMT(m, a),
-    0 <= a < m <= max_m.
+def _suite_shortest_vector(max_m: int) -> VerificationReport:
+    """The vector and ``tie`` of every graph's alias analysis, read inside
+    ``overlay_decompose(m, a)``, against :func:`brute_shortest_vectors`.
 
-    A decomposition that raises is an overlay_partition failure, reported
-    for each m before those of :func:`_partition_failures`; the graph's
-    alias analysis is then taken from ``natural_alias`` for
-    shortest_vector.  Each report's seconds are its share of the sweep's
-    wall time: ``shortest_vector`` gets the brute-force search and its
-    comparisons, ``overlay_partition`` the decompositions and the rest.
+    Where the decomposition raises, which overlay_partition reports, the
+    analysis comes from ``natural_alias(m, a)``, so it is checked all the
+    same.
     """
-    vector_failures, failures = [], []
-    cases = nonstandard = diagonal = 0
-    start = time.perf_counter()
-    vector_s = 0.0
+    failures = []
+    cases = 0
     for m in range(1, max_m + 1):
-        analyses, decs = [], []
+        vectors, ties = brute_shortest_vectors(m)
+        for a, (vector, tie) in enumerate(zip(vectors.tolist(), ties.tolist())):
+            try:
+                analysis = overlay_decompose(m, a).analysis
+            except Exception:  # an overlay_partition failure
+                analysis = natural_alias(m, a)
+            found = (analysis.shortest_vector, analysis.tie)
+            if found != (tuple(vector), tie):
+                failures.append((f"(m,a)=({m},{a})", f"{tuple(vector)} tie={tie}",
+                                 f"{found[0]} tie={found[1]}"))
+        cases += m
+    return VerificationReport("shortest_vector", cases, tuple(failures[:20]))
+
+
+def _suite_overlay(max_m: int) -> VerificationReport:
+    """Every graph's cosets on their lines and rotations (see
+    :func:`_partition_failures`).
+
+    A decomposition that raises is a failure, reported for each m before
+    those of :func:`_partition_failures`.
+    """
+    failures = []
+    cases = nonstandard = diagonal = 0
+    for m in range(1, max_m + 1):
+        decs = []
         for a in range(m):
             try:
-                dec = overlay_decompose(m, a)
+                decs.append(overlay_decompose(m, a))
             except Exception as exc:  # a library fault, reported as a failure
                 failures.append((f"(m,a)=({m},{a})", "a decomposition",
                                  f"{type(exc).__name__}: {exc}"))
-                # so that the alias analysis is checked all the same
-                analyses.append(natural_alias(m, a))
-            else:
-                analyses.append(dec.analysis)
-                decs.append(dec)
         cases += m
-        vector_start = time.perf_counter()
-        vector_failures += _shortest_vector_failures(m, analyses)
-        vector_s += time.perf_counter() - vector_start
         found, permuted, diagonals = _partition_failures(m, decs)
         failures += found
         nonstandard += permuted
@@ -466,24 +459,7 @@ def _sweep(max_m: int) -> tuple[tuple[VerificationReport, float], ...]:
         f"{diagonal} graphs alias <1,1>; each coset's radius matches its "
         "chords' center distances within 1e-12",
     )
-    return (
-        (VerificationReport("shortest_vector", cases, tuple(vector_failures[:20])),
-         vector_s),
-        (VerificationReport("overlay_partition", cases, tuple(failures[:20]), info),
-         time.perf_counter() - start - vector_s),
-    )
-
-
-def _suite_shortest_vector(max_m: int) -> VerificationReport:
-    """The vector and ``tie`` of every graph's alias analysis, from the
-    shared sweep."""
-    return _sweep(max_m)[0][0]
-
-
-def _suite_overlay(max_m: int) -> VerificationReport:
-    """Every graph's cosets on their lines and rotations, from the shared
-    sweep (see :func:`_partition_failures`)."""
-    return _sweep(max_m)[1][0]
+    return VerificationReport("overlay_partition", cases, tuple(failures[:20]), info)
 
 
 #: The family-predictions suite checks the cells near this modulus.
@@ -557,61 +533,71 @@ def _suite_cusps(bound: int) -> VerificationReport:
 
 
 #: The largest bounds `verify_all` accepts.  The max_m suites check
-#: max_m^2/2 graphs; at 600 the sweep took 9.8 s and, in the forked
-#: child, the correspondence suite 3.8 s.  The bound suites, which grow
-#: about as bound^4, took 0.9 s at 12 (2-core Xeon, Python 3.11, medians
-#: of 4 runs).
+#: max_m^2/2 graphs; at 600, overlay_partition took 13.0 s, about the
+#: whole command, while the other process ran the correspondence suite
+#: (5.2 s), shortest_vector (2.7 s) and the rest.  The bound suites, which
+#: grow about as bound^4, took 1.5 s at 12 (2-core Xeon, Python 3.11,
+#: medians of 5 runs).
 _MAX_M = 600
 _MAX_BOUND = 12
 
 
-def _timed(suite, *args) -> tuple[tuple[VerificationReport, float]]:
-    """Run one suite in this process: its report beside its seconds."""
-    start = time.perf_counter()
-    report = suite(*args)
-    return ((report, time.perf_counter() - start),)
+def _take(suites: list[tuple], queue) -> list[tuple[VerificationReport, float]]:
+    """Run the suites whose numbers this process reads from ``queue``, one
+    byte each, until it is empty: (report, seconds) pairs, each suite timed
+    where it ran."""
+    pairs = []
+    while job := queue.read(1):
+        suite, *args = suites[job[0]]
+        start = time.perf_counter()
+        report = suite(*args)
+        pairs.append((report, time.perf_counter() - start))
+    return pairs
 
 
-def _run(group: list[tuple]) -> list[tuple[VerificationReport, float]]:
-    """Run a group's jobs, each (function, *args) returning (report,
-    seconds) pairs, in order."""
-    return [pair for job, *args in group for pair in job(*args)]
+def _run_suites(suites: list[tuple]) -> list[tuple[VerificationReport, float]]:
+    """Run each (suite, *args) once: (report, seconds) pairs.
 
-
-def _run_beside(here: list[tuple], there: list[tuple]
-                ) -> list[tuple[VerificationReport, float]]:
-    """Run ``there`` in a forked child while this process runs ``here``.
-
-    The child sends its (report, seconds) pairs, or the exception a suite
-    raised, back pickled over a pipe and leaves with ``os._exit``, so it
+    The suites' numbers are written to a pipe before a child is forked;
+    this process and the child each take the next number that neither has
+    taken.  The child sends its pairs, or the exception a suite raised,
+    back pickled over a second pipe and leaves with ``os._exit``, so it
     never returns into the caller.  An exception here kills the child;
-    either way it is reaped before this returns.
+    either way it is reaped before this returns.  Without ``os.fork``
+    this process takes every suite, in order.
     """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child
-        status = 1
-        try:
-            os.close(read_fd)
+    queue_fd, numbers_fd = os.pipe()
+    os.write(numbers_fd, bytes(range(len(suites))))
+    os.close(numbers_fd)
+    # unbuffered, so that each read takes one byte from the pipe itself
+    with open(queue_fd, "rb", buffering=0) as queue:
+        if not hasattr(os, "fork"):
+            return _take(suites, queue)
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child
+            status = 1
             try:
-                outcome = (_run(there), None)
-            except Exception as exc:
-                outcome = (None, exc)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(outcome, pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    with open(read_fd, "rb") as pipe:
-        try:
-            ours = _run(here)
-            sent = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            _, status = os.waitpid(pid, 0)
+                os.close(read_fd)
+                try:
+                    outcome = (_take(suites, queue), None)
+                except Exception as exc:
+                    outcome = (None, exc)
+                with open(write_fd, "wb") as pipe:
+                    pickle.dump(outcome, pipe)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        with open(read_fd, "rb") as pipe:
+            try:
+                ours = _take(suites, queue)
+                sent = pipe.read()
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                _, status = os.waitpid(pid, 0)
     code = os.waitstatus_to_exitcode(status)
     if code != 0 or not sent:
         raise RuntimeError(f"the forked verify process exited with status {code} "
@@ -626,9 +612,9 @@ def verify_all(max_m: int, dance_bound: int) -> list[tuple[VerificationReport, f
     """Run and time every suite within the given bounds: (report, seconds)
     pairs by suite name.
 
-    The suites run in two groups of about equal cost at the CLI
-    defaults, the second in a forked child where ``os.fork`` exists and
-    after the first otherwise.
+    The suites are listed longest first, so that the last to start are
+    short, and run by :func:`_run_suites`, in two processes where
+    ``os.fork`` exists.
     """
     if max_m < 1 or dance_bound < 1:
         raise ValueError("bounds must be at least 1")
@@ -638,20 +624,15 @@ def verify_all(max_m: int, dance_bound: int) -> list[tuple[VerificationReport, f
         raise ValueError(
             f"the dance bound must be at most {_MAX_BOUND}, "
             f"got {brief_int(dance_bound)}")
-    here = [
-        (_sweep, max_m),
-        (_timed, _suite_aliasing, dance_bound),
-        (_timed, _suite_intersections, dance_bound),
-        (_timed, _suite_families),
-        (_timed, _suite_envelope, dance_bound),
-        (_timed, _suite_cusps, dance_bound),
+    suites = [
+        (_suite_overlay, max_m),
+        (_suite_identities, max_m),
+        (_suite_correspondence, max_m),
+        (_suite_shortest_vector, max_m),
+        (_suite_intersections, dance_bound),
+        (_suite_aliasing, dance_bound),
+        (_suite_envelope, dance_bound),
+        (_suite_families,),
+        (_suite_cusps, dance_bound),
     ]
-    there = [
-        (_timed, _suite_correspondence, max_m),
-        (_timed, _suite_identities, max_m),
-    ]
-    if hasattr(os, "fork"):
-        pairs = _run_beside(here, there)
-    else:
-        pairs = _run(here) + _run(there)
-    return sorted(pairs, key=lambda pair: pair[0].suite)
+    return sorted(_run_suites(suites), key=lambda pair: pair[0].suite)

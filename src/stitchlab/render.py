@@ -249,6 +249,18 @@ def _clip_infinite(ax, ay, bx, by, x0, y0, x1, y1):
     return ax + tmin * dx, ay + tmin * dy, ax + tmax * dx, ay + tmax * dy, hit
 
 
+def _to_canvas(x: np.ndarray, y: np.ndarray, ox: float, oy: float,
+               scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Canvas x and y of the points (x, y) of a cell whose origin is drawn
+    at (ox, oy) and whose unit is `scale` pixels, y up, computed in place
+    as ox + scale * x and oy - scale * y."""
+    np.multiply(scale, x, out=x)
+    np.add(ox, x, out=x)
+    np.multiply(scale, y, out=y)
+    np.subtract(oy, y, out=y)
+    return x, y
+
+
 class _CircleScene:
     """Maps unit-circle geometry into a square canvas cell."""
 
@@ -258,16 +270,6 @@ class _CircleScene:
         self.radius = px / 2.0 - MARGIN_PX
         self.box = (ox, 0.0, ox + px, px)
 
-    def canvas_xy(self, x: np.ndarray, y: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """Canvas x and y of the unit-circle points (x, y), computed in
-        place, as self.cx + self.radius * x and self.cy - self.radius * y."""
-        np.multiply(self.radius, x, out=x)
-        np.add(self.cx, x, out=x)
-        np.multiply(self.radius, y, out=y)
-        np.subtract(self.cy, y, out=y)
-        return x, y
-
     def at_turns(self, n: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray]:
         """Canvas x and y of the turns n/den, for an int array n.
 
@@ -275,7 +277,8 @@ class _CircleScene:
         division of exactly converted operands), and its cosine and sine
         come from `math.cos`/`math.sin` one at a time (`cos_sin`).
         """
-        return self.canvas_xy(*cos_sin(2.0 * math.pi * (n / den)))
+        return _to_canvas(*cos_sin(2.0 * math.pi * (n / den)),
+                          self.cx, self.cy, self.radius)
 
     def outline(self) -> bytes:
         return _element(
@@ -324,9 +327,6 @@ class _TorusScene:
         self.y0 = px - MARGIN_PX
         self.scale = px - 2 * MARGIN_PX
 
-    def to_canvas(self, x, y):
-        return (self.x0 + self.scale * x, self.y0 - self.scale * y)
-
     def outline(self) -> bytes:
         side = fmt(self.scale)
         return _element(
@@ -340,15 +340,17 @@ class _TorusScene:
         """The segments of one period of a torus line, block by block."""
         for ends, den in _torus_segments(alpha, beta, offset):
             ends = ends / den
-            ax, ay = self.to_canvas(ends[:, 0], ends[:, 1])
-            bx, by = self.to_canvas(ends[:, 2], ends[:, 3])
+            ax, ay, bx, by = ends.T
+            _to_canvas(ax, ay, self.x0, self.y0, self.scale)
+            _to_canvas(bx, by, self.x0, self.y0, self.scale)
             yield _text(_lines(ax, ay, bx, by, color))
 
     def sample_dots(self, chords: ChordSet) -> Iterator[bytes]:
         """A dot at (x, y) for each chord from x to y, in row order."""
         for lo in range(0, len(chords.rows), _CHUNK_ROWS):
             start, end = chords.rows[lo:lo + _CHUNK_ROWS].T
-            x, y = self.to_canvas(start / chords.den, end / chords.den)
+            x, y = _to_canvas(start / chords.den, end / chords.den,
+                              self.x0, self.y0, self.scale)
             yield _text(_dots(x, y, SAMPLE_DOT_RADIUS, CHORD_COLOR))
 
 
@@ -434,8 +436,9 @@ def render_dance_with_curve(d: PlanetDance, n: int,
     curve = None
     # a diagonal <c, c> draws the unit circle, its offset-0 family's envelope
     if spec.kind in ("epicycloid", "hypocycloid", "diagonal"):
-        curve = scene.canvas_xy(*cycloid_point(
-            spec, np.arange(CURVE_SEGMENTS + 1) / CURVE_SEGMENTS))
+        curve = _to_canvas(*cycloid_point(
+            spec, np.arange(CURVE_SEGMENTS + 1) / CURVE_SEGMENTS),
+            scene.cx, scene.cy, scene.radius)
 
     def body() -> Iterator[bytes]:
         yield scene.outline()

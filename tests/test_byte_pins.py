@@ -15,6 +15,9 @@ path, bytes) pairs.  The `verify` pin is the stdout of `verify --json`
 at its defaults, which holds every suite's case count and `info` notes;
 it was recorded while `overlay_partition` still derived the coset
 offsets itself and `brute_intersections` still walked `Fraction` points.
+The `verify --max-m 100 --bound 6` pin, where the suites cost other
+shares of the time than at the defaults, was recorded while the suites
+still ran in two fixed groups, one per process.
 The `gallery --only 207,34 --only 9,6 --extend` digest was recorded
 while every coset still carried its own `TorusLine`; (207, 34) aliases
 <2,-1> with three nonzero offsets and (9, 6) has permuted offsets, so
@@ -68,6 +71,8 @@ PINS = {
     "analyze 10 6": "b754becf307491dff36909e0c1651aef0dab1030c81bc0fd458ab438cd711864",
     "analyze 1000000 1000": "32a8f18369dc9b98894f5d671da0fc67273aa9b7ac81b18780355d5002deeeae",
     "verify": "94dbc5785165c0ad72a3d7b5981146267c5e38ff0bee66f2c46cca77d0449457",
+    "verify --max-m 100 --bound 6":
+        "23b1c23ac814e1557dd84567c3bb001d47333c0c88e5e5cd29213ac63471a423",
 }
 
 
@@ -119,7 +124,7 @@ def output_digest(name, tmp_path, capsys):
         return _dir_output(tmp_path, ["gallery", *rest])
     if cmd == "verify":
         capsys.readouterr()
-        assert cli.main(["verify", "--json"]) == 0
+        assert cli.main(["verify", "--json", *rest]) == 0
         return _sha(capsys.readouterr().out.encode())
     m, a = rest
     capsys.readouterr()

@@ -18,7 +18,9 @@ Paths that build no arrays (`--help`, `analyze`, `import stitchlab`) must
 not load numpy, whose import would dominate their start-up time, nor
 `dataclasses`, which brings `inspect` and `ast` with it.  Every value
 type of the package is a `NamedTuple` record, so no path loads
-`dataclasses`, `verify` included.
+`dataclasses`, `verify` included.  `verify` shares its suites between
+two processes with `os.fork` and pipes, so no path loads
+`multiprocessing` or `concurrent.futures` either.
 """
 
 import ast
@@ -174,8 +176,8 @@ def test_no_unread_parameters(path):
 # Each probe runs in a fresh interpreter and prints, as its last line,
 # which of the modules that dominate start-up were loaded.  Only commands
 # that build arrays may load numpy; none of these paths may load
-# `dataclasses` or the `inspect` it imports.
-_HEAVY = ("numpy", "dataclasses", "inspect")
+# `dataclasses` or the `inspect` it imports, nor a process pool.
+_HEAVY = ("numpy", "dataclasses", "inspect", "multiprocessing", "concurrent.futures")
 _REPORT = f"print(' '.join(name for name in {_HEAVY!r} if name in sys.modules))\n"
 _PROBE_MAIN = (
     "import sys\n"
@@ -217,9 +219,10 @@ def test_package_import_does_not_load_numpy():
 
 def test_verify_does_not_load_dataclasses():
     # verify needs numpy, and numpy imports inspect, but no record of the
-    # oracles is a dataclass
+    # oracles is a dataclass, and its two processes need no pool
     loaded = _heavy_loaded(_PROBE_MAIN, "verify", "--max-m", "1", "--bound", "1")
-    assert "numpy" in loaded and "dataclasses" not in loaded
+    assert "numpy" in loaded
+    assert not {"dataclasses", "multiprocessing", "concurrent.futures"} & set(loaded)
 
 
 def test_probe_sees_numpy_when_a_command_loads_it(tmp_path):

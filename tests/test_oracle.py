@@ -307,7 +307,7 @@ def test_suite_overlay_reports_a_decomposition_that_raises(monkeypatch):
         return real(m, a)
 
     monkeypatch.setattr(oracle, "overlay_decompose", broken)
-    (vectors, _), (overlay_report, _) = oracle._sweep(6)
+    vectors, overlay_report = oracle._suite_shortest_vector(6), oracle._suite_overlay(6)
     assert overlay_report.failures == (
         ("(m,a)=(5,2)", "a decomposition", "ZeroDivisionError: Fraction(0, 0)"),)
     # the graph's alias analysis is checked all the same
@@ -616,21 +616,83 @@ def test_verify_all_matches_suites_one_by_one(monkeypatch, max_m, bound):
     assert list(reports) == expected and len(reports) == 9
     assert all(s > 0 for s in seconds)
     _assert_no_child_left()
-    # without os.fork both groups run here, with the same reports
+    # without os.fork every suite runs here, with the same reports
     monkeypatch.delattr(os, "fork", raising=False)
     reports, seconds = zip(*verify_all(max_m, bound))
     assert list(reports) == expected and all(s > 0 for s in seconds)
+
+
+#: Every suite that `verify_all` runs.
+_SUITES = ["_suite_overlay", "_suite_identities", "_suite_correspondence",
+           "_suite_shortest_vector", "_suite_intersections", "_suite_aliasing",
+           "_suite_envelope", "_suite_families", "_suite_cusps"]
+
+
+def _patch_suites(monkeypatch, suite):
+    """Replace every suite by ``suite(real, args)``, where real is the
+    suite it replaces."""
+    for name in _SUITES:
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name,
+                            lambda *args, real=real: suite(real, args))
+
+
+def _fault_in(monkeypatch, child, fault):
+    """Make every suite call ``fault()`` in the forked child (``child``) or
+    in this process (not ``child``) and, in the other process, wait 50 ms
+    before it runs, so that the faulting process takes a suite whichever
+    split the two processes make."""
+    caller = os.getpid()
+
+    def suite(real, args):
+        if (os.getpid() != caller) == child:
+            fault()
+        time.sleep(0.05)
+        return real(*args)
+
+    _patch_suites(monkeypatch, suite)
+
+
+def test_verify_all_runs_every_suite_once_in_either_process(monkeypatch, tmp_path):
+    log = tmp_path / "ran"
+
+    def suite(real, args):
+        report = real(*args)
+        time.sleep(0.02)  # so that neither process can take every suite
+        with open(log, "a") as f:  # one short append per suite
+            f.write(f"{report.suite} {os.getpid()}\n")
+        return report
+
+    _patch_suites(monkeypatch, suite)
+    pairs = verify_all(60, 4)
+    _assert_no_child_left()
+    ran = dict(line.split() for line in log.read_text().splitlines())
+    assert len(log.read_text().splitlines()) == len(ran) == 9
+    assert sorted(ran) == [report.suite for report, _ in pairs]
+    if hasattr(os, "fork"):
+        assert len(set(ran.values())) == 2 and str(os.getpid()) in ran.values()
+    assert all(seconds >= 0.02 for _, seconds in pairs)
+    # without os.fork this process runs the list in order
+    log.unlink()
+    monkeypatch.delattr(os, "fork", raising=False)
+    pairs = verify_all(60, 4)
+    lines = [line.split() for line in log.read_text().splitlines()]
+    assert [name for name, _ in lines] == [
+        "overlay_partition", "sampling_identities", "stitch_sampling_correspondence",
+        "shortest_vector", "intersection_counts", "alias_sampling_equality",
+        "envelope", "family_predictions", "cusp_count"]
+    assert {pid for _, pid in lines} == {str(os.getpid())}
+    assert all(seconds >= 0.02 for _, seconds in pairs)
 
 
 @forks
 @pytest.mark.parametrize("error", [ValueError("no such modulus: 7"),
                                    ZeroDivisionError("Fraction(0, 0)")])
 def test_verify_all_reraises_a_child_suite_error(monkeypatch, error):
-    def broken(max_m):
+    def fault():
         raise error
 
-    # the identities suite runs in the child
-    monkeypatch.setattr(oracle, "_suite_identities", broken)
+    _fault_in(monkeypatch, True, fault)
     with pytest.raises(type(error)) as raised:
         verify_all(3, 1)
     assert type(raised.value) is type(error) and str(raised.value) == str(error)
@@ -639,8 +701,8 @@ def test_verify_all_reraises_a_child_suite_error(monkeypatch, error):
 
 @forks
 def test_verify_all_names_a_silent_child_exit(monkeypatch):
-    # the correspondence suite runs in the child, which leaves at once
-    monkeypatch.setattr(oracle, "_suite_correspondence", lambda max_m: os._exit(3))
+    # the child leaves at once, without sending anything
+    _fault_in(monkeypatch, True, lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="exited with status 3"):
         verify_all(3, 1)
     _assert_no_child_left()
@@ -648,12 +710,11 @@ def test_verify_all_names_a_silent_child_exit(monkeypatch):
 
 @forks
 def test_verify_all_reaps_the_child_when_this_side_raises(monkeypatch):
-    def broken(bound):
-        raise KeyError(bound)
+    def fault():
+        raise KeyError("this side")
 
-    # the cusp suite runs in this process, beside the child
-    monkeypatch.setattr(oracle, "_suite_cusps", broken)
-    with pytest.raises(KeyError):
+    _fault_in(monkeypatch, False, fault)
+    with pytest.raises(KeyError, match="this side"):
         verify_all(60, 1)
     _assert_no_child_left()
 
@@ -664,17 +725,9 @@ def test_verify_all_names_a_child_that_dies_mid_send(monkeypatch):
         pipe.write(pickle.dumps(outcome)[:5])
         raise OSError("pipe torn")
 
-    # only the child pickles: it sends five bytes and leaves with status 1
+    # only the child pickles, whatever it ran: it sends five bytes and
+    # leaves with status 1
     monkeypatch.setattr(pickle, "dump", torn)
     with pytest.raises(RuntimeError, match="exited with status 1"):
         verify_all(3, 1)
     _assert_no_child_left()
-
-
-def test_sweep_splits_its_time_between_two_reports():
-    start = time.perf_counter()
-    (vectors, vector_s), (partition, partition_s) = oracle._sweep(40)
-    wall = time.perf_counter() - start
-    assert (vectors.suite, partition.suite) == ("shortest_vector", "overlay_partition")
-    assert vector_s > 0 and partition_s > 0
-    assert vector_s + partition_s <= wall
