@@ -301,31 +301,6 @@ def _suite_identities(max_m: int) -> VerificationReport:
     return VerificationReport("sampling_identities", cases, tuple(failures[:20]))
 
 
-def _diagonal_radius_failures(dec: OverlayDecomposition, cos: np.ndarray,
-                              sin: np.ndarray) -> list[tuple[str, str, str]]:
-    """Compare each coset's reported radius of a <1,1>-aliased graph with
-    the center-to-chord-line distances of the coset's chords.
-
-    Chord k joins k/m to a*k/m and belongs to coset k mod d; a
-    degenerate chord is a dot, whose distance is its radius.  ``cos``
-    and ``sin`` hold cos(2*pi*k/m) and sin(2*pi*k/m) for k = 0..m-1.
-    """
-    m, a = dec.analysis.m, dec.analysis.a
-    radii = [offset_family_radius(dec.offset(k)) for k in range(len(dec.numerators))]
-    k = np.arange(m, dtype=np.int64)
-    e = (a * k) % m
-    bx, by = cos[e], sin[e]
-    dist = np.hypot(cos, sin)
-    line = e != k
-    dist[line] = np.abs(cos * by - sin * bx)[line] / np.hypot(bx - cos, by - sin)[line]
-    expected = np.array(radii)[k % len(radii)]
-    return [
-        (f"(m,a)=({m},{a}) chord {i}", f"radius {float(expected[i])!r}",
-         f"distance {float(dist[i])!r}")
-        for i in np.flatnonzero(np.abs(dist - expected) > 1e-12).tolist()
-    ]
-
-
 def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list, int, int]:
     """overlay_partition's failures at m, and its counts of graphs with a
     permuted coset-to-offset assignment and of diagonal graphs.
@@ -333,8 +308,9 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
     The checks run as one 2-D batch over the graphs of m.  The failures
     of d*m' = m come first, then those of a direction (alpha, beta) that
     is not reduced, of an offset outside [0, 1/alpha), of a rotation
-    outside [0, 1/|alpha - beta|), of membership, of rotated dances that
-    miss their cosets and of diagonal radii, each in the order of a.
+    outside [0, 1/|alpha - beta|), of membership and of rotated dances
+    that miss their cosets, each in the order of a, and last those of
+    diagonal radii, in the order of a and then of the chord.
 
     Chord i is the torus point (i/m, e/m), e = a*i mod m, in coset i mod
     d with numerator n.  It lies on the coset's line, of offset n/(alpha*m)
@@ -346,8 +322,9 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
     iff v*(beta*i - alpha*e) + (alpha - beta)*u*m = 0 (mod m*v); a turn by
     1/|alpha - beta| is a symmetry of the dance, so 0 <= |alpha - beta|*u
     < v pins each rotation.  Diagonal aliases (alpha = beta) have no
-    rotation; their cosets' radii are checked against the chords' center
-    distances instead.
+    rotation; their cosets' radii are checked instead, on the diagonal
+    rows of the same batch, against the center distances of the chords,
+    all from one table of the cosines and sines of the m sample angles.
     """
     failures = []
     graphs = []
@@ -391,18 +368,31 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
     chord_row = first[:, None] + k % d[:, None]
     n, u, v = (np.take(x, chord_row) for x in (n, u, v))
     a, alpha, beta = graph.T[:, :, None]
-    cross = beta * k - alpha * (a * k % m)
+    e = a * k % m
+    cross = beta * k - alpha * e
     for j in np.flatnonzero(((cross + n) % m).any(axis=1)).tolist():
         failures.append((name(j), "all cosets on their lines", "membership fails"))
     cover = ((v * cross + (alpha - beta) * u * m) % (m * v)).any(axis=1) & rotated
     for j in np.flatnonzero(cover).tolist():
         failures.append((name(j), "rotated dances on their cosets", "rotation fails"))
-    # one table of the m sample angles serves every diagonal graph of m
+    # the diagonal rows: chord i from angle 2*pi*i/m to 2*pi*e/m, a dot
+    # where e = i, at a center distance of its coset's radius
+    diagonal = np.flatnonzero(~rotated)
+    e = e[diagonal]
     angle = 2 * np.pi * k / m
     cos, sin = np.cos(angle), np.sin(angle)
-    diagonal = [dec for dec, turns in zip(graphs, rotated.tolist()) if not turns]
-    for dec in diagonal:
-        failures.extend(_diagonal_radius_failures(dec, cos, sin))
+    bx, by = cos[e], sin[e]
+    dist = np.broadcast_to(np.hypot(cos, sin), e.shape).copy()
+    line = e != k
+    dist[line] = np.abs(cos * by - sin * bx)[line] / np.hypot(bx - cos, by - sin)[line]
+    radius = np.array([0.0 if rotates else offset_family_radius(dec.offset(c))
+                       for dec, rotates in zip(graphs, rotated.tolist())
+                       for c in range(len(dec.numerators))])
+    expected = np.take(radius, chord_row[diagonal])
+    for j, i in np.argwhere(np.abs(dist - expected) > 1e-12).tolist():
+        failures.append((f"{name(diagonal[j])} chord {i}",
+                         f"radius {float(expected[j, i])!r}",
+                         f"distance {float(dist[j, i])!r}"))
     return failures, nonstandard, len(diagonal)
 
 

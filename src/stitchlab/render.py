@@ -213,15 +213,15 @@ def _lines(x1, y1, x2, y2, color: str) -> np.ndarray:
                  _element(f'" stroke="{color}" stroke-width="{fmt(STROKE_WIDTH)}"/>'))
 
 
-def _dots(cx, cy, r: float, color: str) -> np.ndarray:
+def _dots(cx, cy, r: float) -> np.ndarray:
     return _rows(b'<circle cx="', cx, b'" cy="', cy,
-                 _element(f'" r="{fmt(r)}" fill="{color}"/>'))
+                 _element(f'" r="{fmt(r)}" fill="{CHORD_COLOR}"/>'))
 
 
-def _polyline(xs, ys, color: str) -> bytes:
+def _polyline(xs, ys) -> bytes:
     points = _text(_rows(xs, b",", ys, b" "))[:-1]
     return (b'<polyline points="' + points + _element(
-        f'" fill="none" stroke="{color}" stroke-width="{fmt(STROKE_WIDTH)}"/>'))
+        f'" fill="none" stroke="{CURVE_COLOR}" stroke-width="{fmt(STROKE_WIDTH)}"/>'))
 
 
 def _clip_infinite(ax, ay, bx, by, x0, y0, x1, y1):
@@ -287,7 +287,7 @@ class _CircleScene:
             f'stroke-width="{fmt(STROKE_WIDTH)}"/>'
         )
 
-    def chord_elements(self, chords: ChordSet, color: str, extend: bool,
+    def chord_elements(self, chords: ChordSet, extend: bool,
                        points: bool = False) -> Iterator[bytes]:
         """With `points`, a dot at each position that a chord uses, in
         position order as the position table is filled; then lines for
@@ -301,7 +301,7 @@ class _CircleScene:
             x, y = self.at_turns(turns, chords.den)
             if points:
                 at = np.flatnonzero(xs[lo:lo + len(turns)])
-                yield _text(_dots(x[at], y[at], POINT_RADIUS, color))
+                yield _text(_dots(x[at], y[at], POINT_RADIUS))
             xs[lo:lo + len(turns)], ys[lo:lo + len(turns)] = x, y
         for lo in range(0, len(chords.rows), _CHUNK_ROWS):
             start, end = chords.rows[lo:lo + _CHUNK_ROWS].T
@@ -314,8 +314,8 @@ class _CircleScene:
                 line = line[hit]
             yield _text(_place(
                 len(start),
-                (line, _lines(ax, ay, bx, by, color)),
-                (dot, _dots(xs[start[dot]], ys[start[dot]], POINT_RADIUS, color)),
+                (line, _lines(ax, ay, bx, by, CHORD_COLOR)),
+                (dot, _dots(xs[start[dot]], ys[start[dot]], POINT_RADIUS)),
             ))
 
 
@@ -351,7 +351,7 @@ class _TorusScene:
             start, end = chords.rows[lo:lo + _CHUNK_ROWS].T
             x, y = _to_canvas(start / chords.den, end / chords.den,
                               self.x0, self.y0, self.scale)
-            yield _text(_dots(x, y, SAMPLE_DOT_RADIUS, CHORD_COLOR))
+            yield _text(_dots(x, y, SAMPLE_DOT_RADIUS))
 
 
 def _torus_segments(alpha: int, beta: int, offset: numbers.Rational
@@ -416,8 +416,7 @@ def render_stitch(chords: ChordSet, style: RenderStyle) -> SvgDocument:
 
     def body() -> Iterator[bytes]:
         yield scene.outline()
-        yield from scene.chord_elements(chords, CHORD_COLOR, style.extend_lines,
-                                        style.show_points)
+        yield from scene.chord_elements(chords, style.extend_lines, style.show_points)
 
     return SvgDocument(style.canvas_px, style.canvas_px, body)
 
@@ -442,9 +441,9 @@ def render_dance_with_curve(d: PlanetDance, n: int,
 
     def body() -> Iterator[bytes]:
         yield scene.outline()
-        yield from scene.chord_elements(chords, CHORD_COLOR, extend)
+        yield from scene.chord_elements(chords, extend)
         if curve is not None:
-            yield _polyline(*curve, CURVE_COLOR)
+            yield _polyline(*curve)
 
     return SvgDocument(style.canvas_px, style.canvas_px, body)
 
@@ -502,6 +501,6 @@ def render_gallery_pair(m: int, a: int, style: RenderStyle) -> SvgDocument:
             yield from torus.line_elements(*line)
         yield from torus.sample_dots(chords)
         yield scene.outline()
-        yield from scene.chord_elements(chords, CHORD_COLOR, style.extend_lines)
+        yield from scene.chord_elements(chords, style.extend_lines)
 
     return SvgDocument(2 * px, px, body)

@@ -12,7 +12,10 @@ A name that only tests call is dead weight in the library.
 
 Every parameter of a function or method of the package is read in its
 body (`self`, `cls` and the parameters of dunder methods aside): a
-parameter that nothing reads is a knob that does nothing.
+parameter that nothing reads is a knob that does nothing.  Nor does a
+parameter of a private function (or of a method of a private class) to
+which every call in the package passes the same literal or the same
+UPPER_CASE name: it is a constant that only looks like a setting.
 
 Paths that build no arrays (`--help`, `analyze`, `import stitchlab`) must
 not load numpy, whose import would dominate their start-up time, nor
@@ -171,6 +174,118 @@ def test_guard_flags_unread_parameters():
                          ids=lambda p: p.name)
 def test_no_unread_parameters(path):
     assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def _argument_values(call: ast.Call, positional: list, keyword_only: list,
+                     defaults: dict) -> dict:
+    """What `call` passes for each parameter it can be matched to, as ast
+    nodes: an argument, a keyword or, where the call leaves the parameter
+    out, its default.  A positional parameter at or after a starred
+    argument, and one that a `**` call may pass, has no entry."""
+    starred = next((i for i, arg in enumerate(call.args)
+                    if isinstance(arg, ast.Starred)), len(positional))
+    keywords = {kw.arg: kw.value for kw in call.keywords}
+    out = {}
+    for i, param in enumerate(positional + keyword_only):
+        name = param.arg
+        if starred <= i < len(positional):
+            continue
+        if i < min(len(call.args), len(positional)):
+            out[name] = call.args[i]
+        elif name in keywords:
+            out[name] = keywords[name]
+        elif None not in keywords and name in defaults:
+            out[name] = defaults[name]
+    return out
+
+
+def constant_arguments(sources: list[str]) -> list[str]:
+    """`function.parameter` for each parameter to which every call in the
+    sources passes the same literal or the same UPPER_CASE name: a
+    setting that only ever takes one value.
+
+    Functions whose name starts with `_` are checked, and the methods of
+    classes whose name starts with `_`, dunders and the first parameter
+    of a method aside.  A call is matched to a function by its name or
+    attribute; a name defined twice is skipped, as its calls cannot be
+    told apart.
+    """
+    trees = [ast.parse(source) for source in sources]
+    methods = {}  # each method's node, by id: whether its class is private
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.ClassDef):
+            methods.update((id(f), node.name.startswith("_")) for f in node.body)
+    signatures = {}  # name -> (positional, keyword-only, defaults), or None
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                node.name.startswith("__") and node.name.endswith("__")):
+            continue
+        if not (node.name.startswith("_") or methods.get(id(node), False)):
+            continue
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        static = any(getattr(d, "id", None) == "staticmethod"
+                     for d in node.decorator_list)
+        if id(node) in methods and not static:
+            positional = positional[1:]
+        defaults = dict(zip([p.arg for p in positional][::-1], args.defaults[::-1]))
+        defaults.update((p.arg, d) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d)
+        signature = (positional, args.kwonlyargs, defaults)
+        signatures[node.name] = None if node.name in signatures else signature
+    passed = {}  # (function, parameter) -> the values its calls pass
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if signatures.get(name) is None:
+            continue
+        for param, value in _argument_values(node, *signatures[name]).items():
+            passed.setdefault((name, param), []).append(value)
+
+    def constant(value):
+        return (isinstance(value, ast.Constant)
+                or isinstance(value, ast.Name) and value.id.isupper())
+
+    return sorted(f"{name}.{param}" for (name, param), values in passed.items()
+                  if all(map(constant, values))
+                  and len({ast.dump(value) for value in values}) == 1)
+
+
+def test_guard_flags_constant_arguments():
+    source = (
+        "RED = 'red'\n"
+        "def _paint(x, color, width=1, *, fill=None):\n"
+        "    return x, color, width, fill\n"
+        "def _plain(x, color):\n"
+        "    return x, color\n"
+        "def public(color):\n"
+        "    return color\n"
+        "class _Scene:\n"
+        "    def draw(self, shape, size):\n"
+        "        return shape, size\n"
+        "class Shown:\n"
+        "    def show(self, n):\n"
+        "        return n\n"
+        "def main(scene, pts, c):\n"
+        "    _paint(1, RED)\n"
+        "    _paint(2, RED, fill=c)\n"
+        "    _plain(*pts, 'blue')\n"  # skipped: 'blue' need not be the color
+        "    _plain(c, RED)\n"
+        "    public(RED), public(RED)\n"
+        "    scene.draw(pts, 3)\n"
+        "    scene.draw(c, size=3)\n"
+        "    Shown().show(4)\n"
+    )
+    assert constant_arguments([source]) == [
+        "_paint.color", "_paint.width", "_plain.color", "draw.size"]
+    # a name defined in two sources is skipped
+    assert constant_arguments([source, "def _plain(y):\n    return y\n"]) == [
+        "_paint.color", "_paint.width", "draw.size"]
+
+
+def test_no_constant_arguments():
+    paths = sorted(ROOT.glob("src/stitchlab/*.py"))
+    assert constant_arguments([p.read_text(encoding="utf-8") for p in paths]) == []
 
 
 # Each probe runs in a fresh interpreter and prints, as its last line,

@@ -96,7 +96,7 @@ def test_suite_shortest_vector_checks_vector_and_tie(monkeypatch):
     report = oracle._suite_shortest_vector(5)
     assert report.failures[0] == ("(m,a)=(1,0)", "(1, 0) tie=True", "(0, 1) tie=True")
     monkeypatch.undo()
-    # the tie flag flipped in the analysis that the sweep's decompositions read
+    # the tie flag flipped in the analysis that the suite's decompositions read
     real = torusgeo.natural_alias
 
     def flipped(m, a):
@@ -315,8 +315,8 @@ def test_suite_overlay_reports_a_decomposition_that_raises(monkeypatch):
 
 
 def _own_trig_radius_failures(dec):
-    """`oracle._diagonal_radius_failures` as it was before the sweep shared
-    one trig table per modulus: four trig arrays of its own per graph."""
+    """The radius failures of one diagonal graph on its own: four trig
+    arrays of its own, where the suite shares one table per modulus."""
     m, a = dec.analysis.m, dec.analysis.a
     radii = [oracle.offset_family_radius(dec.offset(k)) for k in range(len(dec.numerators))]
     k = np.arange(m, dtype=np.int64)
@@ -334,21 +334,37 @@ def _own_trig_radius_failures(dec):
     ]
 
 
-def test_diagonal_radii_from_shared_table_are_bit_identical(monkeypatch):
-    # every radius off by one, so that each chord's distance is printed
+def _radii_off_by_one(monkeypatch):
+    """Every radius off by one, so that each chord's distance is printed."""
     real = oracle.offset_family_radius
     monkeypatch.setattr(oracle, "offset_family_radius", lambda c: real(c) + 1)
+
+
+def test_diagonal_radii_from_shared_table_are_bit_identical(monkeypatch):
+    _radii_off_by_one(monkeypatch)
     graphs = 0
     for m in range(1, 121):
-        angle = 2 * np.pi * np.arange(m, dtype=np.int64) / m
-        cos, sin = np.cos(angle), np.sin(angle)
-        for a in range(m):
-            dec = overlay_decompose(m, a)
-            if dec.analysis.reduced_dance == PlanetDance(1, 1):
-                graphs += 1
-                found = oracle._diagonal_radius_failures(dec, cos, sin)
-                assert len(found) == m and found == _own_trig_radius_failures(dec)
+        decs = [overlay_decompose(m, a) for a in range(m)]
+        diagonal = [dec for dec in decs if dec.analysis.reduced_dance == PlanetDance(1, 1)]
+        found = oracle._partition_failures(m, decs)[0]
+        assert found == [failure for dec in diagonal
+                         for failure in _own_trig_radius_failures(dec)]
+        assert len(found) == m * len(diagonal)
+        graphs += len(diagonal)
     assert graphs > 0
+
+
+def test_rotation_failures_come_before_radius_failures(monkeypatch):
+    # at m = 12 the graphs a = 1 and a = 7 alias <1,1>, and a = 5 <1,-1>
+    decs = [overlay_decompose(12, a) for a in range(12)]
+    (turn, failure), _ = _rotation_faults(12, 5)
+    _turn_last_coset(monkeypatch, 12, 5, turn)
+    _radii_off_by_one(monkeypatch)
+    found = oracle._partition_failures(12, decs)[0]
+    assert found == [failure, *_own_trig_radius_failures(decs[1]),
+                     *_own_trig_radius_failures(decs[7])]
+    assert [name for name, _, _ in found[1:]] == [
+        f"(m,a)=(12,{a}) chord {i}" for a in (1, 7) for i in range(12)]
 
 
 def test_suite_cusps_counts_library_rows(monkeypatch):

@@ -338,9 +338,9 @@ def test_dance_curve_is_the_scalar_loop(alpha, beta, monkeypatch):
     drawn = []
     real = render._polyline
 
-    def capture(xs, ys, color):
+    def capture(xs, ys):
         drawn.append((xs.copy(), ys.copy()))
-        return real(xs, ys, color)
+        return real(xs, ys)
 
     monkeypatch.setattr(render, "_polyline", capture)
     d = PlanetDance(alpha, beta)
