@@ -15,12 +15,13 @@ with it:
   (alpha*k mod m)*m + (beta*k mod m) that :func:`_sample_keys` builds as
   one int32 batch per modulus; rows that differ term by term are compared
   as sets in a canonical form, and rows equal term by term need no more;
-- ``shortest_vector``: the vector and ``tie`` of each graph's alias
-  analysis against :func:`brute_shortest_vectors`;
-- ``overlay_partition``: each chord on its ``overlay_decompose`` coset
-  line and on its coset's rotated dance, by two congruences, the alias
-  direction reduced, each offset in [0, 1/alpha), each rotation in
-  [0, 1/|alpha - beta|), and diagonal radii against center distances;
+- ``shortest_vector``: the vector and ``tie`` of ``natural_alias(m, a)``
+  against :func:`brute_shortest_vectors`;
+- ``overlay_partition``: d cosets on d distinct lines, each chord on its
+  ``overlay_decompose`` coset line and on its coset's rotated dance, by
+  two congruences, the alias direction reduced, each offset in
+  [0, 1/alpha), each rotation in [0, 1/|alpha - beta|), and diagonal
+  radii against center distances;
 - ``family_predictions``: ``predict_family`` against ``overlay_decompose``;
 - ``envelope``: ``verify_envelope``, the library's curve
   (``cycloid_point``) at each chord's own parameter on the chord and
@@ -29,11 +30,10 @@ with it:
 - ``cusp_count``: |alpha - beta| against the degenerate rows of
   ``sample_pairs``.
 
-``shortest_vector`` and ``overlay_partition`` each decompose every graph
-MMT(m, a) themselves.  :func:`verify_all` hands one list of the suites,
-longest first, to :func:`_run_suites`: where ``os.fork`` exists, the
-calling process and a forked child each take the next suite that neither
-has started.  Each suite's wall time, taken in the process that ran it,
+Only ``overlay_partition`` decomposes the graphs MMT(m, a), once each.
+:func:`verify_all` hands one list of the suites, longest first, to
+:func:`_run_suites`: where ``os.fork`` exists, the calling process and a
+forked child each take the next suite that neither has started.  Each suite's wall time, taken in the process that ran it,
 comes back beside its report as a (report, seconds) pair.
 """
 
@@ -103,22 +103,21 @@ def brute_shortest_vectors(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack((p[rows, best], q[rows, best])), minimal.sum(axis=1) > 1
 
 
-def brute_intersections(d1: PlanetDance, d2: PlanetDance) -> int | None:
-    """Count torus-line crossings by enumeration; None means coincident.
+def brute_intersections(d1: PlanetDance, d2: PlanetDance) -> int:
+    """Count torus-line crossings by enumeration.
 
     A crossing is a pair (t, s) in [0, 1)^2 with (alpha1*t - alpha2*s,
     beta1*t - beta2*s) = (u, v) integral.  Every such (u, v) lies in the
     box spanned by the images of the unit square's corners; each integer
     point of the box is solved for (t, s) by Cramer's rule, in integers,
-    and counted when both lie in [0, 1).
+    and counted when both lie in [0, 1).  Coincident lines (det = 0)
+    count 0: no point has 0 <= t < |det|.
     """
     for d in (d1, d2):
         if not d.reduced or (d.alpha == 0 and d.beta == 0):
             raise ValueError(f"dance {d} is not a reduced torus direction")
     a1, b1, a2, b2 = d1.alpha, d1.beta, -d2.alpha, -d2.beta
     det = a1 * b2 - a2 * b1
-    if det == 0:
-        return None
     u = np.arange(min(a1, 0) + min(a2, 0), max(a1, 0) + max(a2, 0) + 1)[:, None]
     v = np.arange(min(b1, 0) + min(b2, 0), max(b1, 0) + max(b2, 0) + 1)[None, :]
     sign = 1 if det > 0 else -1
@@ -176,7 +175,7 @@ def _suite_aliasing(bound: int) -> VerificationReport:
             cases += 1
             s1 = sample_pairs(a1, b1, m)
             s2 = sample_pairs(a2, b2, m)
-            if s1.shape != s2.shape or not (s1 == s2).all():
+            if not np.array_equal(s1, s2):
                 failures.append(
                     (f"<{a1},{b1}> vs <{a2},{b2}> at m={m}",
                      "equal samplings", "differs")
@@ -193,11 +192,8 @@ def _suite_intersections(bound: int) -> VerificationReport:
             cases += 1
             formula = intersection_count(PlanetDance(a1, b1), PlanetDance(a2, b2))
             brute = brute_intersections(PlanetDance(a1, b1), PlanetDance(a2, b2))
-            brute_count = 0 if brute is None else brute
-            if formula != brute_count:
-                failures.append(
-                    (f"<{a1},{b1}> vs <{a2},{b2}>", str(formula), str(brute_count))
-                )
+            if formula != brute:
+                failures.append((f"<{a1},{b1}> vs <{a2},{b2}>", str(formula), str(brute)))
     return VerificationReport("intersection_counts", cases, tuple(failures[:20]))
 
 
@@ -305,12 +301,14 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
     """overlay_partition's failures at m, and its counts of graphs with a
     permuted coset-to-offset assignment and of diagonal graphs.
 
-    The checks run as one 2-D batch over the graphs of m.  The failures
-    of d*m' = m come first, then those of a direction (alpha, beta) that
-    is not reduced, of an offset outside [0, 1/alpha), of a rotation
-    outside [0, 1/|alpha - beta|), of membership and of rotated dances
-    that miss their cosets, each in the order of a, and last those of
-    diagonal radii, in the order of a and then of the chord.
+    A graph that fails d*m' = m, or whose numerators are not d cosets on
+    d distinct lines (n mod m), is reported first, in the order of a, and
+    left out of the batch.  The other checks run as one 2-D batch over
+    the graphs of m: the failures of a direction (alpha, beta) that is
+    not reduced, of an offset outside [0, 1/alpha), of a rotation outside
+    [0, 1/|alpha - beta|), of membership and of rotated dances that miss
+    their cosets, each in the order of a, and last those of diagonal
+    radii, in the order of a and then of the chord.
 
     Chord i is the torus point (i/m, e/m), e = a*i mod m, in coset i mod
     d with numerator n.  It lies on the coset's line, of offset n/(alpha*m)
@@ -330,10 +328,14 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
     graphs = []
     for dec in decs:
         d, mp = dec.analysis.coset_count, dec.analysis.reduced_rate
-        if d * mp == m:
-            graphs.append(dec)
-        else:
+        lines = len({x % m for x in dec.numerators})
+        if d * mp != m:
             failures.append((f"(m,a)=({m},{dec.analysis.a})", "d*m' = m", f"{d}*{mp}"))
+        elif len(dec.numerators) != d or lines != d:
+            failures.append((f"(m,a)=({m},{dec.analysis.a})", "d cosets on d distinct lines",
+                             f"{len(dec.numerators)} cosets on {lines} lines"))
+        else:
+            graphs.append(dec)
     # graph j's cosets are rows first[j] .. first[j] + d[j] - 1
     graph = np.array([(dec.analysis.a, *dec.analysis.reduced_dance) for dec in graphs],
                      dtype=np.int64).reshape(-1, 3)
@@ -397,22 +399,14 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
 
 
 def _suite_shortest_vector(max_m: int) -> VerificationReport:
-    """The vector and ``tie`` of every graph's alias analysis, read inside
-    ``overlay_decompose(m, a)``, against :func:`brute_shortest_vectors`.
-
-    Where the decomposition raises, which overlay_partition reports, the
-    analysis comes from ``natural_alias(m, a)``, so it is checked all the
-    same.
-    """
+    """The vector and ``tie`` of ``natural_alias(m, a)`` for every graph
+    against :func:`brute_shortest_vectors`."""
     failures = []
     cases = 0
     for m in range(1, max_m + 1):
         vectors, ties = brute_shortest_vectors(m)
         for a, (vector, tie) in enumerate(zip(vectors.tolist(), ties.tolist())):
-            try:
-                analysis = overlay_decompose(m, a).analysis
-            except Exception:  # an overlay_partition failure
-                analysis = natural_alias(m, a)
+            analysis = natural_alias(m, a)
             found = (analysis.shortest_vector, analysis.tie)
             if found != (tuple(vector), tie):
                 failures.append((f"(m,a)=({m},{a})", f"{tuple(vector)} tie={tie}",

@@ -17,6 +17,10 @@ parameter of a private function (or of a method of a private class) to
 which every call in the package passes the same literal or the same
 UPPER_CASE name: it is a constant that only looks like a setting.
 
+No handler that catches everything (bare, `Exception` or
+`BaseException`) swallows what it caught: its body raises or reads the
+exception it binds, so a fault reaches a caller or a report.
+
 Paths that build no arrays (`--help`, `analyze`, `import stitchlab`) must
 not load numpy, whose import would dominate their start-up time, nor
 `dataclasses`, which brings `inspect` and `ast` with it.  Every value
@@ -286,6 +290,83 @@ def test_guard_flags_constant_arguments():
 def test_no_constant_arguments():
     paths = sorted(ROOT.glob("src/stitchlab/*.py"))
     assert constant_arguments([p.read_text(encoding="utf-8") for p in paths]) == []
+
+
+def _catches_all(node: ast.expr | None) -> bool:
+    if node is None:  # a bare except
+        return True
+    types = node.elts if isinstance(node, ast.Tuple) else [node]
+    return any(isinstance(t, ast.Name) and t.id in ("Exception", "BaseException")
+               for t in types)
+
+
+def swallowed_exceptions(source: str) -> list[str]:
+    """The enclosing function (`<module>` at top level) of each handler
+    that catches everything and whose body neither raises nor loads the
+    exception it binds."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler) and _catches_all(child.type):
+                body = [n for stmt in child.body for n in ast.walk(stmt)]
+                if not any(isinstance(n, ast.Raise)
+                           or isinstance(n, ast.Name) and n.id == child.name
+                           and isinstance(n.ctx, ast.Load) for n in body):
+                    found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_guard_flags_swallowed_exceptions():
+    source = (
+        "try:\n"
+        "    import fast\n"
+        "except Exception:\n"
+        "    fast = None\n"
+        "def quiet(f):\n"
+        "    try:\n"
+        "        return f()\n"
+        "    except Exception:  # the fault is lost\n"
+        "        return None\n"
+        "def bare(f):\n"
+        "    try:\n"
+        "        f()\n"
+        "    except:\n"
+        "        pass\n"
+        "def bound(f):\n"
+        "    try:\n"
+        "        f()\n"
+        "    except (ValueError, BaseException) as exc:\n"
+        "        exc = None\n"
+        "def narrow(f):\n"
+        "    try:\n"
+        "        f()\n"
+        "    except ValueError:\n"
+        "        pass\n"
+        "def reraises(f, g):\n"
+        "    try:\n"
+        "        f()\n"
+        "    except BaseException:\n"
+        "        g()\n"
+        "        raise\n"
+        "def reports(f, out):\n"
+        "    try:\n"
+        "        f()\n"
+        "    except Exception as exc:\n"
+        "        out.append(exc)\n"
+    )
+    assert swallowed_exceptions(source) == ["<module>", "bare", "bound", "quiet"]
+
+
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
+def test_no_swallowed_exceptions(path):
+    assert swallowed_exceptions(path.read_text(encoding="utf-8")) == []
 
 
 # Each probe runs in a fresh interpreter and prints, as its last line,

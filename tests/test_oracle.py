@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stitchlab import cycloid, oracle, overlay, torusgeo
+from stitchlab import cycloid, oracle, torusgeo
 from stitchlab.dances import PlanetDance, sample_pairs
 from stitchlab.kernel import ChordSet
 from stitchlab.oracle import (
@@ -96,14 +96,14 @@ def test_suite_shortest_vector_checks_vector_and_tie(monkeypatch):
     report = oracle._suite_shortest_vector(5)
     assert report.failures[0] == ("(m,a)=(1,0)", "(1, 0) tie=True", "(0, 1) tie=True")
     monkeypatch.undo()
-    # the tie flag flipped in the analysis that the suite's decompositions read
+    # the tie flag flipped in the analysis that the suite reads
     real = torusgeo.natural_alias
 
     def flipped(m, a):
         analysis = real(m, a)
         return analysis._replace(tie=not analysis.tie)
 
-    monkeypatch.setattr(overlay, "natural_alias", flipped)
+    monkeypatch.setattr(oracle, "natural_alias", flipped)
     report = oracle._suite_shortest_vector(3)
     assert report.cases_run == 6 and len(report.failures) == 6
     assert report.failures[1] == ("(m,a)=(2,0)", "(1, 0) tie=False", "(1, 0) tie=True")
@@ -155,7 +155,7 @@ def test_brute_intersections_counts():
     assert brute_intersections(PlanetDance(1, 0), PlanetDance(0, 1)) == 1
     assert brute_intersections(PlanetDance(2, 1), PlanetDance(1, -1)) == 3
     assert brute_intersections(PlanetDance(1, 1), PlanetDance(1, -1)) == 2
-    assert brute_intersections(PlanetDance(3, 2), PlanetDance(3, 2)) is None
+    assert brute_intersections(PlanetDance(3, 2), PlanetDance(3, 2)) == 0
 
 
 def test_suite_overlay_reads_library_lines(monkeypatch):
@@ -230,6 +230,30 @@ def test_suite_overlay_checks_reduced_direction(monkeypatch):
         expected.append((f"(m,a)=(7,{a})", "a reduced direction",
                          f"<{2 * alias.alpha},{2 * alias.beta}>"))
     assert oracle._suite_overlay(12).failures == tuple(expected)
+
+
+def test_suite_overlay_checks_one_line_per_coset(monkeypatch):
+    # 2d numerators by the same formula: step*d = 0 (mod m), so coset k + d
+    # repeats coset k's line and every chord stays on a line of its coset
+    real = oracle.overlay_decompose
+
+    def doubled(m, a):
+        dec = real(m, a)
+        if m != 9:
+            return dec
+        alpha, beta = dec.analysis.reduced_dance
+        numerators = ((alpha * a - beta) * k % m for k in range(2 * dec.analysis.coset_count))
+        return dec._replace(numerators=tuple(numerators))
+
+    monkeypatch.setattr(oracle, "overlay_decompose", doubled)
+    expected = []
+    for a in range(9):
+        d = natural_alias(9, a).coset_count
+        expected.append((f"(m,a)=(9,{a})", "d cosets on d distinct lines",
+                         f"{2 * d} cosets on {d} lines"))
+    report = oracle._suite_overlay(12)
+    assert report.failures == tuple(expected)
+    assert report.cases_run == sum(range(1, 13))
 
 
 #: The library's rotation, which the fault tests below wrap.
@@ -408,7 +432,7 @@ def test_intersection_formula_small_range():
         for a2, b2 in dances[i:]:
             formula = intersection_count(PlanetDance(a1, b1), PlanetDance(a2, b2))
             brute = brute_intersections(PlanetDance(a1, b1), PlanetDance(a2, b2))
-            assert formula == (0 if brute is None else brute)
+            assert formula == brute
 
 
 def test_reduced_dances_contents():

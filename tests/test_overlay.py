@@ -45,6 +45,14 @@ def test_offsets_and_rotations_match_the_fraction_loop(graphs):
         assert list(zip(offsets(dec), rotations(dec))) == reference_cosets(m, a), (m, a)
 
 
+def test_decomposition_passes_the_alias_analysis_through():
+    # `analyze` prints the decomposition's analysis; the shortest_vector
+    # suite checks natural_alias itself, so the two must agree
+    for m in range(1, 61):
+        for a in range(m):
+            assert overlay_decompose(m, a).analysis == natural_alias(m, a), (m, a)
+
+
 def test_overlay_halved_graph():
     dec = overlay_decompose(206, 35)
     assert dec.numerators == (0, 103)
