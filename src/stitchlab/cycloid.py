@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .dances import PlanetDance
-from .kernel import brief_int, cos_sin
+from .kernel import brief_int, check_input_size, cos_sin
 
 if TYPE_CHECKING:
     import numpy as np
@@ -141,6 +141,7 @@ def verify_envelope(d: PlanetDance, n: int) -> EnvelopeReport:
         raise DegenerateCurveError("alpha + beta = 0")
     if n < 1:
         raise ValueError(f"sample count must be positive, got {brief_int(n)}")
+    check_input_size(n)
     import numpy as np
 
     k = np.arange(n)

@@ -100,8 +100,12 @@ def sample_pairs(alpha: int, beta: int, m: int) -> np.ndarray:
     rows.  When alpha = 1 (mod m) the keys k*m + (beta*k mod m) already
     are sorted and unique, so row k is built directly, as the sample k.
     The arithmetic runs in place, so at most two m-long arrays of keys
-    or coordinates are alive at once besides the result.
+    or coordinates are alive at once besides the result.  m runs from 1
+    to ``MAX_INPUT``, so every key fits in int64.
     """
+    if m < 1:
+        raise ValueError(f"modulus must be positive, got {brief_int(m)}")
+    check_input_size(m)
     import numpy as np
 
     if alpha % m == 1 % m:

@@ -14,7 +14,8 @@ with it:
 - ``sampling_identities``: the shift and invertibility identities on keys
   (alpha*k mod m)*m + (beta*k mod m) that :func:`_sample_keys` builds as
   one int32 batch per modulus; rows that differ term by term are compared
-  as sets in a canonical form, and rows equal term by term need no more;
+  sorted, since a sampling visits each key of its image equally often,
+  and rows equal term by term need no more;
 - ``shortest_vector``: the vector and ``tie`` of ``natural_alias(m, a)``
   against :func:`brute_shortest_vectors`;
 - ``overlay_partition``: d cosets on d distinct lines, each chord on its
@@ -226,74 +227,56 @@ def _sample_keys(alphas: np.ndarray, betas: np.ndarray, m: int) -> np.ndarray:
     return keys
 
 
-def _canonical(keys: np.ndarray, m: int) -> np.ndarray:
-    """Rows of keys as sets: sorted, every key equal to its left neighbour
-    replaced by the sentinel m*m, and sorted again, so two rows are equal
-    iff they hold the same keys."""
-    keys = np.sort(keys, axis=-1)
-    keys[..., 1:][keys[..., 1:] == keys[..., :-1]] = m * m
-    keys.sort(axis=-1)
-    return keys
-
-
-def _same_sets(lhs: np.ndarray, rhs: np.ndarray, m: int) -> np.ndarray:
+def _same_sets(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Whether each row of lhs holds the same keys as the row of rhs.
 
-    Rows equal term by term hold the same set, so only the rows that
-    differ term by term are brought to the canonical form.
+    A row is an m-sampling k -> (alpha*k mod m, beta*k mod m), a group
+    homomorphism from Z_m, so it visits each key of its image m/|image|
+    times: two rows hold the same set iff they are equal once sorted.
+    Rows equal term by term skip the sort.
     """
     lhs, rhs = np.broadcast_arrays(lhs, rhs)
     same = (lhs == rhs).all(axis=-1)
     differ = ~same
     if differ.any():
-        same[differ] = (_canonical(lhs[differ], m)
-                        == _canonical(rhs[differ], m)).all(axis=-1)
+        same[differ] = (np.sort(lhs[differ], axis=-1)
+                        == np.sort(rhs[differ], axis=-1)).all(axis=-1)
     return same
 
 
 def _shift_failures(betas: np.ndarray, m: int) -> list:
-    """Failures of the shift identity at m, keyed (alpha - 1, i, m, sign):
-    row alpha - 1 of ``betas`` holds the speeds beta of <alpha, beta>, and
-    each dance must sample the same set as <alpha, beta + m> (sign 0) and
-    <alpha, beta - m> (sign 1)."""
+    """Failures of the shift identity at m: row alpha - 1 of ``betas``
+    holds the speeds beta of <alpha, beta>, and each dance must sample
+    the same set as <alpha, beta + m>, then as <alpha, beta - m>."""
     alphas = np.arange(1, len(betas) + 1, dtype=np.int32)[:, None]
     keys = _sample_keys(alphas, np.concatenate((betas, betas + m, betas - m), axis=1), m)
     base, *others = np.split(keys, 3, axis=1)
-    found = []
-    for sign, other in enumerate(others):
-        for j, i in zip(*np.nonzero(~_same_sets(base, other, m))):
-            shifted = int(betas[j, i]) + (m, -m)[sign]
-            found.append(((j, i, m, sign),
-                          (f"shift <{j + 1},{shifted}> m={m}", "equal", "differs")))
-    return found
+    return [(f"shift <{j + 1},{int(betas[j, i]) + shift}> m={m}", "equal", "differs")
+            for shift, other in zip((m, -m), others)
+            for j, i in zip(*np.nonzero(~_same_sets(base, other)))]
 
 
 def _invertibility_failures(m: int) -> list:
-    """Failures of invertibility at m, keyed (alpha - 1, m, a): <1, a> and
+    """Failures of invertibility at m, by alpha, then a: <1, a> and
     <alpha, alpha*a> sample the same set iff gcd(alpha, m) = 1."""
     alphas = np.arange(1, _INVERT_ALPHAS + 1, dtype=np.int32)[:, None]
     a = np.arange(m, dtype=np.int32)
-    same = _same_sets(_sample_keys(np.int32(1), a, m),
-                      _sample_keys(alphas, alphas * a, m), m)
+    same = _same_sets(_sample_keys(np.int32(1), a, m), _sample_keys(alphas, alphas * a, m))
     invertible = [gcd(alpha, m) == 1 for alpha in range(1, _INVERT_ALPHAS + 1)]
-    return [((j, m, i), (f"invertibility alpha={j + 1} m={m} a={i}",
-                         str(invertible[j]), str(bool(same[j, i]))))
+    return [(f"invertibility alpha={j + 1} m={m} a={i}",
+             str(invertible[j]), str(bool(same[j, i])))
             for j, i in zip(*np.nonzero(same != np.array(invertible)[:, None]))]
 
 
 def _suite_identities(max_m: int) -> VerificationReport:
     speeds = np.arange(-_SPEED, _SPEED + 1, dtype=np.int32)
     betas = np.arange(1, _SHIFT_ALPHAS + 1, dtype=np.int32)[:, None] * speeds
-    shifts, inverts = [], []
+    failures = []
     cases = 0
     # one batch per modulus and identity, freed before the next is built
     for m in range(1, min(max_m, _IDENTITIES_MAX_M) + 1):
         cases += betas.size + _INVERT_ALPHAS * m
-        shifts += _shift_failures(betas, m)
-        inverts += _invertibility_failures(m)
-    # the keys sort failures in the order of a loop over one dance at a
-    # time: alpha, speed, m, sign, then alpha, m, a
-    failures = [failure for _, failure in sorted(shifts) + sorted(inverts)]
+        failures += _shift_failures(betas, m) + _invertibility_failures(m)
     return VerificationReport("sampling_identities", cases, tuple(failures[:20]))
 
 

@@ -17,7 +17,10 @@ it was recorded while `overlay_partition` still derived the coset
 offsets itself and `brute_intersections` still walked `Fraction` points.
 The `verify --max-m 100 --bound 6` pin, where the suites cost other
 shares of the time than at the defaults, was recorded while the suites
-still ran in two fixed groups, one per process.
+still ran in two fixed groups, one per process.  The `verify --max-m 300
+--bound 8` pin, where `overlay_partition` bounds the wall time, was
+recorded while `sampling_identities` still compared rows in a canonical
+set form and sorted its failures by alpha and speed before m.
 The `gallery --only 207,34 --only 9,6 --extend` digest was recorded
 while every coset still carried its own `TorusLine`; (207, 34) aliases
 <2,-1> with three nonzero offsets and (9, 6) has permuted offsets, so
@@ -73,6 +76,8 @@ PINS = {
     "verify": "94dbc5785165c0ad72a3d7b5981146267c5e38ff0bee66f2c46cca77d0449457",
     "verify --max-m 100 --bound 6":
         "23b1c23ac814e1557dd84567c3bb001d47333c0c88e5e5cd29213ac63471a423",
+    "verify --max-m 300 --bound 8":
+        "9510dbd0ee930f85e40945d3133a9372bbde8afb463bf218d55a0b24461716ea",
 }
 
 

@@ -14,6 +14,7 @@ from stitchlab.cycloid import (
     verify_envelope,
 )
 from stitchlab.dances import PlanetDance
+from stitchlab.kernel import MAX_INPUT
 
 
 def test_classify_cardioid():
@@ -123,6 +124,16 @@ def test_verify_envelope_validation():
         verify_envelope(PlanetDance(1, -1), 10)
     with pytest.raises(ValueError):
         verify_envelope(PlanetDance(1, 2), 0)
+
+
+@pytest.mark.parametrize("n", [MAX_INPUT + 1, 4 * 10**9, 0])
+def test_verify_envelope_rejects_a_sample_count_past_the_cap(monkeypatch, n):
+    def no_array(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+
+    monkeypatch.setattr(np, "arange", no_array)
+    with pytest.raises(ValueError):
+        verify_envelope(PlanetDance(3, 2), n)
 
 
 def test_offset_family_radius():

@@ -13,7 +13,7 @@ from stitchlab.dances import (
     sample,
     sample_pairs,
 )
-from stitchlab.kernel import ChordSet, DirectedChord, wrap
+from stitchlab.kernel import MAX_INPUT, ChordSet, DirectedChord, wrap
 
 
 def sampled(alpha, beta, rate):
@@ -43,6 +43,20 @@ def test_stitch_graph_normalizes_multiplier():
 def test_sampling_rate_positive():
     with pytest.raises(ValueError):
         Sampling(PlanetDance(1, 2), 0)
+
+
+@pytest.mark.parametrize("m", [MAX_INPUT + 1, 4 * 10**9, 0])
+def test_sample_pairs_rejects_a_modulus_past_the_cap(monkeypatch, m):
+    # refused before any array is built: past about 3.04e9, m*m overflows int64
+    def no_array(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+
+    monkeypatch.setattr(np, "arange", no_array)
+    monkeypatch.setattr(np, "empty", no_array)
+    with pytest.raises(ValueError):
+        sample_pairs(1, 2, m)
+    with pytest.raises(ValueError):
+        sample_pairs(3, 2, m)
 
 
 def test_mmt_chord_count():
