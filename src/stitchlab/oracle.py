@@ -19,10 +19,11 @@ with it:
 - ``shortest_vector``: the vector and ``tie`` of ``natural_alias(m, a)``
   against :func:`brute_shortest_vectors`;
 - ``overlay_partition``: d cosets on d distinct lines, each chord on its
-  ``overlay_decompose`` coset line and on its coset's rotated dance, by
-  two congruences, the alias direction reduced, each offset in
-  [0, 1/alpha), each rotation in [0, 1/|alpha - beta|), and diagonal
-  radii against center distances;
+  ``overlay_decompose`` coset line and on its coset's rotated dance, its
+  line numerator mod m read once and compared with the coset's n and
+  with the integer t that the rotation names, the alias direction
+  reduced, each offset in [0, 1/alpha), each rotation in
+  [0, 1/|alpha - beta|), and diagonal radii against center distances;
 - ``family_predictions``: ``predict_family`` against ``overlay_decompose``;
 - ``envelope``: ``verify_envelope``, the library's curve
   (``cycloid_point``) at each chord's own parameter on the chord and
@@ -34,8 +35,9 @@ with it:
 Only ``overlay_partition`` decomposes the graphs MMT(m, a), once each.
 :func:`verify_all` hands one list of the suites, longest first, to
 :func:`_run_suites`: where ``os.fork`` exists, the calling process and a
-forked child each take the next suite that neither has started.  Each suite's wall time, taken in the process that ran it,
-comes back beside its report as a (report, seconds) pair.
+forked child each take the next suite that neither has started.  Each
+suite's wall time, taken in the process that ran it, comes back beside
+its report as a (report, seconds) pair.
 """
 
 from __future__ import annotations
@@ -70,6 +72,17 @@ class VerificationReport(NamedTuple):
         return not self.failures
 
 
+#: The largest bounds `verify_all` accepts, and so the largest sizes the
+#: brute-force counterparts take.  The max_m suites check max_m^2/2
+#: graphs; at 600, overlay_partition took 9.5 s of the command's 10.0 s,
+#: while the other process ran the correspondence suite (5.3 s),
+#: shortest_vector (2.5 s) and the rest.  The bound suites, which grow
+#: about as bound^4, took 1.7 s at 12 (2-core Xeon, Python 3.11, medians
+#: of 5 runs).
+_MAX_M = 600
+_MAX_BOUND = 12
+
+
 def brute_shortest_vectors(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Shortest sample vector and tie flag of MMT(m, a) for every 0 <= a < m.
 
@@ -86,8 +99,10 @@ def brute_shortest_vectors(m: int) -> tuple[np.ndarray, np.ndarray]:
     has p^2 + q^2 <= 2*m/sqrt(3), so 3*p^4 <= 4*m^2 and p <= H.
     Among the minima p*q > 0 is preferred, then the smaller |q|, then the
     smaller (p, q); a tie is a second minimum.  Returns the (m, 2) vectors
-    and the (m,) tie flags.
+    and the (m,) tie flags.  m runs from 1 to ``_MAX_M``.
     """
+    if not 1 <= m <= _MAX_M:
+        raise ValueError(f"m must be in 1..{_MAX_M}, got {brief_int(m)}")
     h = max(m // 2, 1)
     top = min(isqrt(isqrt(4 * m * m // 3)), h)  # floor((4*m^2/3)^(1/4)) is H
     a = np.arange(m, dtype=np.int64)[:, None, None]
@@ -112,11 +127,14 @@ def brute_intersections(d1: PlanetDance, d2: PlanetDance) -> int:
     box spanned by the images of the unit square's corners; each integer
     point of the box is solved for (t, s) by Cramer's rule, in integers,
     and counted when both lie in [0, 1).  Coincident lines (det = 0)
-    count 0: no point has 0 <= t < |det|.
+    count 0: no point has 0 <= t < |det|.  Speeds run up to
+    ``_MAX_BOUND`` in absolute value.
     """
     for d in (d1, d2):
         if not d.reduced or (d.alpha == 0 and d.beta == 0):
             raise ValueError(f"dance {d} is not a reduced torus direction")
+        if max(abs(d.alpha), abs(d.beta)) > _MAX_BOUND:
+            raise ValueError(f"dance {d} has a speed past {_MAX_BOUND}")
     a1, b1, a2, b2 = d1.alpha, d1.beta, -d2.alpha, -d2.beta
     det = a1 * b2 - a2 * b1
     u = np.arange(min(a1, 0) + min(a2, 0), max(a1, 0) + max(a2, 0) + 1)[:, None]
@@ -130,7 +148,9 @@ def brute_intersections(d1: PlanetDance, d2: PlanetDance) -> int:
 
 def reduced_dances(bound: int) -> list[tuple[int, int]]:
     """All reduced speed pairs with coordinates in [-bound, bound], one
-    per canonical orientation."""
+    per canonical orientation; bound runs up to ``_MAX_BOUND``."""
+    if bound > _MAX_BOUND:
+        raise ValueError(f"bound must be at most {_MAX_BOUND}, got {brief_int(bound)}")
     out = [(0, 1)]
     for alpha in range(1, bound + 1):
         for beta in range(-bound, bound + 1):
@@ -300,12 +320,14 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
     the uniform assignment, coset i at offset i/(d*alpha), is n*d = i*m.
     The dance turned by the rotation u/v covers chord i iff
     (i/m - u/v, e/m - u/v) lies on the line through the origin, that is
-    iff v*(beta*i - alpha*e) + (alpha - beta)*u*m = 0 (mod m*v); a turn by
-    1/|alpha - beta| is a symmetry of the dance, so 0 <= |alpha - beta|*u
-    < v pins each rotation.  Diagonal aliases (alpha = beta) have no
-    rotation; their cosets' radii are checked instead, on the diagonal
-    rows of the same batch, against the center distances of the chords,
-    all from one table of the cosines and sines of the m sample angles.
+    iff v*(beta*i - alpha*e) + (alpha - beta)*u*m = 0 (mod m*v), iff v
+    divides (alpha - beta)*u*m into a line numerator t of the chord, as n
+    is: beta*i - alpha*e + t = 0 (mod m).  A turn by 1/|alpha - beta| is a
+    symmetry of the dance, so 0 <= |alpha - beta|*u < v pins each
+    rotation.  Diagonal aliases (alpha = beta) have no rotation; their
+    cosets' radii are checked instead, on the diagonal rows of the same
+    batch, against the center distances of the chords, all from one table
+    of the cosines and sines of the m sample angles.
     """
     failures = []
     graphs = []
@@ -324,42 +346,40 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
                      dtype=np.int64).reshape(-1, 3)
     d = np.array([len(dec.numerators) for dec in graphs], dtype=np.int64)
     n = np.array([x for dec in graphs for x in dec.numerators], dtype=np.int64)
-    # the rotation u/v of each coset; a diagonal alias, which has no
-    # rotation, gets 0/1 and is left out of the rotation checks
+    # the rotation u/v of each coset, 0/1 for a diagonal alias, which has
+    # none, and its line numerator t, or -1, no line's, where v does not divide
     turns = [dec.rotation(k) for dec in graphs for k in range(len(dec.numerators))]
-    u, v = np.array([(0, 1) if t is None else (t.numerator, t.denominator) for t in turns],
+    u, v = np.array([(0, 1) if r is None else (r.numerator, r.denominator) for r in turns],
                     dtype=np.int64).reshape(-1, 2).T
     first = np.cumsum(d) - d
     _, alpha, beta = graph.T
     rotated = alpha != beta
-
-    def name(j):
-        return f"(m,a)=({m},{graph[j, 0]})"
-
+    span = np.repeat(alpha - beta, d)
+    t, rest = np.divmod(span * u * m, v)
+    t = np.where(rest == 0, t % m, -1)
+    names = [f"(m,a)=({m},{a})" for a in graph[:, 0].tolist()]
     for j in np.flatnonzero(np.gcd(alpha, beta) != 1).tolist():
-        failures.append((name(j), "a reduced direction", f"<{alpha[j]},{beta[j]}>"))
+        failures.append((names[j], "a reduced direction", f"<{alpha[j]},{beta[j]}>"))
     outside = np.logical_or.reduceat((n < 0) | (n >= m), first)
     for j in np.flatnonzero(outside).tolist():
-        failures.append((name(j), "offsets in [0, 1/alpha)", "offset out of range"))
+        failures.append((names[j], "offsets in [0, 1/alpha)", "offset out of range"))
     i = np.arange(len(n)) - np.repeat(first, d)
     nonstandard = int(np.logical_or.reduceat(n * np.repeat(d, d) != i * m, first).sum())
-    turned = np.repeat(np.abs(alpha - beta), d) * u  # |alpha - beta|*u of each coset
-    outside = np.logical_or.reduceat((turned < 0) | (turned >= v), first) & rotated
+    outside = np.logical_or.reduceat(np.abs(span) * u // v != 0, first)  # not in [0, v)
     for j in np.flatnonzero(outside).tolist():
-        failures.append((name(j), "rotations in [0, 1/|alpha-beta|)",
+        failures.append((names[j], "rotations in [0, 1/|alpha-beta|)",
                          "rotation out of range"))
     # chord i of graph j, a row per graph and a column per chord
     k = np.arange(m, dtype=np.int64)
     chord_row = first[:, None] + k % d[:, None]
-    n, u, v = (np.take(x, chord_row) for x in (n, u, v))
     a, alpha, beta = graph.T[:, :, None]
     e = a * k % m
-    cross = beta * k - alpha * e
-    for j in np.flatnonzero(((cross + n) % m).any(axis=1)).tolist():
-        failures.append((name(j), "all cosets on their lines", "membership fails"))
-    cover = ((v * cross + (alpha - beta) * u * m) % (m * v)).any(axis=1) & rotated
+    numerator = (alpha * e - beta * k) % m  # of the line through the chord
+    for j in np.flatnonzero((numerator != (n % m)[chord_row]).any(axis=1)).tolist():
+        failures.append((names[j], "all cosets on their lines", "membership fails"))
+    cover = (numerator != t[chord_row]).any(axis=1) & rotated
     for j in np.flatnonzero(cover).tolist():
-        failures.append((name(j), "rotated dances on their cosets", "rotation fails"))
+        failures.append((names[j], "rotated dances on their cosets", "rotation fails"))
     # the diagonal rows: chord i from angle 2*pi*i/m to 2*pi*e/m, a dot
     # where e = i, at a center distance of its coset's radius
     diagonal = np.flatnonzero(~rotated)
@@ -370,12 +390,12 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
     dist = np.broadcast_to(np.hypot(cos, sin), e.shape).copy()
     line = e != k
     dist[line] = np.abs(cos * by - sin * bx)[line] / np.hypot(bx - cos, by - sin)[line]
-    radius = np.array([0.0 if rotates else offset_family_radius(dec.offset(c))
-                       for dec, rotates in zip(graphs, rotated.tolist())
-                       for c in range(len(dec.numerators))])
-    expected = np.take(radius, chord_row[diagonal])
+    radius = np.zeros(len(n))
+    radius[np.repeat(~rotated, d)] = [offset_family_radius(graphs[j].offset(c))
+                                      for j in diagonal.tolist() for c in range(d[j])]
+    expected = radius[chord_row[diagonal]]
     for j, i in np.argwhere(np.abs(dist - expected) > 1e-12).tolist():
-        failures.append((f"{name(diagonal[j])} chord {i}",
+        failures.append((f"{names[diagonal[j]]} chord {i}",
                          f"radius {float(expected[j, i])!r}",
                          f"distance {float(dist[j, i])!r}"))
     return failures, nonstandard, len(diagonal)
@@ -497,16 +517,6 @@ def _suite_cusps(bound: int) -> VerificationReport:
         if degenerate != span:
             failures.append((f"<{alpha},{beta}>", str(span), str(degenerate)))
     return VerificationReport("cusp_count", cases, tuple(failures[:20]))
-
-
-#: The largest bounds `verify_all` accepts.  The max_m suites check
-#: max_m^2/2 graphs; at 600, overlay_partition took 13.0 s, about the
-#: whole command, while the other process ran the correspondence suite
-#: (5.2 s), shortest_vector (2.7 s) and the rest.  The bound suites, which
-#: grow about as bound^4, took 1.5 s at 12 (2-core Xeon, Python 3.11,
-#: medians of 5 runs).
-_MAX_M = 600
-_MAX_BOUND = 12
 
 
 def _take(suites: list[tuple], queue) -> list[tuple[VerificationReport, float]]:

@@ -21,6 +21,9 @@ No handler that catches everything (bare, `Exception` or
 `BaseException`) swallows what it caught: its body raises or reads the
 exception it binds, so a fault reaches a caller or a report.
 
+No line of a package module or test file is longer than `MAX_LINE`
+characters.
+
 Paths that build no arrays (`--help`, `analyze`, `import stitchlab`) must
 not load numpy, whose import would dominate their start-up time, nor
 `dataclasses`, which brings `inspect` and `ast` with it.  Every value
@@ -367,6 +370,26 @@ def test_guard_flags_swallowed_exceptions():
 @pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
 def test_no_swallowed_exceptions(path):
     assert swallowed_exceptions(path.read_text(encoding="utf-8")) == []
+
+
+#: The longest line a package module or test file may hold.
+MAX_LINE = 99
+
+
+def long_lines(source: str) -> list[int]:
+    """The numbers, from 1, of the lines longer than `MAX_LINE` characters."""
+    return [number for number, line in enumerate(source.splitlines(), 1)
+            if len(line) > MAX_LINE]
+
+
+def test_guard_flags_long_lines():
+    source = "x = 1\n" + "y" * (MAX_LINE + 1) + "\n" + "z" * MAX_LINE + "\n"
+    assert long_lines(source) == [2]
+
+
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
+def test_no_long_lines(path):
+    assert long_lines(path.read_text(encoding="utf-8")) == []
 
 
 # Each probe runs in a fresh interpreter and prints, as its last line,

@@ -272,14 +272,19 @@ def _turn_last_coset(monkeypatch, m, a, turn):
 
 
 def _rotation_faults(m, a):
-    """The two turns of the last coset of MMT(m, a), with what each must
-    fail: 1/(2*d*|alpha - beta|) moves the dance off its chords, and
-    1/|alpha - beta|, a symmetry of the dance, only out of range."""
+    """The three turns of the last coset of MMT(m, a), with what each must
+    fail: 1/(2*d*|alpha - beta|) moves the dance off its chords; so does
+    1/(2*m*|alpha - beta|), half a line step, after which v no longer
+    divides (alpha - beta)*u*m, although the floored quotient is still the
+    coset's own n when alpha > beta; and 1/|alpha - beta|, a symmetry of
+    the dance, is only out of range."""
     analysis = natural_alias(m, a)
     span = abs(analysis.reduced_dance.alpha - analysis.reduced_dance.beta)
     name = f"(m,a)=({m},{a})"
     return [
         (Fraction(1, 2 * analysis.coset_count * span),
+         (name, "rotated dances on their cosets", "rotation fails")),
+        (Fraction(1, 2 * m * span),
          (name, "rotated dances on their cosets", "rotation fails")),
         (Fraction(1, span),
          (name, "rotations in [0, 1/|alpha-beta|)", "rotation out of range")),
@@ -380,7 +385,7 @@ def test_diagonal_radii_from_shared_table_are_bit_identical(monkeypatch):
 def test_rotation_failures_come_before_radius_failures(monkeypatch):
     # at m = 12 the graphs a = 1 and a = 7 alias <1,1>, and a = 5 <1,-1>
     decs = [overlay_decompose(12, a) for a in range(12)]
-    (turn, failure), _ = _rotation_faults(12, 5)
+    (turn, failure), *_ = _rotation_faults(12, 5)
     _turn_last_coset(monkeypatch, 12, 5, turn)
     _radii_off_by_one(monkeypatch)
     found = oracle._partition_failures(12, decs)[0]
@@ -423,6 +428,37 @@ def test_suite_envelope_checks_the_library_curve(monkeypatch):
 def test_brute_intersections_validation():
     with pytest.raises(ValueError):
         brute_intersections(PlanetDance(6, 4), PlanetDance(1, 0))
+
+
+def _no_array(*args, **kwargs):
+    raise AssertionError("an array was allocated")
+
+
+@pytest.mark.parametrize("m", [oracle._MAX_M + 1, 10**6, 0])
+def test_brute_shortest_vectors_rejects_a_modulus_past_the_cap(monkeypatch, m):
+    # refused before any array is built: at 10**6 the box takes 8 GiB
+    monkeypatch.setattr(np, "arange", _no_array)
+    with pytest.raises(ValueError):
+        brute_shortest_vectors(m)
+
+
+@pytest.mark.parametrize("speed", [oracle._MAX_BOUND + 1, 10**6])
+def test_brute_intersections_rejects_a_speed_past_the_cap(monkeypatch, speed):
+    # refused before any array is built: <1,10**6> against <10**6,1>
+    # spans a box of about 10**12 integer points
+    pairs = [(PlanetDance(1, speed), PlanetDance(speed, 1)),
+             (PlanetDance(1, 0), PlanetDance(1, -speed)),
+             (PlanetDance(speed, -1), PlanetDance(0, 1))]
+    monkeypatch.setattr(np, "arange", _no_array)
+    for d1, d2 in pairs:
+        with pytest.raises(ValueError):
+            brute_intersections(d1, d2)
+
+
+def test_reduced_dances_rejects_a_bound_past_the_cap():
+    with pytest.raises(ValueError):
+        reduced_dances(oracle._MAX_BOUND + 1)
+    assert len(reduced_dances(oracle._MAX_BOUND)) > 1
 
 
 def test_intersection_formula_small_range():
