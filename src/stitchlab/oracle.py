@@ -13,9 +13,9 @@ with it:
   :func:`brute_intersections`;
 - ``sampling_identities``: the shift and invertibility identities on keys
   (alpha*k mod m)*m + (beta*k mod m) that :func:`_sample_keys` builds as
-  one int32 batch per modulus; rows that differ term by term are compared
-  sorted, since a sampling visits each key of its image equally often,
-  and rows equal term by term need no more;
+  one int32 batch per modulus; a shifted dance is compared with its base
+  dance chord by chord, and invertibility rows are compared sorted, since
+  a sampling visits each key of its image equally often;
 - ``shortest_vector``: the vector and ``tie`` of ``natural_alias(m, a)``
   against :func:`brute_shortest_vectors`;
 - ``overlay_partition``: d cosets on d distinct lines, each chord on its
@@ -248,32 +248,27 @@ def _sample_keys(alphas: np.ndarray, betas: np.ndarray, m: int) -> np.ndarray:
 
 
 def _same_sets(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Whether each row of lhs holds the same keys as the row of rhs.
+    """Whether each row of lhs holds the same keys as the row of rhs, the
+    two broadcast against each other.
 
     A row is an m-sampling k -> (alpha*k mod m, beta*k mod m), a group
     homomorphism from Z_m, so it visits each key of its image m/|image|
     times: two rows hold the same set iff they are equal once sorted.
-    Rows equal term by term skip the sort.
     """
-    lhs, rhs = np.broadcast_arrays(lhs, rhs)
-    same = (lhs == rhs).all(axis=-1)
-    differ = ~same
-    if differ.any():
-        same[differ] = (np.sort(lhs[differ], axis=-1)
-                        == np.sort(rhs[differ], axis=-1)).all(axis=-1)
-    return same
+    return (np.sort(lhs, axis=-1) == np.sort(rhs, axis=-1)).all(axis=-1)
 
 
 def _shift_failures(betas: np.ndarray, m: int) -> list:
     """Failures of the shift identity at m: row alpha - 1 of ``betas``
     holds the speeds beta of <alpha, beta>, and each dance must sample
-    the same set as <alpha, beta + m>, then as <alpha, beta - m>."""
+    the same chords, k by k, as <alpha, beta + m>, then as
+    <alpha, beta - m>, since (beta +/- m)*k = beta*k (mod m)."""
     alphas = np.arange(1, len(betas) + 1, dtype=np.int32)[:, None]
     keys = _sample_keys(alphas, np.concatenate((betas, betas + m, betas - m), axis=1), m)
     base, *others = np.split(keys, 3, axis=1)
     return [(f"shift <{j + 1},{int(betas[j, i]) + shift}> m={m}", "equal", "differs")
             for shift, other in zip((m, -m), others)
-            for j, i in zip(*np.nonzero(~_same_sets(base, other)))]
+            for j, i in zip(*np.nonzero((base != other).any(axis=-1)))]
 
 
 def _invertibility_failures(m: int) -> list:

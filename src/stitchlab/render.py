@@ -227,26 +227,23 @@ def _polyline(xs, ys) -> bytes:
 def _clip_infinite(ax, ay, bx, by, x0, y0, x1, y1):
     """Clip the infinite lines through (a, b) to a rectangle, elementwise.
 
-    Returns the clipped endpoints of the lines that meet the box and the
-    mask of those lines.  Each line takes the float operations of a
-    scalar Liang-Barsky clip in the same order, with `max`/`min` keeping
-    the earlier operand on ties, so the endpoints match it bit for bit.
+    Both ends a != b of every line must lie inside the box, so by
+    convexity every line crosses it; returns the clipped endpoints.  Each
+    line takes the float operations of a scalar Liang-Barsky clip in the
+    same order, with `max`/`min` keeping the earlier operand on ties, so
+    the endpoints match it bit for bit.
     """
     dx, dy = bx - ax, by - ay
     tmin = np.full(len(dx), -math.inf)
     tmax = np.full(len(dx), math.inf)
-    hit = np.ones(len(dx), bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for delta, lo, hi, start in ((dx, x0, x1, ax), (dy, y0, y1, ay)):
             moving = delta != 0.0
-            hit &= moving | ((lo <= start) & (start <= hi))
             t0, t1 = (lo - start) / delta, (hi - start) / delta
             t0, t1 = np.where(t0 > t1, t1, t0), np.where(t0 > t1, t0, t1)
             tmin = np.where(moving & (t0 > tmin), t0, tmin)
             tmax = np.where(moving & (t1 < tmax), t1, tmax)
-    hit &= tmin < tmax
-    ax, ay, dx, dy, tmin, tmax = (v[hit] for v in (ax, ay, dx, dy, tmin, tmax))
-    return ax + tmin * dx, ay + tmin * dy, ax + tmax * dx, ay + tmax * dy, hit
+    return ax + tmin * dx, ay + tmin * dy, ax + tmax * dx, ay + tmax * dy
 
 
 def _to_canvas(x: np.ndarray, y: np.ndarray, ox: float, oy: float,
@@ -291,8 +288,9 @@ class _CircleScene:
                        points: bool = False) -> Iterator[bytes]:
         """With `points`, a dot at each position that a chord uses, in
         position order as the position table is filled; then lines for
-        regular chords and dots for degenerate ones, in row order.  An
-        extended line that misses the canvas is left out."""
+        regular chords and dots for degenerate ones, in row order.  Every
+        chord's ends lie on the circle, inside the canvas box, so an
+        extended line crosses the box and no chord is left out."""
         xs, ys = np.zeros(chords.den), np.empty(chords.den)
         if points:
             xs[chords.rows] = 1.0  # marks the used positions until filled
@@ -310,8 +308,7 @@ class _CircleScene:
             a, b = start[line], end[line]
             ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
             if extend:
-                ax, ay, bx, by, hit = _clip_infinite(ax, ay, bx, by, *self.box)
-                line = line[hit]
+                ax, ay, bx, by = _clip_infinite(ax, ay, bx, by, *self.box)
             yield _text(_place(
                 len(start),
                 (line, _lines(ax, ay, bx, by, CHORD_COLOR)),

@@ -478,20 +478,27 @@ def test_reduced_dances_contents():
     assert all(PlanetDance(a, b).reduced for a, b in dances)
 
 
-def _sampled_sets(alpha, betas, m):
-    """Row i: the m-sampling of <alpha, betas[i]> as a set in canonical
-    form, in int64; how the identities suite made its keys before they
-    were batched per modulus."""
+def _sampled_keys(alpha, betas, m):
+    """Row i: the m-sampling of <alpha, betas[i]>, chord k as the int64 key
+    (alpha*k mod m)*m + (betas[i]*k mod m); how the identities suite made
+    its keys before they were batched per modulus."""
     k = np.arange(m, dtype=np.int64)
-    keys = np.sort(alpha * k % m * m + betas[:, None] * k % m, axis=1)
+    return alpha * k % m * m + betas[:, None] * k % m
+
+
+def _as_sets(keys, m):
+    """Each row of keys below m*m as a set in canonical form: sorted, each
+    repeat replaced by m*m, sorted again."""
+    keys = np.sort(keys, axis=1)
     keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = m * m
     return np.sort(keys, axis=1)
 
 
-def _reference_identities(max_m, sampled_sets=_sampled_sets):
+def _reference_identities(max_m, sampled_keys=_sampled_keys):
     """`oracle._suite_identities` as one loop per (m, alpha), the reference
     for the batched suite: at each m the shift failures by sign (+m, then
-    -m), alpha and speed, then the invertibility failures by alpha and a.
+    -m), alpha and speed, rows compared chord by chord, then the
+    invertibility failures by alpha and a, rows compared as sets.
     Reads `oracle.gcd`, so a fault injected there reaches both."""
     failures = []
     cases = 0
@@ -501,7 +508,7 @@ def _reference_identities(max_m, sampled_sets=_sampled_sets):
         for alpha in range(1, 21):
             betas = alpha * speeds
             cases += len(speeds)
-            rows = sampled_sets(alpha, np.concatenate((betas, betas + m, betas - m)), m)
+            rows = sampled_keys(alpha, np.concatenate((betas, betas + m, betas - m)), m)
             base, *others = np.split(rows, 3)
             differs.append([np.flatnonzero((base != other).any(axis=1)) for other in others])
         for sign, shift in enumerate((m, -m)):
@@ -512,7 +519,8 @@ def _reference_identities(max_m, sampled_sets=_sampled_sets):
         for alpha in range(1, 13):
             a = np.arange(m, dtype=np.int64)
             cases += m
-            lhs, rhs = sampled_sets(1, a, m), sampled_sets(alpha, alpha * a, m)
+            lhs = _as_sets(sampled_keys(1, a, m), m)
+            rhs = _as_sets(sampled_keys(alpha, alpha * a, m), m)
             equal = (lhs == rhs).all(axis=1)
             invertible = oracle.gcd(alpha, m) == 1
             for i in np.flatnonzero(equal != invertible):
@@ -595,40 +603,61 @@ def test_suite_identities_matches_reference(monkeypatch, max_m):
     monkeypatch.undo()
     monkeypatch.setattr(oracle, "_sample_keys", _minus_rows_off_by_one(oracle._sample_keys))
     assert oracle._suite_identities(max_m) == _reference_identities(
-        max_m, _minus_rows_off_by_one(_sampled_sets))
+        max_m, _minus_rows_off_by_one(_sampled_keys))
 
 
-def test_same_sets_short_cut(monkeypatch):
+def test_same_sets_compares_sorted_rows():
     m = 7
-    sorts = []
-    real = np.sort
-
-    def counted(keys, axis=-1):
-        sorts.append(len(keys))
-        return real(keys, axis=axis)
-
-    monkeypatch.setattr(oracle.np, "sort", counted)
     # <3,5> at m=7 samples m distinct keys
     row = oracle._sample_keys(np.int32(3), np.array([5], dtype=np.int32), m)
     assert len(set(row[0].tolist())) == m
     assert oracle._same_sets(row, row.copy()).tolist() == [True]
-    assert sorts == []
     # the same set in another order compares equal, once sorted
     assert oracle._same_sets(row, row[:, ::-1]).tolist() == [True]
-    assert sorts == [1, 1]
     # one key changed compares unequal
     changed = row.copy()
     changed[0, 2] = min(set(range(m * m)) - set(row[0].tolist()))
     assert oracle._same_sets(row, changed).tolist() == [False]
     # the invertible pairs <1,a> and <alpha,alpha*a> differ term by term for
-    # alpha > 1 and are equal as sets
-    sorts.clear()
+    # alpha > 1 and are equal as sets; the (m, m) rows broadcast against
+    # the (m - 2, m, m) rows
     alphas = np.arange(2, m, dtype=np.int32)[:, None]
     a = np.arange(m, dtype=np.int32)
     lhs, rhs = oracle._sample_keys(np.int32(1), a, m), oracle._sample_keys(alphas, alphas * a, m)
     assert not (lhs == rhs).all(axis=-1).any()
-    assert oracle._same_sets(lhs, rhs).all()
-    assert sorts == [rhs.shape[0] * m] * 2
+    same = oracle._same_sets(lhs, rhs)
+    assert same.shape == (m - 2, m) and same.all()
+
+
+def _shifted_rows_rolled(keys):
+    """`keys` with the chords of every row of the beta + m and beta - m
+    thirds of a shift batch turned by one place: the same sets of keys,
+    in another order."""
+    def rolled(alphas, betas, m):
+        out = keys(alphas, betas, m)
+        third = betas.shape[-1] // 3
+        out[:, third:] = np.roll(out[:, third:], 1, axis=-1)
+        return out
+    return rolled
+
+
+def test_shift_rows_compare_chord_by_chord(monkeypatch):
+    m = 7
+    speeds = np.arange(-oracle._SPEED, oracle._SPEED + 1, dtype=np.int32)
+    betas = np.arange(1, oracle._SHIFT_ALPHAS + 1, dtype=np.int32)[:, None] * speeds
+    assert oracle._shift_failures(betas, m) == []
+    monkeypatch.setattr(oracle, "_sample_keys", _shifted_rows_rolled(oracle._sample_keys))
+    failures = oracle._shift_failures(betas, m)
+    # every shifted row holds its base row's keys, and every row that is
+    # not constant (alpha = 7, 14 sample the one key 0) is reported
+    alphas = np.arange(1, oracle._SHIFT_ALPHAS + 1, dtype=np.int32)[:, None]
+    keys = oracle._sample_keys(alphas, np.concatenate((betas, betas + m, betas - m), axis=1), m)
+    base, *others = np.split(keys, 3, axis=1)
+    assert all(oracle._same_sets(base, other).all() for other in others)
+    expected = [(f"shift <{alpha},{alpha * speed + shift}> m={m}", "equal", "differs")
+                for shift in (m, -m) for alpha in range(1, oracle._SHIFT_ALPHAS + 1)
+                if alpha % m for speed in speeds.tolist()]
+    assert failures == expected
 
 
 def test_identities_keys_fit_int32():

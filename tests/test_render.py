@@ -123,20 +123,33 @@ def _clip_scalar(ax, ay, bx, by, x0, y0, x1, y1):
 
 
 def test_clip_infinite_matches_scalar_clip():
+    # the chords that scenes extend, at each canvas and in the gallery's
+    # right half
+    for scene in (_CircleScene(81), _CircleScene(160), _CircleScene(800),
+                  _CircleScene(400, ox=400.0)):
+        for m, a in ((2, 0), (7, 3), (100, 34), (1009, 500), (10007, 4321)):
+            xs, ys = scene.at_turns(np.arange(m), m)
+            start, end = mmt_chords(StitchGraph(m, a)).rows.T
+            start, end = start[start != end], end[start != end]
+            ends = np.column_stack((xs[start], ys[start], xs[end], ys[end]))
+            expected = [_clip_scalar(*row, *scene.box) for row in ends.tolist()]
+            assert None not in expected  # every chord's line crosses its box
+            clipped = _clip_infinite(*ends.T, *scene.box)
+            assert np.column_stack(clipped).tobytes() == np.array(expected).tobytes()
+    # ends inside the box on vertical and horizontal lines, at integer
+    # points and at the box's corners
     box = (10.0, 0.0, 170.0, 160)
     rng = np.random.default_rng(7)
-    ends = rng.uniform(-50.0, 250.0, (2000, 4))
-    ends[:100, 2] = ends[:100, 0]  # vertical, some outside the box
+    ends = rng.uniform((10.0, 0.0, 10.0, 0.0), (170.0, 160.0, 170.0, 160.0), (2000, 4))
+    ends[:100, 2] = ends[:100, 0]  # vertical
     ends[100:200, 3] = ends[100:200, 1]  # horizontal
     ends[200:300] = np.round(ends[200:300])  # integer corners and edges
     ends[300, :] = (10.0, 0.0, 170.0, 160.0)  # the diagonal
     ends = ends[(ends[:, 0] != ends[:, 2]) | (ends[:, 1] != ends[:, 3])]
-    *clipped, hit = _clip_infinite(*ends.T, *box)
     expected = [_clip_scalar(*row, *box) for row in ends.tolist()]
-    assert hit.tolist() == [e is not None for e in expected]
-    kept = np.array([e for e in expected if e is not None])
-    assert np.column_stack(clipped).tobytes() == kept.tobytes()  # bit for bit
-    assert 0 < hit.sum() < len(ends)
+    assert None not in expected
+    assert np.column_stack(_clip_infinite(*ends.T, *box)).tobytes() == (
+        np.array(expected).tobytes())  # bit for bit
 
 
 def _unroll_segments(alpha, beta, c):
