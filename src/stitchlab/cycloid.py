@@ -100,9 +100,7 @@ def cycloid_point(spec: CycloidSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndar
     (in turns): the scalar formula's float operations, in the same order,
     with `math.cos` and `math.sin` for the trigonometry (`kernel.cos_sin`)."""
     alpha, beta = spec.alpha, spec.beta
-    if alpha == 0 and beta == 0:
-        raise DegenerateCurveError("the point curve has no parametrization")
-    if alpha + beta == 0:
+    if alpha + beta == 0:  # the point <0,0> included
         raise DegenerateCurveError(
             "alpha + beta = 0: the parametric equations degenerate"
         )

@@ -32,7 +32,8 @@ with it:
 - ``cusp_count``: |alpha - beta| against the degenerate rows of
   ``sample_pairs``.
 
-Only ``overlay_partition`` decomposes the graphs MMT(m, a), once each.
+``overlay_partition`` decomposes every graph MMT(m, a) up to max_m, once
+each, and ``family_predictions`` the graphs of its 72 cells.
 :func:`verify_all` hands one list of the suites, longest first, to
 :func:`_run_suites`: where ``os.fork`` exists, the calling process and a
 forked child each take the next suite that neither has started.  Each
@@ -190,9 +191,7 @@ def _suite_aliasing(bound: int) -> VerificationReport:
     cases = 0
     for i, (a1, b1) in enumerate(dances):
         for a2, b2 in dances[i + 1:]:
-            m = abs(a1 * b2 - b1 * a2)
-            if m < 1:
-                continue
+            m = abs(a1 * b2 - b1 * a2)  # >= 1: no two reduced dances are parallel
             cases += 1
             s1 = sample_pairs(a1, b1, m)
             s2 = sample_pairs(a2, b2, m)

@@ -195,19 +195,6 @@ def _text(rows: np.ndarray) -> bytes:
     return rows.tobytes().replace(b"\0", b"")
 
 
-def _place(n: int, *placed: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The rows of n elements from (positions, rows) pairs; an element
-    that no pair places stays empty."""
-    placed = [(at, rows) for at, rows in placed if len(at)]
-    if len(placed) == 1 and len(placed[0][0]) == n:  # one kind, all present
-        return placed[0][1]
-    out = np.zeros((n, max((rows.shape[1] for _, rows in placed), default=0)),
-                   np.uint8)
-    for at, rows in placed:
-        out[at, :rows.shape[1]] = rows
-    return out
-
-
 def _lines(x1, y1, x2, y2, color: str) -> np.ndarray:
     return _rows(b'<line x1="', x1, b'" y1="', y1, b'" x2="', x2, b'" y2="', y2,
                  _element(f'" stroke="{color}" stroke-width="{fmt(STROKE_WIDTH)}"/>'))
@@ -290,7 +277,9 @@ class _CircleScene:
         position order as the position table is filled; then lines for
         regular chords and dots for degenerate ones, in row order.  Every
         chord's ends lie on the circle, inside the canvas box, so an
-        extended line crosses the box and no chord is left out."""
+        extended line crosses the box and no chord is left out.  A block
+        formats only the kinds it holds; only a block of both merges their
+        rows, in row order, into one NUL-padded array."""
         xs, ys = np.zeros(chords.den), np.empty(chords.den)
         if points:
             xs[chords.rows] = 1.0  # marks the used positions until filled
@@ -305,15 +294,24 @@ class _CircleScene:
             start, end = chords.rows[lo:lo + _CHUNK_ROWS].T
             line = np.flatnonzero(start != end)
             dot = np.flatnonzero(start == end)
-            a, b = start[line], end[line]
-            ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
-            if extend:
-                ax, ay, bx, by = _clip_infinite(ax, ay, bx, by, *self.box)
-            yield _text(_place(
-                len(start),
-                (line, _lines(ax, ay, bx, by, CHORD_COLOR)),
-                (dot, _dots(xs[start[dot]], ys[start[dot]], POINT_RADIUS)),
-            ))
+            kinds = []  # (positions, rows) of each kind the block holds
+            if len(line):
+                a, b = start[line], end[line]
+                ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
+                if extend:
+                    ax, ay, bx, by = _clip_infinite(ax, ay, bx, by, *self.box)
+                kinds.append((line, _lines(ax, ay, bx, by, CHORD_COLOR)))
+            if len(dot):
+                kinds.append((dot, _dots(xs[start[dot]], ys[start[dot]], POINT_RADIUS)))
+            if len(kinds) == 1:
+                yield _text(kinds[0][1])
+                continue
+            rows = np.zeros((len(start), max(r.shape[1] for _, r in kinds)), np.uint8)
+            for at, r in kinds:
+                rows[at, :r.shape[1]] = r
+            del kinds, r  # hold only these rows, and not into the next block
+            yield _text(rows)
+            del rows
 
 
 class _TorusScene:

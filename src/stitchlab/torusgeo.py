@@ -50,8 +50,10 @@ def intersection_count(d1: PlanetDance, d2: PlanetDance) -> int:
     return abs(d1.alpha * d2.beta - d1.beta * d2.alpha)
 
 
-def _pick(minima: list[Vec]) -> Vec:
-    """Tie-break among minimal vectors: prefer p*q > 0, then smaller |q|."""
+def _pick(minima: set[Vec]) -> Vec:
+    """Tie-break among canonical minimal vectors: prefer p*q > 0, then
+    smaller |q|.  Two minima of equal |q| are (p, q) and (p, -q), p > 0,
+    and p*q > 0 keeps one of them, so the pick is the same in any order."""
     pool = [v for v in minima if v[0] * v[1] > 0] or minima
     return min(pool, key=lambda v: abs(v[1]))
 
@@ -63,8 +65,8 @@ def natural_alias(m: int, a: int) -> AliasAnalysis:
     a shortest vector of the lattice {(p, q): q = a*p mod m}, and every
     shortest vector is, up to sign, one of b1 = (p1, q1), b2 = (p2, q2),
     b1 + b2 and b1 - b2.  Those of b1's norm, in canonical orientation
-    (p > 0, or p = 0 < q), are the minima that :func:`_pick` chooses
-    among; a second one is a tie.
+    (p > 0, or p = 0 < q), are the set of minima that :func:`_pick`
+    chooses among, in no order; a second one is a tie.
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {brief_int(m)}")
@@ -82,10 +84,9 @@ def natural_alias(m: int, a: int) -> AliasAnalysis:
         if n2 >= n1:
             break
         p1, q1, n1, p2, q2 = p2, q2, n2, p1, q1
-    minima = sorted({(p, q) if p > 0 or (p == 0 and q > 0) else (-p, -q)
-                     for p, q in ((p1, q1), (p2, q2), (p1 + p2, q1 + q2),
-                                  (p1 - p2, q1 - q2))
-                     if p * p + q * q == n1})
+    minima = {(p, q) if p > 0 or (p == 0 and q > 0) else (-p, -q)
+              for p, q in ((p1, q1), (p2, q2), (p1 + p2, q1 + q2), (p1 - p2, q1 - q2))
+              if p * p + q * q == n1}
     p, q = _pick(minima)
     g = gcd(p, q)
     # (p, q) is oriented and no longer than (0, m), so its reduced direction

@@ -121,6 +121,14 @@ def test_analyze_text_mode(capsys):
     assert "<3,2>" in out
 
 
+def test_analyze_text_names_an_envelope_kind_alone(capsys):
+    # the natural dance <1,-1> has no curve, cusps or radii to print
+    assert run(["analyze", "-m", "10", "-a", "9"]) == 0
+    out = capsys.readouterr().out
+    assert "  natural dance: <1,-1>\n" in out
+    assert out.endswith("\n  envelope: degenerate_diameter\n")
+
+
 def test_dance_command(tmp_path):
     out = tmp_path / "dance.svg"
     assert run(["dance", "-a", "3", "-b", "2", "-n", "100", "-o", str(out)]) == 0

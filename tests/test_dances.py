@@ -137,3 +137,17 @@ def test_sample_pairs_unit_alpha_matches_sorted_path():
     # the other dances keep the sorted path, repeats and all
     for alpha, beta, m in [(2, 3, 10), (3, 2, 100), (0, 1, 7), (-1, 4, 9), (7, 5, 60)]:
         assert np.array_equal(sample_pairs(alpha, beta, m), sorted_pairs(alpha, beta, m))
+
+
+def test_sample_pairs_matches_sorted_path_for_every_small_dance():
+    # every speed pair in [-m - 1, m + 1]^2: zero, negative and non-reduced
+    # speeds, and speeds congruent to 1 on both sides of the modulus
+    cases = 0
+    for m in range(1, 25):
+        for alpha in range(-m - 1, m + 2):
+            for beta in range(-m - 1, m + 2):
+                got = sample_pairs(alpha, beta, m)
+                assert np.array_equal(got, sorted_pairs(alpha, beta, m)), (alpha, beta, m)
+                assert got.dtype == np.int64 and got.flags.owndata and got.flags.writeable
+                cases += 1
+    assert cases == 23416

@@ -22,7 +22,8 @@ No handler that catches everything (bare, `Exception` or
 exception it binds, so a fault reaches a caller or a report.
 
 No line of a package module or test file is longer than `MAX_LINE`
-characters.
+characters, and every one of them parses as the oldest Python that
+pyproject.toml admits, `OLDEST_PYTHON`.
 
 Paths that build no arrays (`--help`, `analyze`, `import stitchlab`) must
 not load numpy, whose import would dominate their start-up time, nor
@@ -390,6 +391,35 @@ def test_guard_flags_long_lines():
 @pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
 def test_no_long_lines(path):
     assert long_lines(path.read_text(encoding="utf-8")) == []
+
+
+#: The oldest Python that pyproject.toml's `requires-python` admits.
+OLDEST_PYTHON = (3, 10)
+
+
+def newer_syntax(source: str) -> str | None:
+    """Why `source` does not parse as `OLDEST_PYTHON`, or None if it does."""
+    try:
+        ast.parse(source, feature_version=OLDEST_PYTHON)
+    except SyntaxError as exc:
+        return f"line {exc.lineno}: {exc.msg}"
+    return None
+
+
+def test_guard_flags_newer_syntax():
+    assert newer_syntax("match x:\n    case 1:\n        pass\n") is None
+    # `except*` came in 3.11
+    assert newer_syntax("try:\n    pass\nexcept* ValueError:\n    pass\n") is not None
+
+
+def test_oldest_python_matches_pyproject():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=%d.%d"' % OLDEST_PYTHON in text
+
+
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
+def test_parses_as_the_oldest_python(path):
+    assert newer_syntax(path.read_text(encoding="utf-8")) is None
 
 
 # Each probe runs in a fresh interpreter and prints, as its last line,

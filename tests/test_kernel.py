@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import stitchlab
+from stitchlab.dances import StitchGraph, mmt_chords
 from stitchlab.kernel import (
     MAX_INPUT,
     ChordSet,
@@ -55,6 +56,13 @@ def test_chord_set_canonical():
     assert halves == ChordSet([a])
     assert (halves.den, halves.rows.tolist()) == (2, [[0, 1]])
     assert list(halves) == [a]
+
+
+def test_chord_set_compares_only_with_chord_sets():
+    chords = mmt_chords(StitchGraph(10, 3))
+    assert chords.__eq__(5) is NotImplemented
+    assert not chords == 5 and chords != 5
+    assert repr(chords) == "ChordSet(10 chords)"
 
 
 def test_chord_set_immutable():

@@ -150,6 +150,67 @@ def test_suite_families_checks_rotation_step(monkeypatch):
                                   "rotations 0 1/6")
 
 
+def test_suite_families_reports_a_coset_count_and_a_dance_mismatch(monkeypatch):
+    # one cell's prediction off: first its coset count, then its dance swapped
+    real = oracle.predict_family
+
+    def off(field, wrong):
+        def predict(m, b, kind):
+            pred = real(m, b, kind)
+            if (m, b, kind) == (199, 3, "ceiling"):
+                return pred._replace(**{field: wrong(pred)})
+            return pred
+        return predict
+
+    monkeypatch.setattr(oracle, "predict_family", off("d", lambda pred: pred.d + 1))
+    report = oracle._suite_families()
+    assert report.cases_run == 72
+    assert report.failures == (("ceiling b=3 r=1 m=199", "d=2", "d=1"),)
+    monkeypatch.setattr(oracle, "predict_family", off(
+        "dance", lambda pred: PlanetDance(pred.dance.beta, pred.dance.alpha)))
+    assert oracle._suite_families().failures == (
+        ("ceiling b=3 r=1 m=199", "PlanetDance(alpha=2, beta=3)",
+         "PlanetDance(alpha=3, beta=2)"),)
+
+
+def test_suite_aliasing_reports_unequal_samplings(monkeypatch):
+    # <2,1>, the last reduced dance at bound 2, sampled one off: every pair
+    # with it fails, in the order of the other dance
+    real = oracle.sample_pairs
+    monkeypatch.setattr(oracle, "sample_pairs", lambda alpha, beta, m: real(
+        alpha, beta, m) + ((alpha, beta) == (2, 1)))
+    report = oracle._suite_aliasing(2)
+    assert report.cases_run == 28
+    assert report.failures == tuple(
+        (f"<{a},{b}> vs <2,1> at m={m}", "equal samplings", "differs")
+        for a, b, m in [(0, 1, 2), (1, -2, 5), (1, -1, 3), (1, 0, 1), (1, 1, 1),
+                        (1, 2, 3), (2, -1, 4)])
+
+
+def test_suite_aliasing_runs_every_pair(monkeypatch):
+    # reduced dances in canonical orientation are pairwise non-parallel, so
+    # every pair has a determinant m >= 1 and is a case
+    monkeypatch.setattr(oracle, "sample_pairs", lambda alpha, beta, m: np.zeros((m, 2)))
+    for bound in range(1, oracle._MAX_BOUND + 1):
+        alpha, beta = np.array(reduced_dances(bound)).T
+        det = np.multiply.outer(alpha, beta) - np.multiply.outer(beta, alpha)
+        n = len(alpha)
+        assert (det[np.triu_indices(n, 1)] != 0).all(), bound
+        assert oracle._suite_aliasing(bound).cases_run == n * (n - 1) // 2
+    assert len(reduced_dances(4)) == 24 and len(reduced_dances(12)) == 184
+
+
+def test_suite_intersections_reports_a_wrong_count(monkeypatch):
+    # a line counted as crossing itself once
+    real = oracle.intersection_count
+    monkeypatch.setattr(oracle, "intersection_count",
+                        lambda d1, d2: real(d1, d2) + (d1 == d2))
+    report = oracle._suite_intersections(1)
+    assert report.cases_run == 10
+    assert report.failures == tuple((f"<{a},{b}> vs <{a},{b}>", "1", "0")
+                                    for a, b in [(0, 1), (1, -1), (1, 0), (1, 1)])
+
+
 def test_brute_intersections_counts():
     assert brute_intersections(PlanetDance(1, 2), PlanetDance(3, 2)) == 4
     assert brute_intersections(PlanetDance(1, 0), PlanetDance(0, 1)) == 1
@@ -289,6 +350,24 @@ def _rotation_faults(m, a):
         (Fraction(1, span),
          (name, "rotations in [0, 1/|alpha-beta|)", "rotation out of range")),
     ]
+
+
+def test_suite_overlay_checks_the_coset_count_times_the_rate(monkeypatch):
+    # MMT(6,1)'s rate off by one: d*m' = 1*7 is not m, and the graph leaves
+    # the batch, so nothing else fails
+    real = oracle.overlay_decompose
+
+    def off(m, a):
+        dec = real(m, a)
+        if (m, a) != (6, 1):
+            return dec
+        return dec._replace(analysis=dec.analysis._replace(
+            reduced_rate=dec.analysis.reduced_rate + 1))
+
+    monkeypatch.setattr(oracle, "overlay_decompose", off)
+    report = oracle._suite_overlay(6)
+    assert report.cases_run == 21
+    assert report.failures == (("(m,a)=(6,1)", "d*m' = m", "1*7"),)
 
 
 def test_suite_overlay_checks_rotations(monkeypatch):

@@ -297,6 +297,29 @@ def test_stitch_element_counts():
     assert outline == 1  # the circle outline
 
 
+def test_blocks_format_only_the_kinds_they_hold(monkeypatch):
+    # chord k of MMT(m, a) is a dot iff (a - 1)*k = 0 (mod m): MMT(100000,
+    # 35911) has 10 dots, k = 0 (mod 10000), in 10 of its 25 blocks
+    made = []  # the kind and row count of each `_lines` and `_dots` call
+    for name in ("_lines", "_dots"):
+        def counted(x, *rest, name=name, real=getattr(render, name)):
+            made.append((name, len(x)))
+            return real(x, *rest)
+        monkeypatch.setattr(render, name, counted)
+    blocks = -(-100000 // render._CHUNK_ROWS)
+    doc = render_stitch(mmt_chords(StitchGraph(100000, 35911)), RenderStyle())
+    assert doc.data.count(b"<circle ") == 1 + 10
+    assert [n for name, n in made if name == "_dots"] == [1] * 10
+    lines = [n for name, n in made if name == "_lines"]
+    assert len(lines) == blocks and sum(lines) == 100000 - 10
+    # MMT(m, 1) has no regular chord, so no block makes line rows
+    made.clear()
+    doc = render_stitch(mmt_chords(StitchGraph(100000, 1)), RenderStyle(extend_lines=True))
+    assert doc.data.count(b"<circle ") == 1 + 100000
+    assert [n for name, n in made if name == "_lines"] == []
+    assert sum(n for _, n in made) == 100000 and len(made) == blocks
+
+
 def test_svg_structure():
     doc = render_stitch(mmt_chords(StitchGraph(12, 2)), RenderStyle())
     text = doc.data.decode("utf-8")

@@ -1,5 +1,6 @@
 """Tests for torus lines, aliasing, and the shortest-vector search."""
 
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -125,6 +126,23 @@ def test_natural_alias_matches_reference_chain():
             assert type(analysis.reduced_dance) is PlanetDance
     # a multiplier outside [0, m) is reduced first
     assert natural_alias(100, -66) == natural_alias(100, 34)
+
+
+def test_pick_is_the_same_in_any_order(monkeypatch):
+    # two canonical minima of equal |q| are (p, q) and (p, -q), and p*q > 0
+    # keeps one, so every order of a graph's minima gives its vector
+    seen = []
+    real = torusgeo._pick
+    monkeypatch.setattr(torusgeo, "_pick", lambda minima: seen.append(minima) or real(minima))
+    ties = 0
+    for m in range(1, 301):
+        for a in range(m):
+            seen.clear()
+            vector = natural_alias(m, a).shortest_vector
+            (minima,) = seen
+            assert {real(list(order)) for order in permutations(minima)} == {vector}, (m, a)
+            ties += len(minima) > 1
+    assert ties > 0
 
 
 def test_natural_alias_checks_input_size_once(monkeypatch):
