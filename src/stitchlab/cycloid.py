@@ -128,11 +128,13 @@ def offset_family_radius(c: Fraction) -> float:
 def verify_envelope(d: PlanetDance, n: int) -> EnvelopeReport:
     """Check tangency numerically over the n-sampled chord family.
 
-    For each non-degenerate chord at s = k/n, measures the distance from
-    the curve point, :func:`cycloid_point` at s, to the infinite chord
-    line and the cross product of unit chord and unit curve-tangent
-    directions, reporting the maxima.  Chord and tangent come from
-    numpy's cosine and sine of the sample angles, not from the curve.
+    For each non-degenerate chord from A to B at s = k/n, with P the curve
+    point :func:`cycloid_point` at s, reports the largest distance from P
+    to the chord line and the largest |dF/ds| / (|B - A| |B' - A'|) of
+    F = (P - A) x (B - A) at fixed P: both vanish where a line touches its
+    envelope.  A, B, A' and B' come from numpy's cos and sin, not from the
+    curve.  The library's curve passes for speeds below 10 up to n = 10^4;
+    <100,-99> at n = 10^6 does not.
     """
     alpha, beta = d.alpha, d.beta
     if alpha + beta == 0:
@@ -157,15 +159,11 @@ def verify_envelope(d: PlanetDance, n: int) -> EnvelopeReport:
     cx, cy = bx - ax, by - ay
     clen = np.hypot(cx, cy)
     line_dist = np.abs(cx * (py - ay) - cy * (px - ax)) / clen
-    # curve tangent vs chord direction
-    tx = -(alpha * beta * by + beta * alpha * ay)
-    ty = alpha * beta * bx + beta * alpha * ax
-    tlen = np.hypot(tx, ty)
-    moving = tlen > 1e-12  # a point curve is tangent to every line through it
-    defect = np.zeros_like(tlen)
-    defect[moving] = np.abs(
-        cx[moving] * ty[moving] - cy[moving] * tx[moving]
-    ) / (clen[moving] * tlen[moving])
+    # dF/ds = (P - A) x (B' - A') - A' x (B - A), A' = 2*pi*alpha*(-ay, ax)
+    dax, day = -TWO_PI * alpha * ay, TWO_PI * alpha * ax
+    ux, uy = -TWO_PI * beta * by - dax, TWO_PI * beta * bx - day
+    defect = np.abs((px - ax) * uy - (py - ay) * ux - (dax * cy - day * cx)) / (
+        clen * np.hypot(ux, uy))
     return EnvelopeReport(
         samples=int(keep.sum()),
         max_line_distance=float(line_dist.max()),

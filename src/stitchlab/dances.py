@@ -95,13 +95,13 @@ def sample_pairs(alpha: int, beta: int, m: int) -> np.ndarray:
 
     Returns the sorted unique pairs (alpha*k mod m, beta*k mod m),
     k = 0..m-1, as an (n, 2) int64 array of endpoint numerators over m.
-    Every chord set of the package is built here.  Sorting and removing
-    duplicates go through the 1-D keys x*m + y, which order like the
-    rows.  When alpha = 1 (mod m) the keys k*m + (beta*k mod m) already
-    are sorted and unique, so row k is built directly, as the sample k.
-    The arithmetic runs in place, so at most two m-long arrays of keys
-    or coordinates are alive at once besides the result.  m runs from 1
-    to ``MAX_INPUT``, so every key fits in int64.
+    Every chord set of the package is built here.  Sample k + count
+    repeats sample k, count = m / gcd(alpha, beta, m), so the samples
+    k < count are the distinct pairs; their keys x*m + y, which order like
+    the rows, are sorted.  When alpha = 1 (mod m), count = m and the keys
+    k*m + (beta*k mod m) already are sorted, so row k is built directly.
+    At most two count-long arrays of keys or coordinates are alive at once
+    besides the result.  m <= ``MAX_INPUT`` keeps every key in int64.
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {brief_int(m)}")
@@ -114,20 +114,17 @@ def sample_pairs(alpha: int, beta: int, m: int) -> np.ndarray:
         np.multiply(rows[:, 0], beta % m, out=rows[:, 1])
         rows[:, 1] %= m
         return rows
-    keys = np.arange(m, dtype=np.int64)
+    count = m // gcd(alpha, beta, m)  # the period of the samples
+    keys = np.arange(count, dtype=np.int64)
     keys *= alpha % m
     keys %= m
     keys *= m
-    y = np.arange(m, dtype=np.int64)
+    y = np.arange(count, dtype=np.int64)
     y *= beta % m
     y %= m
     keys += y
     del y
     keys.sort()
-    repeat = keys[1:] == keys[:-1]
-    if repeat.any():  # repeats dropped by hand: np.unique took 10-50x longer
-        keys = keys[np.concatenate(([True], ~repeat))]
-    del repeat
-    rows = np.empty((len(keys), 2), np.int64)
+    rows = np.empty((count, 2), np.int64)
     np.divmod(keys, m, out=(rows[:, 0], rows[:, 1]))
     return rows

@@ -125,6 +125,8 @@ class ChordSet:
         caller must not write to it afterwards.  Any other array, a view
         or slice included, is copied.
         """
+        if den < 1:
+            raise ValueError(f"denominator must be positive, got {brief_int(den)}")
         self = object.__new__(cls)
         self._store(den, rows)
         return self

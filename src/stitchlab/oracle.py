@@ -26,9 +26,9 @@ with it:
   [0, 1/|alpha - beta|), and diagonal radii against center distances;
 - ``family_predictions``: ``predict_family`` against ``overlay_decompose``;
 - ``envelope``: ``verify_envelope``, the library's curve
-  (``cycloid_point``) at each chord's own parameter on the chord and
-  parallel to it, the chords built from numpy's cosine and sine of the
-  sample angles;
+  (``cycloid_point``) at each chord's own parameter on the chord line
+  and where the moving line touches it, the chords and their derivatives
+  built from numpy's cosine and sine of the sample angles;
 - ``cusp_count``: |alpha - beta| against the degenerate rows of
   ``sample_pairs``.
 

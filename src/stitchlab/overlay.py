@@ -15,7 +15,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .dances import PlanetDance
-from .kernel import MAX_INPUT, check_input_size
+from .kernel import MAX_INPUT, brief_int, check_input_size
 from .torusgeo import AliasAnalysis, natural_alias
 
 
@@ -104,6 +104,8 @@ def predict_family(m: int, b: int, kind: str) -> FamilyPrediction:
 def nearest_congruent(target: int, r: int, b: int) -> int:
     """The modulus closest to target with remainder r mod b (ties go low),
     never above the input cap when target is within it."""
+    if b < 1:
+        raise ValueError(f"step must be positive, got {brief_int(b)}")
     below = target - (target - r) % b
     if below <= b:  # keep b < m so the family is defined
         below = r + b

@@ -61,12 +61,12 @@ def _pick(minima: set[Vec]) -> Vec:
 def natural_alias(m: int, a: int) -> AliasAnalysis:
     """The full answer for one stitch graph: alias dance, coset count, tie.
 
-    Lagrange-Gauss reduction of the basis (1, a), (0, m) leaves (p1, q1)
-    a shortest vector of the lattice {(p, q): q = a*p mod m}, and every
-    shortest vector is, up to sign, one of b1 = (p1, q1), b2 = (p2, q2),
-    b1 + b2 and b1 - b2.  Those of b1's norm, in canonical orientation
-    (p > 0, or p = 0 < q), are the set of minima that :func:`_pick`
-    chooses among, in no order; a second one is a tie.
+    Lagrange-Gauss reduction of the basis (1, a), (0, m), with any nearest
+    integer as quotient, leaves a reduced basis b1 = (p1, q1), b2 = (p2, q2)
+    of the lattice {(p, q): q = a*p mod m}, so every shortest vector is, up
+    to sign, one of b1, b2, b1 + b2 and b1 - b2.  Those of b1's norm, in
+    canonical orientation (p > 0, or p = 0 < q), are the set of minima that
+    :func:`_pick` chooses among, in no order; a second one is a tie.
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {brief_int(m)}")
@@ -77,8 +77,7 @@ def natural_alias(m: int, a: int) -> AliasAnalysis:
     p2, q2 = 0, m
     while True:
         dot = p1 * p2 + q1 * q2
-        # nearest-integer quotient, half away from zero
-        mu = (2 * dot + n1) // (2 * n1) if dot >= 0 else -((2 * -dot + n1) // (2 * n1))
+        mu = (2 * dot + n1) // (2 * n1)  # a nearest integer to dot / n1
         p2, q2 = p2 - mu * p1, q2 - mu * q1
         n2 = p2 * p2 + q2 * q2
         if n2 >= n1:

@@ -15,6 +15,7 @@ from stitchlab.cycloid import (
 )
 from stitchlab.dances import PlanetDance
 from stitchlab.kernel import MAX_INPUT
+from stitchlab.oracle import reduced_dances
 
 
 def test_classify_cardioid():
@@ -103,6 +104,18 @@ def test_verify_envelope_passes():
     assert report.passed()
     assert report.samples == 719
     assert report.skipped_degenerate == 1
+
+
+def test_verify_envelope_defect_is_rounding_error_on_the_library_curve():
+    # every dance with speeds up to 12 at the suite's 720 samples, its
+    # diameter chords (A + B near zero) included
+    worst = 0.0
+    for alpha, beta in reduced_dances(12):
+        if alpha + beta != 0:
+            report = verify_envelope(PlanetDance(alpha, beta), 720)
+            assert report.max_parallelism_defect < 1e-12, (alpha, beta, report)
+            worst = max(worst, report.max_line_distance)
+    assert worst < 1e-12
 
 
 def test_verify_envelope_skip_count():

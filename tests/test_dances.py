@@ -116,9 +116,8 @@ def test_sample_pairs_matches_sample():
 
 
 def sorted_pairs(alpha, beta, m):
-    """The sort-based path of `sample_pairs`, which every dance takes and
-    which alpha = 1 (mod m) skips: the keys x*m + y sorted, repeats
-    dropped, and split back into rows."""
+    """The reference rows of `sample_pairs`: the keys x*m + y of all m
+    samples, sorted with repeats dropped, and split back into rows."""
     k = np.arange(m, dtype=np.int64)
     keys = np.unique(k * (alpha % m) % m * m + k * (beta % m) % m)
     return np.stack(np.divmod(keys, m), axis=1)
@@ -134,9 +133,24 @@ def test_sample_pairs_unit_alpha_matches_sorted_path():
         assert np.array_equal(got, sorted_pairs(alpha, beta, m)), (alpha, beta, m)
         # owned and writeable, so that a chord set takes it without a copy
         assert got.dtype == np.int64 and got.flags.owndata and got.flags.writeable
-    # the other dances keep the sorted path, repeats and all
+    # the other dances keep the sorted path
     for alpha, beta, m in [(2, 3, 10), (3, 2, 100), (0, 1, 7), (-1, 4, 9), (7, 5, 60)]:
         assert np.array_equal(sample_pairs(alpha, beta, m), sorted_pairs(alpha, beta, m))
+
+
+@pytest.mark.parametrize("alpha, beta, count", [(0, 0, 1), (2, 4, 500000)])
+def test_sample_pairs_builds_only_the_distinct_samples(monkeypatch, alpha, beta, count):
+    # sample k + count repeats sample k, count = m / gcd(alpha, beta, m),
+    # and the samples k < count are distinct, so no array is m long
+    m = 10**6
+    lengths = []
+    real = np.arange
+    monkeypatch.setattr(np, "arange", lambda n, *args, **kwargs: (
+        lengths.append(n) or real(n, *args, **kwargs)))
+    got = sample_pairs(alpha, beta, m)
+    monkeypatch.undo()
+    assert lengths and max(lengths) <= count == len(got)
+    assert np.array_equal(got, sorted_pairs(alpha, beta, m))
 
 
 def test_sample_pairs_matches_sorted_path_for_every_small_dance():

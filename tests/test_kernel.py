@@ -88,6 +88,12 @@ def test_from_rows_takes_owned_arrays_and_copies_views():
     assert base.flags.writeable
 
 
+@pytest.mark.parametrize("den", [0, -4])
+def test_from_rows_refuses_a_denominator_below_one(den):
+    with pytest.raises(ValueError, match=f"denominator must be positive, got {den}"):
+        ChordSet.from_rows(den, np.array([[1, 2]], dtype=np.int64))
+
+
 def test_input_cap():
     check_input_size(MAX_INPUT, -MAX_INPUT)
     with pytest.raises(ValueError):

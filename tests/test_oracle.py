@@ -504,6 +504,43 @@ def test_suite_envelope_checks_the_library_curve(monkeypatch):
     assert report.failures[0][:2] == ("<1,-4>", "tangency within 1e-9")
 
 
+def _on_every_chord(weight):
+    """A wrong curve that lies on every chord: the point A + w*(B - A) of
+    the chord from A to B at each parameter, w = weight(alpha, beta)."""
+    def curve(spec, s):
+        w = weight(spec.alpha, spec.beta)
+        ax, ay = np.cos(2 * np.pi * spec.alpha * s), np.sin(2 * np.pi * spec.alpha * s)
+        bx, by = np.cos(2 * np.pi * spec.beta * s), np.sin(2 * np.pi * spec.beta * s)
+        return ax + w * (bx - ax), ay + w * (by - ay)
+    return curve
+
+
+@pytest.mark.parametrize("weight, passing", [
+    (lambda alpha, beta: 0.0, []),  # the chord's start
+    # its end: the curve of <1,0> is that point
+    (lambda alpha, beta: 1.0, ["<1,0>"]),
+    (lambda alpha, beta: 0.5, []),  # its midpoint
+    # (alpha*A + beta*B)/(alpha + beta), the formula with alpha and beta exchanged
+    (lambda alpha, beta: beta / (alpha + beta), []),
+], ids=["start", "end", "midpoint", "exchanged"])
+def test_suite_envelope_fails_a_curve_that_only_lies_on_the_chords(
+        monkeypatch, weight, passing):
+    # each curve lies on its chords, so only the derivative of
+    # (P - A) x (B - A) at fixed P, zero only on the envelope, fails it
+    report = oracle._suite_envelope(6)
+    assert report.passed and report.cases_run == 45
+    monkeypatch.setattr(cycloid, "cycloid_point", _on_every_chord(weight))
+    # the suite's 45 cases, each checked, since its report keeps 20 failures
+    reports = {f"<{alpha},{beta}>": cycloid.verify_envelope(PlanetDance(alpha, beta), 720)
+               for alpha, beta in oracle.reduced_dances(6)
+               if alpha != 0 and alpha + beta != 0 and alpha != beta}
+    assert len(reports) == 45
+    assert [case for case, r in reports.items() if r.passed()] == passing
+    # the line distances are rounding error
+    assert max(r.max_line_distance for r in reports.values()) < 1e-12
+    assert len(oracle._suite_envelope(6).failures) == 20
+
+
 def test_brute_intersections_validation():
     with pytest.raises(ValueError):
         brute_intersections(PlanetDance(6, 4), PlanetDance(1, 0))

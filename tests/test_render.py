@@ -244,21 +244,38 @@ def test_torus_segments_at_the_int64_extremes():
         next(render._torus_segments(1, 1 << 30, 0))
 
 
-#: The traced bytes that drawing a stitch graph may hold on top of its
-#: rows and the two den-long arrays of canvas positions, whatever its size.
-WORKING_SET_BYTES = 3 * 2**20
+def _block_bytes():
+    """The bytes of one block of the widest element rows: lines whose four
+    coordinates are as wide as the default canvas."""
+    edge = np.full(1, float(RenderStyle().canvas_px))
+    return render._CHUNK_ROWS * render._lines(edge, edge, edge, edge, render.CHORD_COLOR).shape[1]
 
 
-@pytest.mark.parametrize("m", [1 << 15, 1 << 17])
-def test_stitch_working_set_is_bounded(m, tmp_path):
+#: The blocks of element rows that drawing a stitch graph may hold on top
+#: of its rows and the two den-long arrays of canvas positions, whatever
+#: its size: one block's rows, their bytes with and without NUL padding,
+#: and the previous block's text, bound while the next block is made;
+#: and one for a block's coordinates and formatting scratch.  Rows that
+#: outlive their block add one more.
+WORKING_SET_BLOCKS = 5
+
+
+@pytest.mark.parametrize("m, a, extend", [
+    pytest.param(m, a, extend, id=f"{m}-extend" if extend else f"{m}")
+    for extend in (False, True) for m, a in [(1 << 15, 377), (1 << 17, 377), (100000, 35911)]
+])
+def test_stitch_working_set_is_bounded(m, a, extend, tmp_path):
+    # every block of MMT(2^15, 377) and 10 of the 25 of MMT(100000, 35911)
+    # hold both lines and dots, so they merge their rows
     tracemalloc.start()
     try:
-        chords = mmt_chords(StitchGraph(m, 377))
-        render_stitch(chords, RenderStyle()).save(tmp_path / "s.svg")
+        chords = mmt_chords(StitchGraph(m, a))
+        render_stitch(chords, RenderStyle(extend_lines=extend)).save(tmp_path / "s.svg")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - chords.rows.nbytes - 2 * 8 * chords.den < WORKING_SET_BYTES
+    extra = peak - chords.rows.nbytes - 2 * 8 * chords.den
+    assert extra < WORKING_SET_BLOCKS * _block_bytes()
 
 
 def test_style_validation():
@@ -417,6 +434,12 @@ def test_nearest_congruent():
     assert nearest_congruent(10**6, 2, 3) == 999998
     assert nearest_congruent(10**6, 1, 4) == 999997
     assert nearest_congruent(10**6 - 1, 2, 3) == 999998
+
+
+@pytest.mark.parametrize("b", [0, -3])
+def test_nearest_congruent_refuses_a_step_below_one(b):
+    with pytest.raises(ValueError, match=f"step must be positive, got {b}"):
+        nearest_congruent(10, 1, b)
 
 
 def test_grid_shape():

@@ -89,14 +89,18 @@ def _orient(v):
 def _reference_alias(m, a):
     """The helper chain that `natural_alias` replaced: minimal vectors from
     a Lagrange-Gauss reduction, the tie-break, the gcd reduction of the
-    vector's dance and the rate, as (vector, dance, d, m', tie)."""
+    vector's dance and the rate, as (vector, dance, d, m', tie, half).
+    Its quotient rounds halves away from zero; `half` marks a reduction
+    that met a quotient -(j + 1/2), which `natural_alias` rounds up."""
     a %= m
     b1, b2 = (1, a), (0, m)
     if _norm2(b1) > _norm2(b2):
         b1, b2 = b2, b1
+    half = False
     while True:
         n1 = _norm2(b1)
         dot = b1[0] * b2[0] + b1[1] * b2[1]
+        half |= dot < 0 and 2 * dot % (2 * n1) == n1
         mu = (2 * dot + n1) // (2 * n1) if dot >= 0 else -((2 * -dot + n1) // (2 * n1))
         b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
         if _norm2(b2) >= _norm2(b1):
@@ -112,18 +116,25 @@ def _reference_alias(m, a):
     if g > 1:
         dance = PlanetDance(dance.alpha // g, dance.beta // g)
     rate = gcd(dance.alpha * a - dance.beta, m)
-    return (p, q), dance, m // rate, rate, len(minima) > 1
+    return (p, q), dance, m // rate, rate, len(minima) > 1, half
 
 
 def test_natural_alias_matches_reference_chain():
+    halves = []
     for m in range(1, 301):
         for a in range(m):
             analysis = natural_alias(m, a)
             found = (analysis.shortest_vector, analysis.reduced_dance,
                      analysis.coset_count, analysis.reduced_rate, analysis.tie)
-            assert found == _reference_alias(m, a), (m, a)
+            *reference, half = _reference_alias(m, a)
+            assert found == tuple(reference), (m, a)
+            if half:
+                halves.append((m, a))
             assert analysis.m == m and analysis.a == a
             assert type(analysis.reduced_dance) is PlanetDance
+    # the two roundings differ on these, and any nearest integer leaves a
+    # reduced basis, which holds every shortest vector
+    assert len(halves) == 524 and halves[0] == (4, 2)
     # a multiplier outside [0, m) is reduced first
     assert natural_alias(100, -66) == natural_alias(100, 34)
 
