@@ -81,13 +81,18 @@ class Sampling(_Sampling):
 
 
 def mmt_chords(g: StitchGraph) -> ChordSet:
-    """All m chords of the graph: index k runs from k/m to (a*k mod m)/m."""
-    return ChordSet.from_rows(g.m, sample_pairs(1, g.a, g.m))
+    """All m chords of the graph: index k runs from k/m to (a*k mod m)/m.
+    They are in lowest terms over m, since row k = 1 is (1, a mod m)."""
+    return ChordSet._from_rows(g.m, sample_pairs(1, g.a, g.m))
 
 
 def sample(s: Sampling) -> ChordSet:
-    """The canonical chord set of the dance at times k/rate, k = 0..rate-1."""
-    return ChordSet.from_rows(s.rate, sample_pairs(s.dance.alpha, s.dance.beta, s.rate))
+    """The canonical chord set of the dance at times k/rate, k = 0..rate-1,
+    in lowest terms: sampled from the triple divided by g = gcd(alpha, beta,
+    rate), whose row k = 1 shares no factor with rate/g (<0,0>: (0, 0)/1)."""
+    alpha, beta = s.dance
+    g = gcd(alpha, beta, s.rate)
+    return ChordSet._from_rows(s.rate // g, sample_pairs(alpha // g, beta // g, s.rate // g))
 
 
 def sample_pairs(alpha: int, beta: int, m: int) -> np.ndarray:

@@ -98,8 +98,9 @@ class ChordSet:
 
     Row ``(x, y)`` of the read-only int64 array ``rows`` is the chord from
     ``x/den`` to ``y/den``.  Rows are sorted in (start, end) order and
-    unique and ``den`` is minimal, so equal sets have equal fields.
-    Iteration yields :class:`DirectedChord` objects.
+    unique, and every set is built in lowest terms, so ``den`` is minimal
+    and equal sets have equal fields.  Iteration yields
+    :class:`DirectedChord` objects.
     """
 
     __slots__ = ("den", "rows")
@@ -107,6 +108,9 @@ class ChordSet:
     def __init__(self, chords: Iterable[DirectedChord]):
         import numpy as np
 
+        # lowest terms: a prime p dividing den divides some turn's reduced
+        # denominator q to its full power in den, so p divides neither that
+        # turn's numerator nor den/q, nor their product, its numerator over den
         turns = [t for c in chords for t in (c.start.turn, c.end.turn)]
         den = math.lcm(*(t.denominator for t in turns))
         check_input_size(den)  # keeps the int64 numerators exact
@@ -115,34 +119,18 @@ class ChordSet:
         self._store(den, np.array(rows, dtype=np.int64).reshape(-1, 2))
 
     @classmethod
-    def from_rows(cls, den: int, rows: np.ndarray) -> ChordSet:
-        """The chords ``rows / den``; the rows must be sorted, unique and in
-        ``[0, den)``, as :func:`stitchlab.dances.sample_pairs` returns them.
-
-        The set takes ownership of ``rows`` when it is a writeable,
-        C-contiguous int64 array that owns its data: it is kept (divided
-        in place when the gcd is above 1) and made read-only, so the
-        caller must not write to it afterwards.  Any other array, a view
-        or slice included, is copied.
-        """
-        if den < 1:
-            raise ValueError(f"denominator must be positive, got {brief_int(den)}")
+    def _from_rows(cls, den: int, rows: np.ndarray) -> ChordSet:
+        """The chords ``rows / den``, from an owned int64 array of sorted,
+        unique rows in ``[0, den)`` and in lowest terms with ``den``, as
+        :mod:`stitchlab.dances` builds it.  The set keeps the array and
+        makes it read-only, so the caller must not write to it."""
         self = object.__new__(cls)
         self._store(den, rows)
         return self
 
     def _store(self, den: int, rows: np.ndarray) -> None:
-        import numpy as np
-
-        flags = rows.flags
-        if not (flags.owndata and flags.writeable and flags.c_contiguous
-                and rows.dtype == np.int64):
-            rows = np.array(rows, dtype=np.int64)  # never shares a view
-        g = math.gcd(den, int(np.gcd.reduce(rows, axis=None)))
-        if g > 1:
-            rows //= g
         rows.flags.writeable = False
-        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name: str, value: object) -> None:

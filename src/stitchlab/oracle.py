@@ -478,7 +478,7 @@ def _suite_families() -> VerificationReport:
 def _suite_envelope(bound: int) -> VerificationReport:
     failures = []
     cases = 0
-    for alpha, beta in reduced_dances(min(bound, 6)):
+    for alpha, beta in reduced_dances(bound):
         if alpha == 0 or alpha + beta == 0 or alpha == beta:
             continue
         cases += 1
@@ -501,7 +501,7 @@ def _suite_cusps(bound: int) -> VerificationReport:
     """
     failures = []
     cases = 0
-    for alpha, beta in reduced_dances(min(bound, 6)):
+    for alpha, beta in reduced_dances(bound):
         if alpha == 0 or alpha == beta:
             continue
         cases += 1

@@ -19,8 +19,9 @@ The `verify --max-m 100 --bound 6` pin, where the suites cost other
 shares of the time than at the defaults, was recorded while the suites
 still ran in two fixed groups, one per process.  The `verify --max-m 300
 --bound 8` pin, where `overlay_partition` bounds the wall time, was
-recorded while `sampling_identities` still compared rows in a canonical
-set form and sorted its failures by alpha and speed before m.
+re-recorded when `envelope` and `cusp_count` stopped capping the dance
+bound at 6: they now run the 85 and 86 dances of bound 8 instead of the
+45 and 46 of bound 6, and every other suite's entry kept its bytes.
 The `gallery --only 207,34 --only 9,6 --extend` digest was recorded
 while every coset still carried its own `TorusLine`; (207, 34) aliases
 <2,-1> with three nonzero offsets and (9, 6) has permuted offsets, so
@@ -77,7 +78,7 @@ PINS = {
     "verify --max-m 100 --bound 6":
         "23b1c23ac814e1557dd84567c3bb001d47333c0c88e5e5cd29213ac63471a423",
     "verify --max-m 300 --bound 8":
-        "9510dbd0ee930f85e40945d3133a9372bbde8afb463bf218d55a0b24461716ea",
+        "a75c5ea65bef4cdb8de997b4ab750a2e5c672edabbd4c6310a48eca8bccbab87",
 }
 
 

@@ -16,7 +16,6 @@ from test_byte_pins import CANVAS, PINS
 
 from stitchlab import cli, oracle
 from stitchlab.dances import StitchGraph, mmt_chords
-from stitchlab.kernel import ChordSet
 from stitchlab.oracle import VerificationReport
 from stitchlab.overlay import overlay_decompose
 
@@ -92,11 +91,10 @@ def test_analyze_diagonal_alias(m, a, radii, capsys):
     rows = mmt_chords(StitchGraph(m, a)).rows
     cosets = range(len(overlay_decompose(m, a).numerators))
     for k, radius in zip(cosets, radii, strict=True):
-        for chord in ChordSet.from_rows(m, rows[k::d]):
-            (ax, ay), (bx, by) = [(math.cos(2 * math.pi * p.turn),
-                                   math.sin(2 * math.pi * p.turn))
-                                  for p in (chord.start, chord.end)]
-            if chord.degenerate:
+        for x, y in rows[k::d].tolist():
+            (ax, ay), (bx, by) = [(math.cos(2 * math.pi * turn), math.sin(2 * math.pi * turn))
+                                  for turn in (x / m, y / m)]
+            if x == y:
                 dist = math.hypot(ax, ay)
             else:
                 dist = abs(ax * by - ay * bx) / math.hypot(bx - ax, by - ay)

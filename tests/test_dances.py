@@ -1,5 +1,7 @@
 """Tests for stitch graphs, planet dances, and samplings."""
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -165,3 +167,55 @@ def test_sample_pairs_matches_sorted_path_for_every_small_dance():
                 assert got.dtype == np.int64 and got.flags.owndata and got.flags.writeable
                 cases += 1
     assert cases == 23416
+
+
+def lowest_terms(den, rows):
+    """(den, rows) with their common factor divided out: the reference
+    of a chord set's fields."""
+    g = math.gcd(den, *rows.ravel().tolist())
+    return den // g, rows // g
+
+
+def assert_in_lowest_terms(chords):
+    assert math.gcd(chords.den, *chords.rows.ravel().tolist()) == 1
+
+
+def test_sample_is_built_in_lowest_terms():
+    # sample divides gcd(alpha, beta, n) out of the triple before it samples;
+    # the reference samples at n and divides the rows' common factor out;
+    # alpha >= 0 meets every dance, as <-alpha, -beta> is <alpha, beta>
+    for n in range(1, 61):
+        for alpha in range(13):
+            for beta in range(-12, 13):
+                chords = sampled(alpha, beta, n)
+                den, rows = lowest_terms(n, sorted_pairs(alpha, beta, n))
+                assert chords.den == den and np.array_equal(chords.rows, rows), (alpha, beta, n)
+                assert_in_lowest_terms(chords)
+
+
+def test_mmt_chords_are_built_in_lowest_terms():
+    for m in range(1, 61):
+        for a in range(m):
+            chords = mmt_chords(StitchGraph(m, a))
+            assert chords.den == m and np.array_equal(chords.rows, sorted_pairs(1, a, m))
+            assert_in_lowest_terms(chords)
+
+
+def test_chord_set_of_chords_is_built_in_lowest_terms():
+    # random chords over a common denominator D, which their turns reduce
+    # below; the empty list, all-zero turns and one chord among them
+    rng = random.Random(20251)
+    lists = [(7, []), (12, [(0, 0)] * 3), (9, [(3, 6)]), (10, [(4, 4)]), (1, [(0, 0)])]
+    for _ in range(400):
+        den = rng.randint(1, 60)
+        scale = rng.choice([1, 2, 3, 6])
+        count = rng.choice([1, 2, 5, 20])
+        lists.append((den * scale, [(scale * rng.randrange(den), scale * rng.randrange(den))
+                                    for _ in range(count)]))
+    for den, pairs in lists:
+        chords = ChordSet(DirectedChord(wrap(Fraction(x, den)), wrap(Fraction(y, den)))
+                          for x, y in pairs)
+        rows = np.array(sorted(set(pairs)), dtype=np.int64).reshape(-1, 2)
+        want_den, want_rows = lowest_terms(den, rows)
+        assert chords.den == want_den and np.array_equal(chords.rows, want_rows), (den, pairs)
+        assert_in_lowest_terms(chords)

@@ -10,11 +10,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import stitchlab
-from stitchlab.dances import StitchGraph, mmt_chords
+from stitchlab import dances
+from stitchlab.dances import PlanetDance, Sampling, StitchGraph, mmt_chords, sample
 from stitchlab.kernel import (
     MAX_INPUT,
     ChordSet,
@@ -52,10 +52,11 @@ def test_chord_set_canonical():
     assert len(ChordSet([a, a, a])) == 1
     assert hash(ChordSet([a, b])) == hash(ChordSet([b, a]))
     # the common denominator is the smallest one: quarters reduce to halves
-    halves = ChordSet.from_rows(4, np.array([[0, 2]], dtype=np.int64))
-    assert halves == ChordSet([a])
-    assert (halves.den, halves.rows.tolist()) == (2, [[0, 1]])
-    assert list(halves) == [a]
+    halves = sample(Sampling(PlanetDance(0, 2), 4))
+    dot = DirectedChord(wrap(0), wrap(0))
+    assert halves == ChordSet([a, dot])
+    assert (halves.den, halves.rows.tolist()) == (2, [[0, 0], [0, 1]])
+    assert list(halves) == [dot, a]
 
 
 def test_chord_set_compares_only_with_chord_sets():
@@ -73,25 +74,18 @@ def test_chord_set_immutable():
         ChordSet([DirectedChord(wrap(0), wrap(Fraction(1, 3)))]).rows[0, 1] = 2
 
 
-def test_from_rows_takes_owned_arrays_and_copies_views():
-    # an owned int64 array is kept, divided in place, and frozen
-    owned = np.array([[0, 2], [2, 0]], dtype=np.int64)
-    halves = ChordSet.from_rows(4, owned)
-    assert halves.rows is owned and not owned.flags.writeable
-    assert (halves.den, owned.tolist()) == (2, [[0, 1], [1, 0]])
-    # a strided slice is copied, so the set cannot change under it
-    base = np.array([[0, 1], [0, 2], [1, 3], [2, 1]], dtype=np.int64)
-    evens = ChordSet.from_rows(4, base[::2])
-    assert not np.shares_memory(evens.rows, base) and evens.rows.flags.c_contiguous
-    base[0, 1] = 3
-    assert evens.rows.tolist() == [[0, 1], [1, 3]]
-    assert base.flags.writeable
-
-
-@pytest.mark.parametrize("den", [0, -4])
-def test_from_rows_refuses_a_denominator_below_one(den):
-    with pytest.raises(ValueError, match=f"denominator must be positive, got {den}"):
-        ChordSet.from_rows(den, np.array([[1, 2]], dtype=np.int64))
+def test_builders_keep_the_sample_pairs_array_and_freeze_it(monkeypatch):
+    # mmt_chords and sample hand the rows of sample_pairs to the set as made:
+    # no copy and no pass over them, and the caller cannot write to them
+    made = []
+    real = dances.sample_pairs
+    monkeypatch.setattr(dances, "sample_pairs",
+                        lambda *args: made.append(real(*args)) or made[-1])
+    sets = [mmt_chords(StitchGraph(10, 3)), sample(Sampling(PlanetDance(2, 4), 12)),
+            sample(Sampling(PlanetDance(3, -1), 7))]
+    assert len(made) == len(sets)
+    for chords, rows in zip(sets, made):
+        assert chords.rows is rows and rows.flags.owndata and not rows.flags.writeable
 
 
 def test_input_cap():

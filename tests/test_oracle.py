@@ -125,12 +125,12 @@ def test_suite_correspondence_checks_library_rows(monkeypatch):
 
 def test_suite_correspondence_spot_check_catches_lost_chord(monkeypatch):
     # every chord set of den 11 loses its last row, whichever path builds it
-    real = ChordSet.from_rows.__func__
+    real = ChordSet._from_rows.__func__
 
     def drop_last(cls, den, rows):
         return real(cls, den, rows[:-1] if den == 11 else rows)
 
-    monkeypatch.setattr(ChordSet, "from_rows", classmethod(drop_last))
+    monkeypatch.setattr(ChordSet, "_from_rows", classmethod(drop_last))
     report = oracle._suite_correspondence(12)
     assert report.cases_run == 78 + 78
     assert report.failures == tuple(
@@ -539,6 +539,18 @@ def test_suite_envelope_fails_a_curve_that_only_lies_on_the_chords(
     # the line distances are rounding error
     assert max(r.max_line_distance for r in reports.values()) < 1e-12
     assert len(oracle._suite_envelope(6).failures) == 20
+
+
+def test_dance_suites_run_every_dance_of_the_bound():
+    # each suite that takes the dance bound runs more dances at 8 than at 6;
+    # envelope and cusp_count once ran bound 6's at any larger bound
+    runs = {suite.__name__: (suite(6), suite(8))
+            for suite in (oracle._suite_aliasing, oracle._suite_intersections,
+                          oracle._suite_envelope, oracle._suite_cusps)}
+    for name, (six, eight) in runs.items():
+        assert six.passed and eight.passed and six.cases_run < eight.cases_run, name
+    assert [r.cases_run for r in runs["_suite_envelope"]] == [45, 85]
+    assert [r.cases_run for r in runs["_suite_cusps"]] == [46, 86]
 
 
 def test_brute_intersections_validation():
