@@ -6,7 +6,7 @@ coincide, making "tangent at the chord's own parameter" literal.
 
 :func:`cycloid_point` is the one place the curve formula lives: `render`
 draws its values and :func:`verify_envelope` checks them against chords
-built independently, from numpy's cosine and sine of the sample angles.
+built independently, from the cosine and sine of the sample angles.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def classify(d: PlanetDance) -> CycloidSpec:
 def cycloid_point(spec: CycloidSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The x and y of the curve at each parameter of the 1-D float array s
     (in turns): the scalar formula's float operations, in the same order,
-    with `math.cos` and `math.sin` for the trigonometry (`kernel.cos_sin`)."""
+    with `kernel.cos_sin` (numpy's cosine and sine) for the trigonometry."""
     alpha, beta = spec.alpha, spec.beta
     if alpha + beta == 0:  # the point <0,0> included
         raise DegenerateCurveError(

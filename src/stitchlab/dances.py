@@ -115,7 +115,9 @@ def sample_pairs(alpha: int, beta: int, m: int) -> np.ndarray:
 
     if alpha % m == 1 % m:
         rows = np.empty((m, 2), np.int64)
-        rows[:, 0] = np.arange(m)
+        # k = 0..m-1 in windows: np.arange(m) would be an m-long temporary
+        for lo in range(0, m, 1 << 16):
+            rows[lo:lo + (1 << 16), 0] = np.arange(lo, min(lo + (1 << 16), m))
         np.multiply(rows[:, 0], beta % m, out=rows[:, 1])
         rows[:, 1] %= m
         return rows

@@ -51,14 +51,13 @@ def make_checked(cls, iterable: Iterable):
 
 def cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cosine and sine of each angle of a 1-D float array (radians),
-    from `math.cos` and `math.sin` one value at a time, so that plane
-    coordinates do not depend on numpy's vectorized (CPU-dependent)
-    trigonometry."""
+    from `np.cos` and `np.sin`: every plane coordinate that is drawn gets
+    its trigonometry here.  numpy may pick its routine by CPU, each within
+    1 ULP of the exact value; the drawings' bytes are tested to survive a
+    2-ULP change in every value (``tests/test_trig_tolerance.py``)."""
     import numpy as np
 
-    angles = angles.tolist()
-    return (np.fromiter(map(math.cos, angles), float, len(angles)),
-            np.fromiter(map(math.sin, angles), float, len(angles)))
+    return np.cos(angles), np.sin(angles)
 
 
 class _CirclePoint(NamedTuple):

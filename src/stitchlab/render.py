@@ -3,7 +3,11 @@
 Every coordinate is printed with exactly six decimal places (negative
 zero normalized), element order is fixed, and attribute order is fixed,
 so identical inputs yield byte-identical documents suitable for
-golden-file comparison.
+golden-file comparison.  Coordinates take their cosines and sines from
+`kernel.cos_sin` (numpy).  The pinned drawings are tested to keep their
+bytes when every one of those values moves by up to 2 ULP, as far as two
+routines within numpy's 1-ULP accuracy can differ, so they do not depend
+on which routine numpy picks for the CPU.
 
 Elements are made in blocks of up to `_CHUNK_ROWS`: numpy computes
 their coordinates and formats them (`_format_block`, equal to `fmt` on
@@ -155,15 +159,18 @@ def _format_block(values: np.ndarray) -> np.ndarray:
     units = digits // 10**6
     frac = (digits - units * 10**6).astype(np.int32)
     units = units.astype(np.int32)
-    point = len(str(top // 10**6)) + 1
+    negative = rounded < 0  # a value printed as zero has no sign
+    sign = int(negative.any())  # a sign column only when some value needs one
+    point = len(str(top // 10**6)) + sign
     out = np.zeros((flat.size, max([point + 7, *map(len, texts.values())])), np.uint8)
-    out[:, 0] = (rounded < 0).view(np.uint8) * ord("-")
+    if sign:
+        out[:, 0] = negative.view(np.uint8) * ord("-")
     out[:, point] = ord(".")
     for col in range(point + 6, point, -1):
         rest = frac // 10
         out[:, col] = frac - rest * 10 + ord("0")
         frac = rest
-    for col in range(point - 1, 0, -1):
+    for col in range(point - 1, sign - 1, -1):
         rest = units // 10
         digit = units - rest * 10 + ord("0")
         if col < point - 1:
@@ -259,7 +266,8 @@ class _CircleScene:
 
         The angle 2π·(n/den) is rounded as for a Python int n (true
         division of exactly converted operands), and its cosine and sine
-        come from `math.cos`/`math.sin` one at a time (`cos_sin`).
+        come from `cos_sin`.  So a position's coordinates depend on the
+        position alone, whichever chord or block asks for them.
         """
         return _to_canvas(*cos_sin(2.0 * math.pi * (n / den)),
                           self.cx, self.cy, self.radius)
@@ -274,35 +282,36 @@ class _CircleScene:
     def chord_elements(self, chords: ChordSet, extend: bool,
                        points: bool = False) -> Iterator[bytes]:
         """With `points`, a dot at each position that a chord uses, in
-        position order as the position table is filled; then lines for
-        regular chords and dots for degenerate ones, in row order.  Every
+        position order; then lines for regular chords and dots for
+        degenerate ones, in row order.  Each block of rows maps the ends
+        of its own chords (`at_turns`), so drawing holds no table of all
+        positions: only the rows, a den-long bool mask of the used
+        positions with `points`, and one block's working set.  Every
         chord's ends lie on the circle, inside the canvas box, so an
         extended line crosses the box and no chord is left out.  A block
         formats only the kinds it holds; only a block of both merges their
         rows, in row order, into one NUL-padded array."""
-        xs, ys = np.zeros(chords.den), np.empty(chords.den)
+        den = chords.den
         if points:
-            xs[chords.rows] = 1.0  # marks the used positions until filled
-        for lo in range(0, chords.den, _CHUNK_ROWS):
-            turns = np.arange(lo, min(lo + _CHUNK_ROWS, chords.den))
-            x, y = self.at_turns(turns, chords.den)
-            if points:
-                at = np.flatnonzero(xs[lo:lo + len(turns)])
-                yield _text(_dots(x[at], y[at], POINT_RADIUS))
-            xs[lo:lo + len(turns)], ys[lo:lo + len(turns)] = x, y
+            used = np.zeros(den, bool)
+            used[chords.rows] = True
+            for lo in range(0, den, _CHUNK_ROWS):
+                x, y = self.at_turns(np.flatnonzero(used[lo:lo + _CHUNK_ROWS]) + lo, den)
+                yield _text(_dots(x, y, POINT_RADIUS))
         for lo in range(0, len(chords.rows), _CHUNK_ROWS):
             start, end = chords.rows[lo:lo + _CHUNK_ROWS].T
             line = np.flatnonzero(start != end)
             dot = np.flatnonzero(start == end)
             kinds = []  # (positions, rows) of each kind the block holds
             if len(line):
-                a, b = start[line], end[line]
-                ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
+                ax, ay = self.at_turns(start[line], den)
+                bx, by = self.at_turns(end[line], den)
                 if extend:
                     ax, ay, bx, by = _clip_infinite(ax, ay, bx, by, *self.box)
                 kinds.append((line, _lines(ax, ay, bx, by, CHORD_COLOR)))
             if len(dot):
-                kinds.append((dot, _dots(xs[start[dot]], ys[start[dot]], POINT_RADIUS)))
+                x, y = self.at_turns(start[dot], den)
+                kinds.append((dot, _dots(x, y, POINT_RADIUS)))
             if len(kinds) == 1:
                 yield _text(kinds[0][1])
                 continue

@@ -72,6 +72,16 @@ def test_format_block_known_values():
                                                 "1000000000.000000"]
 
 
+@pytest.mark.parametrize("values, width", [
+    ([400.0078125, 1.0234375, 0.0, 759.999929], 10),  # all positive: no sign column
+    ([-2.5, 1234.5678912, 0.1234567, -0.0], 12),
+    ([-0.0, -1e-9, -4e-7, -0.0], 8),  # negative zeros print unsigned
+])
+def test_format_block_writes_a_sign_column_only_for_negative_values(values, width):
+    assert _format_block(np.array(values)).shape[1] == width
+    assert _block_text(values) == [fmt(v) for v in values]
+
+
 @pytest.mark.filterwarnings("error")  # no overflow or invalid cast on the way
 def test_format_block_equals_fmt():
     values = _format_cases()
@@ -95,13 +105,15 @@ def test_golden_file_through_fallback(monkeypatch):
 
 
 def test_at_turns_is_the_scalar_map():
+    # the angles of the scalar formula, their cosines and sines from the
+    # one trig routine that draws (whose error `test_trig_tolerance` bounds)
     scene = _CircleScene(160, ox=160.0)
     for den in (1, 7, 360, 10007):
         xs, ys = scene.at_turns(np.arange(den), den)
-        for n in range(den):
-            angle = 2.0 * math.pi * (n / den)
-            assert xs[n] == scene.cx + scene.radius * math.cos(angle)
-            assert ys[n] == scene.cy - scene.radius * math.sin(angle)
+        cos, sin = cos_sin(np.array([2.0 * math.pi * (n / den) for n in range(den)]))
+        for n, (c, s) in enumerate(zip(cos.tolist(), sin.tolist())):
+            assert xs[n] == scene.cx + scene.radius * c
+            assert ys[n] == scene.cy - scene.radius * s
 
 
 def _clip_scalar(ax, ay, bx, by, x0, y0, x1, y1):
@@ -252,17 +264,17 @@ def _block_bytes():
 
 
 #: The blocks of element rows that drawing a stitch graph may hold on top
-#: of its rows and the two den-long arrays of canvas positions, whatever
-#: its size: one block's rows, their bytes with and without NUL padding,
-#: and the previous block's text, bound while the next block is made;
-#: and one for a block's coordinates and formatting scratch.  Rows that
-#: outlive their block add one more.
+#: of its rows, whatever its size: one block's rows, their bytes with and
+#: without NUL padding, and the previous block's text, bound while the
+#: next block is made; and one for a block's coordinates and formatting
+#: scratch.  Rows that outlive their block add one more.
 WORKING_SET_BLOCKS = 5
 
 
 @pytest.mark.parametrize("m, a, extend", [
     pytest.param(m, a, extend, id=f"{m}-extend" if extend else f"{m}")
-    for extend in (False, True) for m, a in [(1 << 15, 377), (1 << 17, 377), (100000, 35911)]
+    for extend in (False, True)
+    for m, a in [(1 << 15, 377), (1 << 17, 377), (100000, 35911), (10**6, 999999)]
 ])
 def test_stitch_working_set_is_bounded(m, a, extend, tmp_path):
     # every block of MMT(2^15, 377) and 10 of the 25 of MMT(100000, 35911)
@@ -274,7 +286,7 @@ def test_stitch_working_set_is_bounded(m, a, extend, tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    extra = peak - chords.rows.nbytes - 2 * 8 * chords.den
+    extra = peak - chords.rows.nbytes
     assert extra < WORKING_SET_BLOCKS * _block_bytes()
 
 
@@ -373,14 +385,14 @@ def _scalar_curve(d, px):
     curve formula and canvas map at s = i/CURVE_SEGMENTS."""
     cx = cy = px / 2.0
     radius = px / 2.0 - render.MARGIN_PX
+    ss = [i / render.CURVE_SEGMENTS for i in range(render.CURVE_SEGMENTS + 1)]
+    cos_a, sin_a = cos_sin(np.array([2.0 * math.pi * d.alpha * float(s) for s in ss]))
+    cos_b, sin_b = cos_sin(np.array([2.0 * math.pi * d.beta * float(s) for s in ss]))
     xs, ys = [], []
-    for i in range(render.CURVE_SEGMENTS + 1):
-        s = i / render.CURVE_SEGMENTS
-        ta = 2.0 * math.pi * d.alpha * float(s)
-        tb = 2.0 * math.pi * d.beta * float(s)
+    for ca, sa, cb, sb in zip(*(v.tolist() for v in (cos_a, sin_a, cos_b, sin_b))):
         denom = d.alpha + d.beta
-        x = (d.alpha * math.cos(tb) + d.beta * math.cos(ta)) / denom
-        y = (d.alpha * math.sin(tb) + d.beta * math.sin(ta)) / denom
+        x = (d.alpha * cb + d.beta * ca) / denom
+        y = (d.alpha * sb + d.beta * sa) / denom
         xs.append(cx + radius * x)
         ys.append(cy - radius * y)
     return np.array(xs), np.array(ys)
@@ -475,9 +487,14 @@ def test_document_is_made_in_chunks(monkeypatch, tmp_path):
     assert gallery == render_gallery_pair(207, 34, style).data
 
 
-def test_points_come_from_the_chord_position_table(monkeypatch):
-    # one angle per position: the boundary dots reuse the table that the
-    # chords are drawn from, with no pass of their own
+@pytest.mark.parametrize("points", [False, True])
+@pytest.mark.parametrize("chords", [
+    pytest.param(mmt_chords(StitchGraph(10000, 4321)), id="mmt-10000-4321"),
+    pytest.param(sample(Sampling(PlanetDance(2, 3), 6)), id="dance-2-3-n6"),
+])
+def test_each_chord_maps_its_own_ends(chords, points, monkeypatch):
+    # no table of positions: one angle per used position for the boundary
+    # dots, two per line chord and one per dot chord
     angles = []
 
     def counted(values):
@@ -485,8 +502,10 @@ def test_points_come_from_the_chord_position_table(monkeypatch):
         return cos_sin(values)
 
     monkeypatch.setattr(render, "cos_sin", counted)
-    doc = render_stitch(mmt_chords(StitchGraph(10000, 4321)), RenderStyle(show_points=True))
-    assert len(doc.data) > 0 and sum(angles) == 10000
+    render_stitch(chords, RenderStyle(show_points=points)).data
+    start, end = chords.rows.T
+    used = len(np.unique(chords.rows)) if points else 0
+    assert sum(angles) == used + 2 * int((start != end).sum()) + int((start == end).sum())
 
 
 def test_points_mark_only_the_used_positions_before_the_chords():
