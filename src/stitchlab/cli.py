@@ -221,8 +221,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "suite": r.suite,
                 "cases_run": r.cases_run,
                 "passed": r.passed,
-                "failures": [list(f) for f in r.failures],
-                "info": list(r.info),
+                "failures": r.failures,
+                "info": r.info,
             }
             for r in reports
         ]

@@ -34,12 +34,11 @@ class DegenerateCurveError(ValueError):
 class CycloidSpec(NamedTuple):
     """Curve classification and rolling/fixed radii for a speed pair.
 
-    Radii follow the rolling-circle construction: for an epicycloid with
-    speeds sorted so beta' <= alpha', a circle of radius
-    beta'/(alpha'+beta') rolls outside one of radius
-    (alpha'-beta')/(alpha'+beta'); for a hypocycloid the rolling radius
-    is |beta|/|alpha+beta| inside a circle of radius
-    (alpha-beta)/|alpha+beta|.
+    Radii follow the rolling-circle construction, one formula for both
+    kinds: a circle of radius |min(alpha, beta)|/|alpha+beta| rolls on a
+    fixed circle of radius |alpha-beta|/|alpha+beta|, inside it for a
+    hypocycloid (beta < 0, so the rolling radius is |beta|/|alpha+beta|)
+    and outside it for an epicycloid (the slower speed over the sum).
     """
 
     alpha: int
@@ -66,7 +65,8 @@ class EnvelopeReport(NamedTuple):
 
 
 def classify(d: PlanetDance) -> CycloidSpec:
-    """Sort a speed pair into epicycloid / hypocycloid / degenerate kinds.
+    """Sort a speed pair into epicycloid / hypocycloid / degenerate kinds,
+    with the radii of :class:`CycloidSpec`.
 
     A pair with one zero speed traces a single point; it is reported as
     the limiting epicycloid with rolling radius 0 and fixed radius 1.
@@ -80,18 +80,11 @@ def classify(d: PlanetDance) -> CycloidSpec:
         return CycloidSpec(alpha, beta, "degenerate_diameter", None, None)
     if alpha == beta:
         return CycloidSpec(alpha, beta, "diagonal", None, None)
-    if beta < 0:
-        s = abs(alpha + beta)
-        return CycloidSpec(
-            alpha, beta, "hypocycloid",
-            fixed_radius=Fraction(alpha - beta, s),
-            rolling_radius=Fraction(abs(beta), s),
-        )
-    hi, lo = max(alpha, beta), min(alpha, beta)
+    s = abs(alpha + beta)
     return CycloidSpec(
-        alpha, beta, "epicycloid",
-        fixed_radius=Fraction(hi - lo, hi + lo),
-        rolling_radius=Fraction(lo, hi + lo),
+        alpha, beta, "hypocycloid" if beta < 0 else "epicycloid",
+        fixed_radius=Fraction(abs(alpha - beta), s),
+        rolling_radius=Fraction(abs(min(alpha, beta)), s),
     )
 
 

@@ -82,8 +82,9 @@ class Sampling(_Sampling):
 
 def mmt_chords(g: StitchGraph) -> ChordSet:
     """All m chords of the graph: index k runs from k/m to (a*k mod m)/m.
-    They are in lowest terms over m, since row k = 1 is (1, a mod m)."""
-    return ChordSet._from_rows(g.m, sample_pairs(1, g.a, g.m))
+    They are the m-sampling of the dance <1, a>, over den = m, since
+    gcd(1, a, m) = 1."""
+    return sample(Sampling(PlanetDance(1, g.a), g.m))
 
 
 def sample(s: Sampling) -> ChordSet:

@@ -98,8 +98,9 @@ class ChordSet:
     Row ``(x, y)`` of the read-only int64 array ``rows`` is the chord from
     ``x/den`` to ``y/den``.  Rows are sorted in (start, end) order and
     unique, and every set is built in lowest terms, so ``den`` is minimal
-    and equal sets have equal fields.  Iteration yields
-    :class:`DirectedChord` objects.
+    and equal sets have equal fields.  A set is built from
+    :class:`DirectedChord` objects or by `dances.sample`.  Iteration
+    yields :class:`DirectedChord` objects.
     """
 
     __slots__ = ("den", "rows")
@@ -114,15 +115,15 @@ class ChordSet:
         den = math.lcm(*(t.denominator for t in turns))
         check_input_size(den)  # keeps the int64 numerators exact
         nums = [t.numerator * (den // t.denominator) for t in turns]
-        rows = sorted(set(zip(nums[::2], nums[1::2])))
-        self._store(den, np.array(rows, dtype=np.int64).reshape(-1, 2))
+        rows = np.array(nums, dtype=np.int64).reshape(-1, 2)
+        self._store(den, np.unique(rows, axis=0))
 
     @classmethod
     def _from_rows(cls, den: int, rows: np.ndarray) -> ChordSet:
         """The chords ``rows / den``, from an owned int64 array of sorted,
         unique rows in ``[0, den)`` and in lowest terms with ``den``, as
-        :mod:`stitchlab.dances` builds it.  The set keeps the array and
-        makes it read-only, so the caller must not write to it."""
+        `dances.sample` builds it.  The set keeps the array and makes it
+        read-only, so the caller must not write to it."""
         self = object.__new__(cls)
         self._store(den, rows)
         return self

@@ -75,11 +75,11 @@ class VerificationReport(NamedTuple):
 
 #: The largest bounds `verify_all` accepts, and so the largest sizes the
 #: brute-force counterparts take.  The max_m suites check max_m^2/2
-#: graphs; at 600, overlay_partition took 9.5 s of the command's 10.0 s,
-#: while the other process ran the correspondence suite (5.3 s),
-#: shortest_vector (2.5 s) and the rest.  The bound suites, which grow
-#: about as bound^4, took 1.7 s at 12 (2-core Xeon, Python 3.11, medians
-#: of 5 runs).
+#: graphs; at 600, overlay_partition took 7.0 s of the command's 7.5 s,
+#: while the other process ran the correspondence suite (4.5 s),
+#: shortest_vector (1.5 s) and the rest.  The bound suites, which grow
+#: about as bound^4, took 1.1 s at 12 (2-core Xeon, Python 3.11, numpy
+#: 2.4, medians of 5 runs).
 _MAX_M = 600
 _MAX_BOUND = 12
 

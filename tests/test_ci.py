@@ -48,7 +48,8 @@ def workflow_problems(text: str, command: str, python: str, numpy: str) -> list[
                 runs.append(line.strip()[len("run: "):])
         if runs != [command]:
             problems.append(f"the tier-1 step runs {runs}, not {command!r}")
-    matrix = {key: [line for line in lines if line.strip().startswith(f"{key}: ")]
+    # the matrix's lists, not the single values of its `exclude` entries
+    matrix = {key: [line for line in lines if line.strip().startswith(f"{key}: [")]
               for key in ("python", "numpy")}
     for key, entry in (("python", f'"{python}"'), ("numpy", f'"numpy=={numpy}.*"')):
         if not any(entry in line for line in matrix[key]):
@@ -69,6 +70,7 @@ def test_workflow_check_flags_a_drifted_workflow():
         "another command": text.replace(command, "python -m pytest -q"),
         "no oldest Python": text.replace('"3.10", ', ""),
         "a newer numpy": text.replace("numpy==1.24.*", "numpy==1.26.*"),
+        "the oldest numpy only excluded": text.replace('["numpy==1.24.*", ', '['),
         "the step renamed": text.replace("- name: Tier-1 tests", "- name: Tests"),
         "a second run line": text.replace(f"run: {command}",
                                           f"run: {command}\n        run: true"),

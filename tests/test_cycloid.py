@@ -39,6 +39,35 @@ def test_classify_hypocycloid():
     assert spec.rolling_radius == Fraction(3, 2)
 
 
+def _rolling_circle_radii(alpha, beta):
+    """The two rolling-circle constructions, one per kind: an epicycloid's
+    speeds sorted, lo <= hi, put a circle of radius lo/(hi+lo) outside one
+    of radius (hi-lo)/(hi+lo); a hypocycloid's circle of radius
+    |beta|/|alpha+beta| rolls inside one of radius (alpha-beta)/|alpha+beta|."""
+    if beta < 0:
+        s = abs(alpha + beta)
+        return Fraction(alpha - beta, s), Fraction(abs(beta), s)
+    hi, lo = max(alpha, beta), min(alpha, beta)
+    return Fraction(hi - lo, hi + lo), Fraction(lo, hi + lo)
+
+
+def test_classify_radii_follow_the_rolling_circle_constructions():
+    # every cycloid with speeds up to 12, reduced or not; a rolling radius of
+    # min(alpha, |beta|)/|alpha+beta| would give <1,-3> 1/2, not 3/2
+    kinds = {"epicycloid": 0, "hypocycloid": 0}
+    for alpha in range(13):
+        for beta in range(-12, 13):
+            spec = classify(PlanetDance(alpha, beta))
+            if spec.kind not in kinds:
+                continue
+            kinds[spec.kind] += 1
+            assert spec.kind == ("hypocycloid" if spec.beta < 0 else "epicycloid")
+            radii = _rolling_circle_radii(spec.alpha, spec.beta)
+            assert (spec.fixed_radius, spec.rolling_radius) == radii, spec
+    assert kinds == {"epicycloid": 168, "hypocycloid": 132}
+    assert classify(PlanetDance(1, -3))[3:] == (2, Fraction(3, 2))
+
+
 def test_classify_degenerate_kinds():
     assert classify(PlanetDance(0, 0)).kind == "point"
     assert classify(PlanetDance(1, -1)).kind == "degenerate_diameter"
