@@ -80,7 +80,8 @@ class SvgDocument:
 
     `body` returns an iterator over the bytes of the elements, each
     ending in a newline.  `save` writes every chunk as soon as it is
-    made; `data` joins them.
+    made and lets go of it before it asks for the next, so a drawing
+    holds at most one block of text; `data` joins them.
     """
 
     __slots__ = ("_width", "_height", "_body")
@@ -108,6 +109,7 @@ class SvgDocument:
         with open(path, "wb") as fh:
             for chunk in self._chunks():
                 fh.write(chunk)
+                del chunk  # freed before the next chunk is made
 
 
 class GridCell(NamedTuple):
@@ -152,14 +154,16 @@ def _format_block(values: np.ndarray) -> np.ndarray:
     if slow.any():
         scaled[slow] = 0.0
     rounded = np.rint(scaled)
+    negative = rounded < 0  # a value printed as zero has no sign
     digits = np.abs(rounded).astype(np.int64)
     top = int(digits.max(initial=0))
     slow |= np.abs(scaled - rounded) >= 0.5 - np.spacing(float(top))
+    del scaled, rounded  # a block's scratch goes as soon as it is read
     texts = {i: fmt(float(flat[i])).encode() for i in np.flatnonzero(slow).tolist()}
     units = digits // 10**6
     frac = (digits - units * 10**6).astype(np.int32)
     units = units.astype(np.int32)
-    negative = rounded < 0  # a value printed as zero has no sign
+    del digits  # the digits are written from units and frac alone
     sign = int(negative.any())  # a sign column only when some value needs one
     point = len(str(top // 10**6)) + sign
     out = np.zeros((flat.size, max([point + 7, *map(len, texts.values())])), np.uint8)
@@ -190,16 +194,20 @@ def _rows(*pieces: bytes | np.ndarray) -> np.ndarray:
                                      axis=1))
     n = len(numbers)
     fields = iter(np.moveaxis(numbers, 1, 0))  # the numbers' columns in order
-    return np.concatenate(
-        [np.broadcast_to(np.frombuffer(p, np.uint8), (n, len(p)))
-         if isinstance(p, bytes) else next(fields) for p in pieces],
-        axis=1,
-    )
+    parts = [np.broadcast_to(np.frombuffer(p, np.uint8), (n, len(p)))
+             if isinstance(p, bytes) else next(fields) for p in pieces]
+    return np.concatenate(parts, axis=1, out=_blank(n, sum(part.shape[1] for part in parts)))
 
 
-def _text(rows: np.ndarray) -> bytes:
-    """The bytes of uint8 rows, NUL padding removed."""
-    return rows.tobytes().replace(b"\0", b"")
+def _blank(n: int, width: int) -> np.ndarray:
+    """n uint8 rows of `width` NULs, over a bytearray of their own (their
+    `base`), so that `_text` strips the NULs with no copy before it."""
+    return np.ndarray((n, width), np.uint8, buffer=bytearray(n * width))
+
+
+def _text(rows: np.ndarray) -> bytearray:
+    """The bytes of rows made by `_blank`, NUL padding removed."""
+    return rows.base.replace(b"\0", b"")
 
 
 def _lines(x1, y1, x2, y2, color: str) -> np.ndarray:
@@ -315,7 +323,7 @@ class _CircleScene:
             if len(kinds) == 1:
                 yield _text(kinds[0][1])
                 continue
-            rows = np.zeros((len(start), max(r.shape[1] for _, r in kinds)), np.uint8)
+            rows = _blank(len(start), max(r.shape[1] for _, r in kinds))
             for at, r in kinds:
                 rows[at, :r.shape[1]] = r
             del kinds, r  # hold only these rows, and not into the next block

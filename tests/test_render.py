@@ -5,6 +5,7 @@ import os
 import random
 import re
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from stitchlab.overlay import overlay_decompose
 from stitchlab.render import (
     GridCell,
     RenderStyle,
+    SvgDocument,
     _CircleScene,
     _clip_infinite,
     _format_block,
@@ -263,12 +265,26 @@ def _block_bytes():
     return render._CHUNK_ROWS * render._lines(edge, edge, edge, edge, render.CHORD_COLOR).shape[1]
 
 
-#: The blocks of element rows that drawing a stitch graph may hold on top
-#: of its rows, whatever its size: one block's rows, their bytes with and
-#: without NUL padding, and the previous block's text, bound while the
-#: next block is made; and one for a block's coordinates and formatting
-#: scratch.  Rows that outlive their block add one more.
-WORKING_SET_BLOCKS = 5
+#: The blocks of element rows that drawing a chord figure may hold on top
+#: of its chord rows, whatever its size: one block's rows and their text
+#: without NUL padding, bound while the next block is made; and one for a
+#: block's coordinates and formatting scratch.  Each of these adds about
+#: one more: rows that outlive their block, text kept after it is written,
+#: a copy of the rows before their NULs are stripped.
+WORKING_SET_BLOCKS = 3
+
+
+def _working_set(doc, chords, path):
+    """The traced peak of making the document `doc()` and saving it to
+    `path`, less the bytes of the chord rows `chords()` that it draws."""
+    rows = chords().rows.nbytes
+    tracemalloc.start()
+    try:
+        doc().save(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - rows
 
 
 @pytest.mark.parametrize("m, a, extend", [
@@ -279,14 +295,25 @@ WORKING_SET_BLOCKS = 5
 def test_stitch_working_set_is_bounded(m, a, extend, tmp_path):
     # every block of MMT(2^15, 377) and 10 of the 25 of MMT(100000, 35911)
     # hold both lines and dots, so they merge their rows
-    tracemalloc.start()
-    try:
-        chords = mmt_chords(StitchGraph(m, a))
-        render_stitch(chords, RenderStyle(extend_lines=extend)).save(tmp_path / "s.svg")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    extra = peak - chords.rows.nbytes
+    def chords():
+        return mmt_chords(StitchGraph(m, a))
+
+    extra = _working_set(lambda: render_stitch(chords(), RenderStyle(extend_lines=extend)),
+                         chords, tmp_path / "s.svg")
+    assert extra < WORKING_SET_BLOCKS * _block_bytes()
+
+
+@pytest.mark.parametrize("doc, chords", [
+    pytest.param(lambda: render_gallery_pair(100000, 35911, RenderStyle()),
+                 lambda: mmt_chords(StitchGraph(100000, 35911)), id="gallery-100000-35911"),
+    *(pytest.param(lambda d=d: render_dance_with_curve(d, 10**5, RenderStyle()),
+                   lambda d=d: sample(Sampling(d, 10**5)),
+                   id=f"dance-{d.alpha}-{d.beta}-n100000")
+      for d in (PlanetDance(6, -5), PlanetDance(7, 3))),
+])
+def test_figure_working_set_is_bounded(doc, chords, tmp_path):
+    # a gallery pair and a dance make their own chord rows, as many as these
+    extra = _working_set(doc, chords, tmp_path / "f.svg")
     assert extra < WORKING_SET_BLOCKS * _block_bytes()
 
 
@@ -485,6 +512,27 @@ def test_document_is_made_in_chunks(monkeypatch, tmp_path):
     monkeypatch.undo()
     assert path.read_bytes() == small.data == render_stitch(chords, style).data
     assert gallery == render_gallery_pair(207, 34, style).data
+
+
+class _Chunk(bytearray):
+    """Bytes that a weak reference can watch."""
+
+
+def test_save_holds_no_written_chunk_while_it_makes_the_next(tmp_path):
+    made = []  # a weak reference to each chunk the body has made
+
+    def body():
+        for i in range(3):
+            if made:
+                assert made[-1]() is None, "save still holds the written chunk"
+            box = [_Chunk(b'<g id="%d"/>\n' % i)]
+            made.append(weakref.ref(box[0]))
+            yield box.pop()  # the body keeps no reference of its own
+
+    SvgDocument(10, 10, body).save(tmp_path / "s.svg")
+    assert len(made) == 3
+    assert (tmp_path / "s.svg").read_bytes().splitlines()[1:] == [
+        b'<g id="0"/>', b'<g id="1"/>', b'<g id="2"/>', b"</svg>"]
 
 
 @pytest.mark.parametrize("points", [False, True])
