@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .dances import PlanetDance
-from .kernel import brief_int, check_input_size, cos_sin
+from .kernel import check_size, cos_sin
 
 if TYPE_CHECKING:
     import numpy as np
@@ -132,9 +132,7 @@ def verify_envelope(d: PlanetDance, n: int) -> EnvelopeReport:
     alpha, beta = d.alpha, d.beta
     if alpha + beta == 0:
         raise DegenerateCurveError("alpha + beta = 0")
-    if n < 1:
-        raise ValueError(f"sample count must be positive, got {brief_int(n)}")
-    check_input_size(n)
+    check_size("sample count", n)
     import numpy as np
 
     k = np.arange(n)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
-from .kernel import ChordSet, brief_int, check_input_size, make_checked
+from .kernel import ChordSet, check_input_size, check_size, make_checked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,9 +56,8 @@ class StitchGraph(_StitchGraph):
     _make = classmethod(make_checked)
 
     def __new__(cls, m: int, a: int) -> StitchGraph:
-        if m < 1:
-            raise ValueError(f"modulus must be positive, got {brief_int(m)}")
-        check_input_size(m, a)
+        check_size("modulus", m)
+        check_input_size(a)
         return super().__new__(cls, m, a % m)
 
 
@@ -74,9 +73,7 @@ class Sampling(_Sampling):
     _make = classmethod(make_checked)
 
     def __new__(cls, dance: PlanetDance, rate: int) -> Sampling:
-        if rate < 1:
-            raise ValueError(f"sampling rate must be positive, got {brief_int(rate)}")
-        check_input_size(rate)
+        check_size("sampling rate", rate)
         return super().__new__(cls, dance, rate)
 
 
@@ -109,9 +106,7 @@ def sample_pairs(alpha: int, beta: int, m: int) -> np.ndarray:
     At most two count-long arrays of keys or coordinates are alive at once
     besides the result.  m <= ``MAX_INPUT`` keeps every key in int64.
     """
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {brief_int(m)}")
-    check_input_size(m)
+    check_size("modulus", m)
     import numpy as np
 
     if alpha % m == 1 % m:

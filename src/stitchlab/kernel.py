@@ -28,6 +28,13 @@ def check_input_size(*values: int) -> None:
             raise ValueError(f"integer input {brief_int(v)} exceeds the cap {MAX_INPUT}")
 
 
+def check_size(name: str, value: int) -> None:
+    """Reject a size below 1, called by its ``name``, or past the cap."""
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {brief_int(value)}")
+    check_input_size(value)
+
+
 def brief_int(v: int) -> str:
     """``v`` in decimal, or, past 20 digits, its sign and digit count, such
     as ``-(401 digits)``, so that an error message stays one short line."""
@@ -77,19 +84,10 @@ class CirclePoint(_CirclePoint):
 
 
 class DirectedChord(NamedTuple):
-    """An ordered pair of circle points.
-
-    A chord with coincident endpoints is degenerate; it is kept as data
-    (it marks a sample where both ends agree) but drawn as a dot and
-    skipped by tangency checks.
-    """
+    """An ordered pair of circle points."""
 
     start: CirclePoint
     end: CirclePoint
-
-    @property
-    def degenerate(self) -> bool:
-        return self.start == self.end
 
 
 class ChordSet:

@@ -22,7 +22,8 @@ with it:
   ``overlay_decompose`` coset line and on its coset's rotated dance, its
   line numerator mod m read once and compared with the coset's n and
   with the integer t that the rotation names, the alias direction
-  reduced, each offset in [0, 1/alpha), each rotation in
+  reduced, each offset in [0, 1/alpha) and equal to n/(alpha*m), the
+  intercept of the coset's line, each rotation in
   [0, 1/|alpha - beta|), and diagonal radii against center distances;
 - ``family_predictions``: ``predict_family`` against ``overlay_decompose``;
 - ``envelope``: ``verify_envelope``, the library's curve
@@ -33,7 +34,11 @@ with it:
   ``sample_pairs``.
 
 ``overlay_partition`` decomposes every graph MMT(m, a) up to max_m, once
-each, and ``family_predictions`` the graphs of its 72 cells.
+each, and ``family_predictions`` the graphs of its 72 cases.  Three
+suites check less than the bounds name, and each says so in its
+``info``: ``sampling_identities`` stops at m = 60, the correspondence
+suite's ``mmt_chords`` check at m = 40, and ``family_predictions`` takes
+no bound.
 :func:`verify_all` hands one list of the suites, longest first, to
 :func:`_run_suites`: where ``os.fork`` exists, the calling process and a
 forked child each take the next suite that neither has started.  Each
@@ -163,6 +168,7 @@ def reduced_dances(bound: int) -> list[tuple[int, int]]:
 def _suite_correspondence(max_m: int) -> VerificationReport:
     failures = []
     cases = 0
+    api_m = min(max_m, 40)  # the full API on the small prefix
     for m in range(1, max_m + 1):
         # expected[a, k] = (k, e_k), chord k of MMT(m, a), with the endpoint
         # a*k mod m built as the running sum e_0 = 0, e_k = e_(k-1) + a (mod m)
@@ -174,15 +180,16 @@ def _suite_correspondence(max_m: int) -> VerificationReport:
             cases += 1
             if not np.array_equal(sample_pairs(1, a, m), expected[a]):
                 failures.append((f"MMT({m},{a})", "equal chord sets", "differs"))
-        if m > 40:
+        if m > api_m:
             continue
-        # the full API on the small prefix, from a congruent negative multiplier
+        # from a congruent negative multiplier
         for a in range(m):
             cases += 1
             chords = mmt_chords(StitchGraph(m, a - m))
             if chords.den != m or not np.array_equal(chords.rows, expected[a]):
                 failures.append((f"MMT({m},{a}) API", "equal chord sets", "differs"))
-    return VerificationReport("stitch_sampling_correspondence", cases, tuple(failures[:20]))
+    return VerificationReport("stitch_sampling_correspondence", cases, tuple(failures[:20]),
+                              (f"mmt_chords for m <= {api_m} of max_m {max_m}",))
 
 
 def _suite_aliasing(bound: int) -> VerificationReport:
@@ -287,11 +294,13 @@ def _suite_identities(max_m: int) -> VerificationReport:
     betas = np.arange(1, _SHIFT_ALPHAS + 1, dtype=np.int32)[:, None] * speeds
     failures = []
     cases = 0
+    top = min(max_m, _IDENTITIES_MAX_M)
     # one batch per modulus and identity, freed before the next is built
-    for m in range(1, min(max_m, _IDENTITIES_MAX_M) + 1):
+    for m in range(1, top + 1):
         cases += betas.size + _INVERT_ALPHAS * m
         failures += _shift_failures(betas, m) + _invertibility_failures(m)
-    return VerificationReport("sampling_identities", cases, tuple(failures[:20]))
+    return VerificationReport("sampling_identities", cases, tuple(failures[:20]),
+                              (f"m <= {top} of max_m {max_m}",))
 
 
 def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list, int, int]:
@@ -302,7 +311,8 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
     d distinct lines (n mod m), is reported first, in the order of a, and
     left out of the batch.  The other checks run as one 2-D batch over
     the graphs of m: the failures of a direction (alpha, beta) that is
-    not reduced, of an offset outside [0, 1/alpha), of a rotation outside
+    not reduced, of an offset outside [0, 1/alpha), of an offset p/q
+    other than n/(alpha*m), alpha*m*p != n*q, of a rotation outside
     [0, 1/|alpha - beta|), of membership and of rotated dances that miss
     their cosets, each in the order of a, and last those of diagonal
     radii, in the order of a and then of the chord.
@@ -345,6 +355,10 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
     turns = [dec.rotation(k) for dec in graphs for k in range(len(dec.numerators))]
     u, v = np.array([(0, 1) if r is None else (r.numerator, r.denominator) for r in turns],
                     dtype=np.int64).reshape(-1, 2).T
+    # the offset p/q of each coset, which names its line iff alpha*m*p = n*q
+    offsets = [dec.offset(k) for dec in graphs for k in range(len(dec.numerators))]
+    p, q = np.array([(c.numerator, c.denominator) for c in offsets],
+                    dtype=np.int64).reshape(-1, 2).T
     first = np.cumsum(d) - d
     _, alpha, beta = graph.T
     rotated = alpha != beta
@@ -357,6 +371,9 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
     outside = np.logical_or.reduceat((n < 0) | (n >= m), first)
     for j in np.flatnonzero(outside).tolist():
         failures.append((names[j], "offsets in [0, 1/alpha)", "offset out of range"))
+    off_line = np.logical_or.reduceat(np.repeat(alpha, d) * m * p != n * q, first)
+    for j in np.flatnonzero(off_line).tolist():
+        failures.append((names[j], "offsets n/(alpha*m)", "offset off its line"))
     i = np.arange(len(n)) - np.repeat(first, d)
     nonstandard = int(np.logical_or.reduceat(n * np.repeat(d, d) != i * m, first).sum())
     outside = np.logical_or.reduceat(np.abs(span) * u // v != 0, first)  # not in [0, v)
@@ -385,8 +402,9 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
     line = e != k
     dist[line] = np.abs(cos * by - sin * bx)[line] / np.hypot(bx - cos, by - sin)[line]
     radius = np.zeros(len(n))
-    radius[np.repeat(~rotated, d)] = [offset_family_radius(graphs[j].offset(c))
-                                      for j in diagonal.tolist() for c in range(d[j])]
+    on_diagonal = np.repeat(~rotated, d)
+    radius[on_diagonal] = [offset_family_radius(c)
+                           for c, on in zip(offsets, on_diagonal.tolist()) if on]
     expected = radius[chord_row[diagonal]]
     for j, i in np.argwhere(np.abs(dist - expected) > 1e-12).tolist():
         failures.append((f"{names[diagonal[j]]} chord {i}",
@@ -472,7 +490,9 @@ def _suite_families() -> VerificationReport:
                     shown = ["rotations " + " ".join(map(str, sorted(rotations)))
                              for rotations in (claimed, computed)]
                     failures.append((cell, *shown))
-    return VerificationReport("family_predictions", cases, tuple(failures[:20]))
+    return VerificationReport("family_predictions", cases, tuple(failures[:20]),
+                              (f"b <= 9 near m = {_FAMILY_M}, both kinds, "
+                               "whatever max_m and bound",))
 
 
 def _suite_envelope(bound: int) -> VerificationReport:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .cycloid import classify, cycloid_point
 from .dances import PlanetDance, Sampling, StitchGraph, mmt_chords, sample
-from .kernel import (MAX_INPUT, ChordSet, brief_int, check_input_size, cos_sin,
-                     make_checked)
+from .kernel import (MAX_INPUT, ChordSet, brief_int, check_input_size, check_size,
+                     cos_sin, make_checked)
 from .overlay import nearest_congruent, overlay_decompose, predict_family
 
 if TYPE_CHECKING:
@@ -467,9 +467,7 @@ def render_grid(m_target: int, b_max: int, kind: str,
     A grid that would draw more than `_GRID_CHORD_CAP` chords in all is
     rejected; every cell draws m chords, and m > b.
     """
-    if m_target < 1:
-        raise ValueError(f"target modulus must be positive, got {brief_int(m_target)}")
-    check_input_size(m_target)
+    check_size("target modulus", m_target)
     if b_max < 2:
         raise ValueError(f"b_max must be at least 2, got {brief_int(b_max)}")
     cells = []

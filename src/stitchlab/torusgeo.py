@@ -12,7 +12,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .dances import PlanetDance
-from .kernel import brief_int, check_input_size
+from .kernel import check_input_size, check_size
 
 Vec = tuple[int, int]
 
@@ -68,9 +68,8 @@ def natural_alias(m: int, a: int) -> AliasAnalysis:
     canonical orientation (p > 0, or p = 0 < q), are the set of minima that
     :func:`_pick` chooses among, in no order; a second one is a tie.
     """
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {brief_int(m)}")
-    check_input_size(m, a)
+    check_size("modulus", m)
+    check_input_size(a)
     a %= m
     # 1 + a*a <= m*m, so the reduction starts from (1, a) as b1
     p1, q1, n1 = 1, a, 1 + a * a

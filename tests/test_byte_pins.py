@@ -22,6 +22,9 @@ still ran in two fixed groups, one per process.  The `verify --max-m 300
 re-recorded when `envelope` and `cusp_count` stopped capping the dance
 bound at 6: they now run the 85 and 86 dances of bound 8 instead of the
 45 and 46 of bound 6, and every other suite's entry kept its bytes.
+All three `verify` pins were re-recorded when `sampling_identities`, the
+correspondence suite and `family_predictions` began to name in `info`
+the range they check; no other field of any suite changed.
 The `gallery --only 207,34 --only 9,6 --extend` digest was recorded
 while every coset still carried its own `TorusLine`; (207, 34) aliases
 <2,-1> with three nonzero offsets and (9, 6) has permuted offsets, so
@@ -74,11 +77,11 @@ PINS = {
     "analyze 100 34": "34b045f7cdda8617cca751947d040a72289813726ad7a87b2e9f6e6268945ff4",
     "analyze 10 6": "b754becf307491dff36909e0c1651aef0dab1030c81bc0fd458ab438cd711864",
     "analyze 1000000 1000": "32a8f18369dc9b98894f5d671da0fc67273aa9b7ac81b18780355d5002deeeae",
-    "verify": "94dbc5785165c0ad72a3d7b5981146267c5e38ff0bee66f2c46cca77d0449457",
+    "verify": "58a719765eb7c8eb10743f741edd2cfb6482bcb1da6ef34ec29cb21333e209f7",
     "verify --max-m 100 --bound 6":
-        "23b1c23ac814e1557dd84567c3bb001d47333c0c88e5e5cd29213ac63471a423",
+        "baa2ba4a80cee6a35fd9360fe37716169eaa39acf5c574e551da5d7d5750803e",
     "verify --max-m 300 --bound 8":
-        "a75c5ea65bef4cdb8de997b4ab750a2e5c672edabbd4c6310a48eca8bccbab87",
+        "3ed614817ea2b48692cbb841d99cd47a5620c87e952defde457fb104be7a21b8",
 }
 
 

@@ -8,7 +8,10 @@ listed in a module's `__all__` count as used (re-exports).
 Every public top-level name of the package is reached from the package
 itself: code in another of its top-level statements refers to it, it is
 exported in `stitchlab.__all__`, or it is the console script `cli.console`.
-A name that only tests call is dead weight in the library.
+A name that only tests call is dead weight in the library.  So is a
+public method or property of a public class that no attribute reference
+(`.name`) in the package or in `benchmarks/` reads, other than in its
+own body: tests do not count, nor does a variable of the same name.
 
 Every parameter of a function or method of the package is read in its
 body (`self`, `cls` and the parameters of dunder methods aside): a
@@ -141,6 +144,60 @@ def test_no_test_only_names():
                    if isinstance(node, ast.Assign)
                    and any(getattr(t, "id", None) == "__all__" for t in node.targets))
     assert unreached_names(sources, set(exports) | {"cli.console"}) == []
+
+
+def unreached_members(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """`module.Class.member` for each public method or property of a
+    public top-level class of `sources` that no attribute reference in
+    `sources` or `readers` names, outside the member's own body."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+
+    def attributes(node):
+        return [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)]
+
+    read = [*(a for tree in trees.values() for a in attributes(tree)),
+            *(a for source in readers for a in attributes(ast.parse(source)))]
+    return sorted(
+        f"{module}.{cls.name}.{member.name}"
+        for module, tree in trees.items() for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for member in cls.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not member.name.startswith("_")
+        and read.count(member.name) == attributes(member).count(member.name)
+    )
+
+
+def test_guard_flags_unreached_members():
+    sources = {"a": (
+        "class Shape:\n"
+        "    def area(self):\n"
+        "        return self.area\n"  # its own body does not count
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "    def drawn(self):\n"
+        "        return 2\n"
+        "    def _hidden(self):\n"
+        "        return 3\n"
+        "class _Private:\n"
+        "    def unread(self):\n"
+        "        return 4\n"
+        "def main(shape):\n"
+        "    size = 5\n"  # a variable of the member's name does not count
+        "    return shape.drawn(), size\n"
+    )}
+    assert unreached_members(sources, []) == ["a.Shape.area", "a.Shape.size"]
+    # a reader's attribute reference counts
+    assert unreached_members(sources, ["def f(s):\n    return s.size\n"]) == ["a.Shape.area"]
+
+
+def test_no_test_only_members():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(ROOT.glob("src/stitchlab/*.py"))}
+    readers = [p.read_text(encoding="utf-8") for p in sorted(ROOT.glob("benchmarks/*.py"))
+               if not p.name.startswith("test_")]
+    assert unreached_members(sources, readers) == []
 
 
 def unread_parameters(source: str) -> list[str]:

@@ -14,6 +14,7 @@ import pytest
 
 import stitchlab
 from stitchlab import dances
+from stitchlab.cycloid import verify_envelope
 from stitchlab.dances import PlanetDance, Sampling, StitchGraph, mmt_chords, sample
 from stitchlab.kernel import (
     MAX_INPUT,
@@ -24,6 +25,8 @@ from stitchlab.kernel import (
     check_input_size,
     wrap,
 )
+from stitchlab.render import RenderStyle, render_grid
+from stitchlab.torusgeo import natural_alias
 
 
 def test_wrap_into_unit_interval():
@@ -41,8 +44,10 @@ def test_circle_point_range_enforced():
 
 def test_degenerate_chord():
     p = wrap(Fraction(1, 3))
-    assert DirectedChord(p, p).degenerate
-    assert not DirectedChord(p, wrap(0)).degenerate
+    chord = DirectedChord(p, p)
+    assert chord.start == chord.end
+    chord = DirectedChord(p, wrap(0))
+    assert chord.start != chord.end
 
 
 def test_chord_set_canonical():
@@ -97,6 +102,29 @@ def test_input_cap():
         ChordSet([DirectedChord(wrap(0), wrap(Fraction(1, MAX_INPUT + 1)))])
 
 
+#: The six entry points that refuse a size through `kernel.check_size`,
+#: each as a call with that size and the name its refusal gives it.
+_SIZE_CHECKED = [
+    ("modulus", lambda n: StitchGraph(n, 1)),
+    ("modulus", lambda n: dances.sample_pairs(1, 1, n)),
+    ("modulus", lambda n: natural_alias(n, 1)),
+    ("sampling rate", lambda n: Sampling(PlanetDance(3, 2), n)),
+    ("sample count", lambda n: verify_envelope(PlanetDance(3, 2), n)),
+    ("target modulus", lambda n: render_grid(n, 3, "ceiling", RenderStyle())),
+]
+
+
+@pytest.mark.parametrize("name, call", _SIZE_CHECKED,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(_SIZE_CHECKED)])
+def test_size_entry_points_refuse_alike(name, call):
+    for size in (0, -1):
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got {size}$"):
+            call(size)
+    with pytest.raises(ValueError,
+                       match="^integer input 1000001 exceeds the cap 1000000$"):
+        call(MAX_INPUT + 1)
+
+
 def test_brief_int_counts_digits_of_long_values():
     assert [brief_int(v) for v in (0, -7, 10**20 - 1)] == ["0", "-7", "9" * 20]
     assert brief_int(10**20) == "+(21 digits)"
@@ -114,6 +142,7 @@ def test_brief_int_counts_digits_of_long_values():
 #: largest bounds that `verify_all` takes.
 _PAST_CAP = {
     "kernel.check_input_size": ["kernel.check_input_size(CAP)"],
+    "kernel.check_size": ["kernel.check_size('modulus', CAP)"],
     "dances.PlanetDance": ["dances.PlanetDance(CAP, 1)", "dances.PlanetDance(1, -CAP)"],
     "dances.StitchGraph": ["dances.StitchGraph(CAP, 1)", "dances.StitchGraph(5, CAP)"],
     "dances.Sampling": ["dances.Sampling(dances.PlanetDance(3, 2), CAP)"],

@@ -269,6 +269,51 @@ def test_suite_overlay_checks_offset_range(monkeypatch):
     assert oracle._suite_overlay(12).failures == tuple(expected)
 
 
+#: The library's offset, which the fault tests below wrap.
+_OFFSET = OverlayDecomposition.offset
+
+
+def _offset_over_m(dec, k):
+    """n/m in place of n/(alpha*m) for a coset that is not diagonal: the
+    offset of another line wherever alpha > 1 and n > 0, while n, and so
+    membership and the rotation, stay right."""
+    alpha, beta = dec.analysis.reduced_dance
+    if alpha == beta:
+        return _OFFSET(dec, k)
+    return Fraction(dec.numerators[k], dec.analysis.m)
+
+
+def test_suite_overlay_checks_offsets(monkeypatch):
+    monkeypatch.setattr(OverlayDecomposition, "offset", _offset_over_m)
+    expected = []
+    for m in range(1, 31):
+        for a in range(m):
+            alpha, beta = natural_alias(m, a).reduced_dance
+            if alpha != beta and alpha > 1 and natural_alias(m, a).coset_count > 1:
+                expected.append((f"(m,a)=({m},{a})", "offsets n/(alpha*m)",
+                                 "offset off its line"))
+    assert expected[0][0] == "(m,a)=(22,5)"
+    assert oracle._suite_overlay(30).failures == tuple(expected)
+
+
+def test_offset_failures_come_after_range_failures(monkeypatch):
+    # at m = 22, a = 5 aliases <2,-1> in two cosets; coset 0's n moved by m
+    # is out of range and turns the dance by 1/(alpha - beta), a symmetry
+    decs = [overlay_decompose(22, a) for a in range(22)]
+    zero, *rest = decs[5].numerators
+    decs[5] = decs[5]._replace(numerators=(zero + 22, *rest))
+    monkeypatch.setattr(OverlayDecomposition, "offset", _offset_over_m)
+    name = "(m,a)=(22,5)"
+    assert oracle._partition_failures(22, decs)[0] == [
+        (name, "offsets in [0, 1/alpha)", "offset out of range"),
+        (name, "offsets n/(alpha*m)", "offset off its line"),
+        ("(m,a)=(22,6)", "offsets n/(alpha*m)", "offset off its line"),
+        ("(m,a)=(22,16)", "offsets n/(alpha*m)", "offset off its line"),
+        ("(m,a)=(22,17)", "offsets n/(alpha*m)", "offset off its line"),
+        (name, "rotations in [0, 1/|alpha-beta|)", "rotation out of range"),
+    ]
+
+
 def test_suite_overlay_checks_reduced_direction(monkeypatch):
     # the doubled direction (2*alpha, 2*beta) passes the membership
     # congruence wherever (alpha, beta) does; every graph of m = 7 has
@@ -654,7 +699,8 @@ def _reference_identities(max_m, sampled_keys=_sampled_keys):
             for i in np.flatnonzero(equal != invertible):
                 failures.append((f"invertibility alpha={alpha} m={m} a={i}",
                                  str(invertible), str(bool(equal[i]))))
-    return VerificationReport("sampling_identities", cases, tuple(failures[:20]))
+    return VerificationReport("sampling_identities", cases, tuple(failures[:20]),
+                              (f"m <= {min(max_m, 60)} of max_m {max_m}",))
 
 
 def _minus_rows_off_by_one(keys):
@@ -816,6 +862,25 @@ def test_verify_all_moderate_bounds():
     by_name = {r.suite: r for r in reports}
     assert by_name["stitch_sampling_correspondence"].cases_run > 0
     assert by_name["shortest_vector"].cases_run == sum(range(1, 21))
+
+
+def test_every_suite_grows_with_its_bounds_or_names_its_cap():
+    # both sizes lie above every cap: m = 60 of the identities and m = 40
+    # of the correspondence suite's API check
+    small, large = ([report for report, _ in verify_all(*size)] for size in ((61, 2), (64, 3)))
+    assert [r.suite for r in small] == [r.suite for r in large]
+    capped = {}
+    for before, after in zip(small, large):
+        assert before.passed and after.passed, after.suite
+        if after.cases_run <= before.cases_run:
+            capped[after.suite] = after.info
+    assert capped == {
+        "family_predictions": ("b <= 9 near m = 200, both kinds, whatever max_m and bound",),
+        "sampling_identities": ("m <= 60 of max_m 64",),
+    }
+    # a suite that grows may still stop part of its work short, and names where
+    assert {r.suite: r.info for r in large}["stitch_sampling_correspondence"] == (
+        "mmt_chords for m <= 40 of max_m 64",)
 
 
 def test_verify_all_validation():

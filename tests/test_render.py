@@ -346,7 +346,7 @@ def test_stitch_element_counts():
     lines = text.count("<line ")
     dots = text.count('r="2.500000"')  # degenerate chords drawn as dots
     outline = text.count('fill="none"')
-    degenerate = sum(c.degenerate for c in mmt_chords(StitchGraph(100, 34)))
+    degenerate = sum(c.start == c.end for c in mmt_chords(StitchGraph(100, 34)))
     assert degenerate == 1
     assert lines == 100 - degenerate
     assert dots == degenerate

@@ -157,18 +157,19 @@ def test_pick_is_the_same_in_any_order(monkeypatch):
 
 
 def test_natural_alias_checks_input_size_once(monkeypatch):
+    # m through check_size and a through check_input_size, once each, and
+    # no check from the PlanetDance it builds
     calls = []
-    real = torusgeo.check_input_size
+    for name in ("check_size", "check_input_size"):
+        def counted(*values, real=getattr(torusgeo, name), name=name):
+            calls.append((name, *values))
+            real(*values)
 
-    def counted(*values):
-        calls.append(values)
-        real(*values)
-
-    monkeypatch.setattr(torusgeo, "check_input_size", counted)
-    monkeypatch.setattr(dances, "check_input_size", counted)
+        monkeypatch.setattr(torusgeo, name, counted)
+        monkeypatch.setattr(dances, name, counted)
     for m, a in [(1, 0), (5, 2), (206, 35), (1000000, 999999)]:
         calls.clear()
         natural_alias(m, a)
-        assert calls == [(m, a)]
+        assert calls == [("check_size", "modulus", m), ("check_input_size", a)]
     with pytest.raises(ValueError, match="exceeds the cap"):
         natural_alias(1000001, 3)
