@@ -69,7 +69,8 @@ def build_report(m: int, a: int) -> dict:
     elif spec.kind == "diagonal":
         envelope = {
             "kind": spec.kind,
-            "radii": [offset_family_radius(dec.offset(k)) for k in cosets],
+            # at the text form's 6 decimals, so 1/2 prints as 0.5
+            "radii": [round(offset_family_radius(dec.offset(k)), 6) for k in cosets],
         }
     else:
         envelope = {"kind": spec.kind}

@@ -79,9 +79,10 @@ class SvgDocument:
     """A stand-alone UTF-8 SVG 1.1 document, made on demand in chunks.
 
     `body` returns an iterator over the bytes of the elements, each
-    ending in a newline.  `save` writes every chunk as soon as it is
-    made and lets go of it before it asks for the next, so a drawing
-    holds at most one block of text; `data` joins them.
+    ending in a newline.  `save` hands the chunks to `writelines`, which
+    writes each as soon as it is made and lets go of it before it asks
+    for the next, so a drawing holds at most one block of text; `data`
+    joins them.
     """
 
     __slots__ = ("_width", "_height", "_body")
@@ -107,9 +108,7 @@ class SvgDocument:
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
-            for chunk in self._chunks():
-                fh.write(chunk)
-                del chunk  # freed before the next chunk is made
+            fh.writelines(self._chunks())
 
 
 class GridCell(NamedTuple):
@@ -297,8 +296,8 @@ class _CircleScene:
         positions with `points`, and one block's working set.  Every
         chord's ends lie on the circle, inside the canvas box, so an
         extended line crosses the box and no chord is left out.  A block
-        formats only the kinds it holds; only a block of both merges their
-        rows, in row order, into one NUL-padded array."""
+        formats only the kinds it holds and merges their rows, in row
+        order, into one NUL-padded array."""
         den = chords.den
         if points:
             used = np.zeros(den, bool)
@@ -320,9 +319,6 @@ class _CircleScene:
             if len(dot):
                 x, y = self.at_turns(start[dot], den)
                 kinds.append((dot, _dots(x, y, POINT_RADIUS)))
-            if len(kinds) == 1:
-                yield _text(kinds[0][1])
-                continue
             rows = _blank(len(start), max(r.shape[1] for _, r in kinds))
             for at, r in kinds:
                 rows[at, :r.shape[1]] = r

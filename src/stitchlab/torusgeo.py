@@ -87,9 +87,7 @@ def natural_alias(m: int, a: int) -> AliasAnalysis:
               if p * p + q * q == n1}
     p, q = _pick(minima)
     g = gcd(p, q)
-    # (p, q) is oriented and no longer than (0, m), so its reduced direction
-    # needs neither PlanetDance's sign flip nor a second size check
-    dance = tuple.__new__(PlanetDance, (p // g, q // g))
+    dance = PlanetDance(p // g, q // g)
     reduced_rate = gcd(dance.alpha * a - dance.beta, m)
     return AliasAnalysis(
         m=m,

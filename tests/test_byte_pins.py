@@ -32,6 +32,10 @@ it holds the torus segments for alpha > 1 and beta < 0.  The
 `stitch 10000 4321 --points` and `grid 200 5 ceiling --points` digests
 were recorded while the boundary dots still had their own pass over the
 used positions, apart from the chords' position table.
+The `analyze 18 7` digest, a diagonal graph whose radii 1, 1/2 and 1/2
+print as 1.0, 0.5 and 0.5, was recorded when diagonal radii were first
+rounded to the text form's 6 decimals; before, 1/2 printed as
+0.49999999999999994.
 """
 
 import hashlib
@@ -76,6 +80,7 @@ PINS = {
     "analyze 9 6": "8735635d3622a4f7c8bd51766ef957715fdbc9dea6430a65484044ad586613ee",
     "analyze 100 34": "34b045f7cdda8617cca751947d040a72289813726ad7a87b2e9f6e6268945ff4",
     "analyze 10 6": "b754becf307491dff36909e0c1651aef0dab1030c81bc0fd458ab438cd711864",
+    "analyze 18 7": "e208facb58cf8c657b90ed4fff898aa7bed430831091ee46703a7a93902623bd",
     "analyze 1000000 1000": "32a8f18369dc9b98894f5d671da0fc67273aa9b7ac81b18780355d5002deeeae",
     "verify": "58a719765eb7c8eb10743f741edd2cfb6482bcb1da6ef34ec29cb21333e209f7",
     "verify --max-m 100 --bound 6":

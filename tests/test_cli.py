@@ -15,9 +15,11 @@ import pytest
 from test_byte_pins import CANVAS, PINS
 
 from stitchlab import cli, oracle
+from stitchlab.cycloid import offset_family_radius
 from stitchlab.dances import StitchGraph, mmt_chords
 from stitchlab.oracle import VerificationReport
 from stitchlab.overlay import overlay_decompose
+from stitchlab.torusgeo import natural_alias
 
 
 def run(argv):
@@ -101,6 +103,25 @@ def test_analyze_diagonal_alias(m, a, radii, capsys):
             assert dist == pytest.approx(radius, abs=1e-12)
     assert run(["analyze", "-m", str(m), "-a", str(a)]) == 0
     assert "envelope: diagonal, coset radii 1.000000" in capsys.readouterr().out
+
+
+def test_diagonal_radii_at_the_text_precision():
+    # every diagonal graph with m <= 300 prints each radius as its 6-decimal
+    # text form reads, and the three rational radii (Niven) exactly
+    exact = {1: 1.0, 2: 0.0, 3: 0.5}  # |cos(pi c)| by the denominator of c
+    graphs = 0
+    for m in range(1, 301):
+        for a in range(m):
+            if natural_alias(m, a).reduced_dance != (1, 1):
+                continue
+            graphs += 1
+            dec = overlay_decompose(m, a)
+            radii = cli.build_report(m, a)["envelope"]["radii"]
+            for k, radius in enumerate(radii):
+                c = dec.offset(k)
+                assert radius == float(f"{offset_family_radius(c):.6f}"), (m, a, k)
+                assert radius == exact.get(c.denominator, radius), (m, a, k)
+    assert graphs == 1542
 
 
 def test_analyze_json_key_order(capsys):

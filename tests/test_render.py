@@ -287,20 +287,23 @@ def _working_set(doc, chords, path):
     return peak - rows
 
 
-@pytest.mark.parametrize("m, a, extend", [
-    pytest.param(m, a, extend, id=f"{m}-extend" if extend else f"{m}")
-    for extend in (False, True)
-    for m, a in [(1 << 15, 377), (1 << 17, 377), (100000, 35911), (10**6, 999999)]
+@pytest.mark.parametrize("m, a, extend, points", [
+    *(pytest.param(m, a, extend, False, id=f"{m}-extend" if extend else f"{m}")
+      for extend in (False, True)
+      for m, a in [(1 << 15, 377), (1 << 17, 377), (100000, 35911), (10**6, 999999)]),
+    *(pytest.param(m, a, False, True, id=f"{m}-points")
+      for m, a in [(100000, 35911), (10**6, 999999)]),
 ])
-def test_stitch_working_set_is_bounded(m, a, extend, tmp_path):
+def test_stitch_working_set_is_bounded(m, a, extend, points, tmp_path):
     # every block of MMT(2^15, 377) and 10 of the 25 of MMT(100000, 35911)
-    # hold both lines and dots, so they merge their rows
+    # hold both lines and dots
     def chords():
         return mmt_chords(StitchGraph(m, a))
 
-    extra = _working_set(lambda: render_stitch(chords(), RenderStyle(extend_lines=extend)),
-                         chords, tmp_path / "s.svg")
-    assert extra < WORKING_SET_BLOCKS * _block_bytes()
+    style = RenderStyle(show_points=points, extend_lines=extend)
+    extra = _working_set(lambda: render_stitch(chords(), style), chords, tmp_path / "s.svg")
+    # the boundary dots add the m-long bool mask of the used positions
+    assert extra < WORKING_SET_BLOCKS * _block_bytes() + points * m
 
 
 @pytest.mark.parametrize("doc, chords", [

@@ -157,8 +157,8 @@ def test_pick_is_the_same_in_any_order(monkeypatch):
 
 
 def test_natural_alias_checks_input_size_once(monkeypatch):
-    # m through check_size and a through check_input_size, once each, and
-    # no check from the PlanetDance it builds
+    # m through check_size and a through check_input_size, once each, then
+    # the reduced dance's two speeds through the PlanetDance it builds
     calls = []
     for name in ("check_size", "check_input_size"):
         def counted(*values, real=getattr(torusgeo, name), name=name):
@@ -167,9 +167,11 @@ def test_natural_alias_checks_input_size_once(monkeypatch):
 
         monkeypatch.setattr(torusgeo, name, counted)
         monkeypatch.setattr(dances, name, counted)
-    for m, a in [(1, 0), (5, 2), (206, 35), (1000000, 999999)]:
+    for m, a, speeds in [(1, 0, (1, 0)), (5, 2, (1, 2)), (206, 35, (3, 2)),
+                         (1000000, 999999, (1, -1))]:
         calls.clear()
         natural_alias(m, a)
-        assert calls == [("check_size", "modulus", m), ("check_input_size", a)]
+        assert calls == [("check_size", "modulus", m), ("check_input_size", a),
+                         ("check_input_size", *speeds)]
     with pytest.raises(ValueError, match="exceeds the cap"):
         natural_alias(1000001, 3)
