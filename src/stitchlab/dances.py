@@ -10,6 +10,9 @@ from .kernel import ChordSet, check_input_size, check_size, make_checked
 if TYPE_CHECKING:
     import numpy as np
 
+#: Samples whose int64 products `sample_pairs` makes at once.
+_WINDOW = 1 << 14
+
 
 class _PlanetDance(NamedTuple):
     alpha: int
@@ -97,37 +100,40 @@ def sample_pairs(alpha: int, beta: int, m: int) -> np.ndarray:
     """The m-sampling of the dance (alpha, beta) as integer rows.
 
     Returns the sorted unique pairs (alpha*k mod m, beta*k mod m),
-    k = 0..m-1, as an (n, 2) int64 array of endpoint numerators over m.
+    k = 0..m-1, as an (n, 2) int32 array of endpoint numerators over m.
     Every chord set of the package is built here.  Sample k + count
     repeats sample k, count = m / gcd(alpha, beta, m), so the samples
     k < count are the distinct pairs; their keys x*m + y, which order like
     the rows, are sorted.  When alpha = 1 (mod m), count = m and the keys
     k*m + (beta*k mod m) already are sorted, so row k is built directly.
-    At most two count-long arrays of keys or coordinates are alive at once
-    besides the result.  m <= ``MAX_INPUT`` keeps every key in int64.
+    m <= ``MAX_INPUT`` keeps every numerator below 2^31 and every product
+    and key below 2^63: the products are made in int64, `_WINDOW` samples
+    at a time, so besides the rows only the keys are count long.
     """
     check_size("modulus", m)
     import numpy as np
 
     if alpha % m == 1 % m:
-        rows = np.empty((m, 2), np.int64)
-        # k = 0..m-1 in windows: np.arange(m) would be an m-long temporary
-        for lo in range(0, m, 1 << 16):
-            rows[lo:lo + (1 << 16), 0] = np.arange(lo, min(lo + (1 << 16), m))
-        np.multiply(rows[:, 0], beta % m, out=rows[:, 1])
-        rows[:, 1] %= m
+        rows = np.empty((m, 2), np.int32)
+        for lo in range(0, m, _WINDOW):
+            k = np.arange(lo, min(lo + _WINDOW, m), dtype=np.int64)
+            rows[lo:lo + _WINDOW, 0] = k
+            k *= beta % m
+            k %= m
+            rows[lo:lo + _WINDOW, 1] = k
         return rows
     count = m // gcd(alpha, beta, m)  # the period of the samples
     keys = np.arange(count, dtype=np.int64)
     keys *= alpha % m
     keys %= m
     keys *= m
-    y = np.arange(count, dtype=np.int64)
-    y *= beta % m
-    y %= m
-    keys += y
-    del y
+    for lo in range(0, count, _WINDOW):
+        k = np.arange(lo, min(lo + _WINDOW, count), dtype=np.int64)
+        k *= beta % m
+        k %= m
+        keys[lo:lo + _WINDOW] += k
     keys.sort()
-    rows = np.empty((count, 2), np.int64)
-    np.divmod(keys, m, out=(rows[:, 0], rows[:, 1]))
+    rows = np.empty((count, 2), np.int32)
+    for lo in range(0, count, _WINDOW):
+        rows[lo:lo + _WINDOW, 0], rows[lo:lo + _WINDOW, 1] = np.divmod(keys[lo:lo + _WINDOW], m)
     return rows

@@ -1,8 +1,9 @@
 """Exact rational arithmetic and the primitive geometric vocabulary.
 
 Positions on the circle are exact rationals in full turns.  Chord sets
-hold them as int64 numerators over one denominator; `Fraction` points
-and chords are their view at the API boundary.  Floating point enters
+hold them as int32 numerators over one denominator, below 2^31 since
+the denominator is capped; products of them are made in int64.
+`Fraction` points and chords are their view at the API boundary.  Floating point enters
 only where a position is mapped to plane coordinates.
 """
 
@@ -15,9 +16,10 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 if TYPE_CHECKING:
     import numpy as np
 
-#: Inputs (modulus, multiplier, dance speeds) are capped so intermediate
-#: integer products stay far below anything that could silently misbehave
-#: in vectorized int64 code paths.
+#: Inputs (modulus, multiplier, dance speeds) are capped so that every
+#: numerator of a chord set fits int32 and every product of two of them,
+#: or of one and a speed, fits int64 far below its limit; vectorized code
+#: makes such products in int64, never in the int32 of the rows.
 MAX_INPUT = 10**6
 
 
@@ -93,10 +95,11 @@ class DirectedChord(NamedTuple):
 class ChordSet:
     """A canonical finite set of directed chords.
 
-    Row ``(x, y)`` of the read-only int64 array ``rows`` is the chord from
-    ``x/den`` to ``y/den``.  Rows are sorted in (start, end) order and
-    unique, and every set is built in lowest terms, so ``den`` is minimal
-    and equal sets have equal fields.  A set is built from
+    Row ``(x, y)`` of the read-only int32 array ``rows`` is the chord from
+    ``x/den`` to ``y/den``; a product of its values must be made in int64.
+    Rows are sorted in (start, end) order and unique, and every set is
+    built in lowest terms, so ``den`` is minimal and equal sets have equal
+    fields.  A set is built from
     :class:`DirectedChord` objects or by `dances.sample`.  Iteration
     yields :class:`DirectedChord` objects.
     """
@@ -111,14 +114,14 @@ class ChordSet:
         # turn's numerator nor den/q, nor their product, its numerator over den
         turns = [t for c in chords for t in (c.start.turn, c.end.turn)]
         den = math.lcm(*(t.denominator for t in turns))
-        check_input_size(den)  # keeps the int64 numerators exact
+        check_input_size(den)  # keeps the numerators below 2^31
         nums = [t.numerator * (den // t.denominator) for t in turns]
-        rows = np.array(nums, dtype=np.int64).reshape(-1, 2)
+        rows = np.array(nums, dtype=np.int32).reshape(-1, 2)
         self._store(den, np.unique(rows, axis=0))
 
     @classmethod
     def _from_rows(cls, den: int, rows: np.ndarray) -> ChordSet:
-        """The chords ``rows / den``, from an owned int64 array of sorted,
+        """The chords ``rows / den``, from an owned int32 array of sorted,
         unique rows in ``[0, den)`` and in lowest terms with ``den``, as
         `dances.sample` builds it.  The set keeps the array and makes it
         read-only, so the caller must not write to it."""

@@ -11,8 +11,10 @@ on which routine numpy picks for the CPU.
 
 Elements are made in blocks of up to `_CHUNK_ROWS`: numpy computes
 their coordinates and formats them (`_format_block`, equal to `fmt` on
-every value) into rows of bytes, and a document is written block by
-block, so writing it never holds all of it.
+every value), and `_element_rows` lays them out with the literal pieces
+of their kind (`_Kind`) as NUL-padded rows in the document's one row
+buffer (`_RowBuffer`), whose text is the block's chunk.  A document is
+written block by block, so writing it never holds all of it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .cycloid import classify, cycloid_point
 from .dances import PlanetDance, Sampling, StitchGraph, mmt_chords, sample
@@ -75,20 +78,54 @@ class RenderStyle(_RenderStyle):
         return super().__new__(cls, canvas_px, show_points, extend_lines)
 
 
+class _RowBuffer:
+    """The rows of element text of one document's blocks, laid out in one
+    bytearray that every block reuses.
+
+    `block` views its first n·width bytes as n rows of `width`.  The
+    bytearray is made anew only for a block larger than every one before,
+    so it ends the size of the document's largest block.  `text` returns
+    a block's bytes without their NUL padding: a new bytearray, the one
+    thing a block makes that outlives it.
+    """
+
+    __slots__ = ("_data",)
+
+    def __init__(self):
+        self._data = bytearray()
+
+    def block(self, n: int, width: int) -> np.ndarray:
+        if n * width > len(self._data):
+            self._data = bytearray()  # let go of the old one before making the new
+            self._data = bytearray(n * width)
+        return np.frombuffer(self._data, np.uint8, n * width).reshape(n, width)
+
+    def text(self, size: int) -> bytearray:
+        """The first `size` bytes without their NULs.  `bytearray.replace`
+        reads the whole buffer, so the bytes past `size` are made spaces
+        first: they come through as one run, which is cut off the text."""
+        tail = len(self._data) - size
+        np.frombuffer(self._data, np.uint8)[size:] = ord(" ")
+        text = self._data.replace(b"\0", b"")
+        del text[len(text) - tail:]
+        return text
+
+
 class SvgDocument:
     """A stand-alone UTF-8 SVG 1.1 document, made on demand in chunks.
 
-    `body` returns an iterator over the bytes of the elements, each
-    ending in a newline.  `save` hands the chunks to `writelines`, which
-    writes each as soon as it is made and lets go of it before it asks
-    for the next, so a drawing holds at most one block of text; `data`
-    joins them.
+    `body` takes the row buffer in which the elements are laid out, one
+    per write of the document, and returns an iterator over the bytes of
+    the elements, each ending in a newline.  `save` hands the chunks to
+    `writelines`, which writes each as soon as it is made and lets go of
+    it before it asks for the next, so a drawing holds at most one block
+    of text besides the buffer; `data` joins them.
     """
 
     __slots__ = ("_width", "_height", "_body")
 
     def __init__(self, width: int, height: int,
-                 body: Callable[[], Iterator[bytes]]):
+                 body: Callable[[_RowBuffer], Iterator[bytes]]):
         self._width = width
         self._height = height
         self._body = body
@@ -99,7 +136,7 @@ class SvgDocument:
             '<svg xmlns="http://www.w3.org/2000/svg" '
             f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
         )
-        yield from self._body()
+        yield from self._body(_RowBuffer())
         yield b"</svg>\n"
 
     @property
@@ -154,14 +191,20 @@ def _format_block(values: np.ndarray) -> np.ndarray:
         scaled[slow] = 0.0
     rounded = np.rint(scaled)
     negative = rounded < 0  # a value printed as zero has no sign
-    digits = np.abs(rounded).astype(np.int64)
-    top = int(digits.max(initial=0))
-    slow |= np.abs(scaled - rounded) >= 0.5 - np.spacing(float(top))
-    del scaled, rounded  # a block's scratch goes as soon as it is read
+    # in place, so that a block's scratch stays a few arrays of its values:
+    # the rounding errors and the magnitudes
+    scaled -= rounded
+    np.abs(scaled, out=scaled)
+    np.abs(rounded, out=rounded)
+    top = int(rounded.max(initial=0))
+    slow |= scaled >= 0.5 - np.spacing(float(top))
+    del scaled
     texts = {i: fmt(float(flat[i])).encode() for i in np.flatnonzero(slow).tolist()}
-    units = digits // 10**6
-    frac = (digits - units * 10**6).astype(np.int32)
-    units = units.astype(np.int32)
+    digits = rounded.astype(np.int64)
+    del rounded
+    units = (digits // 10**6).astype(np.int32)
+    digits %= 10**6
+    frac = digits.astype(np.int32)
     del digits  # the digits are written from units and frac alone
     sign = int(negative.any())  # a sign column only when some value needs one
     point = len(str(top // 10**6)) + sign
@@ -171,14 +214,19 @@ def _format_block(values: np.ndarray) -> np.ndarray:
     out[:, point] = ord(".")
     for col in range(point + 6, point, -1):
         rest = frac // 10
-        out[:, col] = frac - rest * 10 + ord("0")
+        frac -= rest * 10
+        frac += ord("0")
+        out[:, col] = frac
         frac = rest
+    del frac
     for col in range(point - 1, sign - 1, -1):
         rest = units // 10
-        digit = units - rest * 10 + ord("0")
+        lead = units == 0  # a leading zero stays NUL
+        units -= rest * 10
+        units += ord("0")
         if col < point - 1:
-            digit[units == 0] = 0  # a leading zero stays NUL
-        out[:, col] = digit
+            units[lead] = 0
+        out[:, col] = units
         units = rest
     for i, text in texts.items():
         out[i] = 0
@@ -186,43 +234,81 @@ def _format_block(values: np.ndarray) -> np.ndarray:
     return out.reshape(np.shape(values) + (out.shape[1],))
 
 
-def _rows(*pieces: bytes | np.ndarray) -> np.ndarray:
-    """One uint8 row per element: literal pieces (bytes) with formatted
-    numbers (float arrays of one length, a value per element) between."""
-    numbers = _format_block(np.stack([p for p in pieces if not isinstance(p, bytes)],
-                                     axis=1))
-    n = len(numbers)
-    fields = iter(np.moveaxis(numbers, 1, 0))  # the numbers' columns in order
-    parts = [np.broadcast_to(np.frombuffer(p, np.uint8), (n, len(p)))
-             if isinstance(p, bytes) else next(fields) for p in pieces]
-    return np.concatenate(parts, axis=1, out=_blank(n, sum(part.shape[1] for part in parts)))
+class _Kind(NamedTuple):
+    """The literal pieces of one kind of element row around its numbers:
+    `head` before the first, `seps` between each two, all of one length,
+    and `tail` after the last."""
+
+    head: bytes
+    seps: tuple[bytes, ...]
+    tail: bytes
 
 
-def _blank(n: int, width: int) -> np.ndarray:
-    """n uint8 rows of `width` NULs, over a bytearray of their own (their
-    `base`), so that `_text` strips the NULs with no copy before it."""
-    return np.ndarray((n, width), np.uint8, buffer=bytearray(n * width))
-
-
-def _text(rows: np.ndarray) -> bytearray:
-    """The bytes of rows made by `_blank`, NUL padding removed."""
-    return rows.base.replace(b"\0", b"")
-
-
-def _lines(x1, y1, x2, y2, color: str) -> np.ndarray:
-    return _rows(b'<line x1="', x1, b'" y1="', y1, b'" x2="', x2, b'" y2="', y2,
+def _line_kind(color: str) -> _Kind:
+    return _Kind(b'<line x1="', (b'" y1="', b'" x2="', b'" y2="'),
                  _element(f'" stroke="{color}" stroke-width="{fmt(STROKE_WIDTH)}"/>'))
 
 
-def _dots(cx, cy, r: float) -> np.ndarray:
-    return _rows(b'<circle cx="', cx, b'" cy="', cy,
+def _dot_kind(r: float) -> _Kind:
+    return _Kind(b'<circle cx="', (b'" cy="',),
                  _element(f'" r="{fmt(r)}" fill="{CHORD_COLOR}"/>'))
 
 
-def _polyline(xs, ys) -> bytes:
-    points = _text(_rows(xs, b",", ys, b" "))[:-1]
-    return (b'<polyline points="' + points + _element(
-        f'" fill="none" stroke="{CURVE_COLOR}" stroke-width="{fmt(STROKE_WIDTH)}"/>'))
+#: One point of a polyline's points attribute.
+_POINT = _Kind(b"", (b",",), b" ")
+
+
+def _element_rows(rows: _RowBuffer, kinds: tuple[_Kind, ...], kind: np.ndarray,
+                  values: np.ndarray) -> bytearray:
+    """The text of a block of elements: row i is of kind ``kinds[kind[i]]``
+    around as many of the numbers ``values[:, i]`` as it holds.
+
+    The rows are laid out in the row buffer: the literal pieces of every
+    row by one `np.take` from a table of one row per kind, then the
+    numbers that `_format_block` made for every row by one strided copy.
+    So every kind puts its numbers in the same columns: its head ends
+    where the longest head of the kinds in the block does (NULs pad it in
+    front), and the numbers are one field and one separator apart.  A
+    kind with fewer numbers than another in the block has its tail written
+    again, in its own rows, over the numbers that it does not hold.
+    """
+    held = np.flatnonzero(np.bincount(kind, minlength=len(kinds))).tolist()
+    if not held:
+        return bytearray()
+    count = max(len(kinds[k].seps) + 1 for k in held)
+    fields = _format_block(values[:count])
+    _, n, width = fields.shape
+    step = width + len(kinds[held[0]].seps[0])
+    head = max(len(kinds[k].head) for k in held)
+    tails = [head + len(kd.seps) * step + width for kd in kinds]  # where each tail starts
+    table = np.zeros((len(kinds), max(tails[k] + len(kinds[k].tail) for k in held)), np.uint8)
+    for k in held:
+        pieces = [(head - len(kinds[k].head), kinds[k].head), (tails[k], kinds[k].tail)]
+        pieces += [(head + j * step + width, sep) for j, sep in enumerate(kinds[k].seps)]
+        for at, piece in pieces:
+            table[k, at:at + len(piece)] = np.frombuffer(piece, np.uint8)
+    view = rows.block(n, table.shape[1])
+    np.take(table, kind, axis=0, out=view, mode="clip")  # "raise" would write via a copy
+    as_strided(view[:, head:], (count, n, width), (step, view.strides[0], 1))[...] = fields
+    del fields
+    for k in held:
+        if len(kinds[k].seps) + 1 < count:
+            view[kind == k, tails[k]:] = table[k, tails[k]:]
+    return rows.text(view.size)
+
+
+def _elements(rows: _RowBuffer, kind: _Kind, values: np.ndarray) -> bytearray:
+    """The text of a block of elements of one kind, row i around the
+    numbers ``values[:, i]``."""
+    return _element_rows(rows, (kind,), np.zeros(values.shape[1], np.uint8), values)
+
+
+def _polyline(rows: _RowBuffer, xs: np.ndarray, ys: np.ndarray) -> bytearray:
+    text = _elements(rows, _POINT, np.stack((xs, ys)))
+    text[-1:] = _element(
+        f'" fill="none" stroke="{CURVE_COLOR}" stroke-width="{fmt(STROKE_WIDTH)}"/>')
+    text[:0] = b'<polyline points="'
+    return text
 
 
 def _clip_infinite(ax, ay, bx, by, x0, y0, x1, y1):
@@ -286,45 +372,40 @@ class _CircleScene:
             f'stroke-width="{fmt(STROKE_WIDTH)}"/>'
         )
 
-    def chord_elements(self, chords: ChordSet, extend: bool,
+    def chord_elements(self, rows: _RowBuffer, chords: ChordSet, extend: bool,
                        points: bool = False) -> Iterator[bytes]:
         """With `points`, a dot at each position that a chord uses, in
         position order; then lines for regular chords and dots for
         degenerate ones, in row order.  Each block of rows maps the ends
-        of its own chords (`at_turns`), so drawing holds no table of all
-        positions: only the rows, a den-long bool mask of the used
-        positions with `points`, and one block's working set.  Every
-        chord's ends lie on the circle, inside the canvas box, so an
-        extended line crosses the box and no chord is left out.  A block
-        formats only the kinds it holds and merges their rows, in row
-        order, into one NUL-padded array."""
+        of its own chords (`at_turns`): every row's start, which is a
+        dot's centre, and each line's end.  So drawing holds no table of
+        all positions: only the rows, a den-long bool mask of the used
+        positions with `points`, the row buffer and one block's working
+        set.  Every chord's ends lie on the circle, inside the canvas box,
+        so an extended line crosses the box and no chord is left out.  A
+        block's lines and dots are laid out together, in row order, by
+        `_element_rows`; a dot's numbers are its centre twice, and the
+        second pair, formatted only when the block holds a line, is
+        written over."""
         den = chords.den
+        kinds = (_line_kind(CHORD_COLOR), _dot_kind(POINT_RADIUS))
         if points:
             used = np.zeros(den, bool)
             used[chords.rows] = True
             for lo in range(0, den, _CHUNK_ROWS):
-                x, y = self.at_turns(np.flatnonzero(used[lo:lo + _CHUNK_ROWS]) + lo, den)
-                yield _text(_dots(x, y, POINT_RADIUS))
+                at = np.flatnonzero(used[lo:lo + _CHUNK_ROWS]) + lo
+                yield _elements(rows, kinds[1], np.stack(self.at_turns(at, den)))
         for lo in range(0, len(chords.rows), _CHUNK_ROWS):
             start, end = chords.rows[lo:lo + _CHUNK_ROWS].T
-            line = np.flatnonzero(start != end)
-            dot = np.flatnonzero(start == end)
-            kinds = []  # (positions, rows) of each kind the block holds
-            if len(line):
-                ax, ay = self.at_turns(start[line], den)
-                bx, by = self.at_turns(end[line], den)
-                if extend:
-                    ax, ay, bx, by = _clip_infinite(ax, ay, bx, by, *self.box)
-                kinds.append((line, _lines(ax, ay, bx, by, CHORD_COLOR)))
-            if len(dot):
-                x, y = self.at_turns(start[dot], den)
-                kinds.append((dot, _dots(x, y, POINT_RADIUS)))
-            rows = _blank(len(start), max(r.shape[1] for _, r in kinds))
-            for at, r in kinds:
-                rows[at, :r.shape[1]] = r
-            del kinds, r  # hold only these rows, and not into the next block
-            yield _text(rows)
-            del rows
+            dot = start == end
+            line = np.flatnonzero(~dot)
+            coords = np.empty((4, len(start)))  # x1, y1, x2, y2 of each row
+            coords[0], coords[1] = self.at_turns(start, den)
+            coords[2:] = coords[:2]
+            coords[2, line], coords[3, line] = self.at_turns(end[line], den)
+            if extend:
+                coords[:, line] = _clip_infinite(*coords[:, line], *self.box)
+            yield _element_rows(rows, kinds, dot.view(np.uint8), coords)
 
 
 class _TorusScene:
@@ -343,23 +424,24 @@ class _TorusScene:
             f'stroke="{CHORD_COLOR}" stroke-width="{fmt(STROKE_WIDTH)}"/>'
         )
 
-    def line_elements(self, alpha: int, beta: int, offset: numbers.Rational,
-                      color: str) -> Iterator[bytes]:
+    def line_elements(self, rows: _RowBuffer, alpha: int, beta: int,
+                      offset: numbers.Rational, color: str) -> Iterator[bytes]:
         """The segments of one period of a torus line, block by block."""
+        kind = _line_kind(color)
         for ends, den in _torus_segments(alpha, beta, offset):
-            ends = ends / den
-            ax, ay, bx, by = ends.T
-            _to_canvas(ax, ay, self.x0, self.y0, self.scale)
-            _to_canvas(bx, by, self.x0, self.y0, self.scale)
-            yield _text(_lines(ax, ay, bx, by, color))
+            ends = np.ascontiguousarray(ends.T, np.float64)  # x0, y0, x1, y1 rows
+            ends /= den
+            _to_canvas(ends[0], ends[1], self.x0, self.y0, self.scale)
+            _to_canvas(ends[2], ends[3], self.x0, self.y0, self.scale)
+            yield _elements(rows, kind, ends)
 
-    def sample_dots(self, chords: ChordSet) -> Iterator[bytes]:
+    def sample_dots(self, rows: _RowBuffer, chords: ChordSet) -> Iterator[bytes]:
         """A dot at (x, y) for each chord from x to y, in row order."""
+        kind = _dot_kind(SAMPLE_DOT_RADIUS)
         for lo in range(0, len(chords.rows), _CHUNK_ROWS):
             start, end = chords.rows[lo:lo + _CHUNK_ROWS].T
-            x, y = _to_canvas(start / chords.den, end / chords.den,
-                              self.x0, self.y0, self.scale)
-            yield _text(_dots(x, y, SAMPLE_DOT_RADIUS))
+            yield _elements(rows, kind, np.stack(_to_canvas(
+                start / chords.den, end / chords.den, self.x0, self.y0, self.scale)))
 
 
 def _torus_segments(alpha: int, beta: int, offset: numbers.Rational
@@ -422,9 +504,9 @@ def render_stitch(chords: ChordSet, style: RenderStyle) -> SvgDocument:
     """Circle outline, optional boundary dots, and the chord family."""
     scene = _CircleScene(style.canvas_px)
 
-    def body() -> Iterator[bytes]:
+    def body(rows: _RowBuffer) -> Iterator[bytes]:
         yield scene.outline()
-        yield from scene.chord_elements(chords, style.extend_lines, style.show_points)
+        yield from scene.chord_elements(rows, chords, style.extend_lines, style.show_points)
 
     return SvgDocument(style.canvas_px, style.canvas_px, body)
 
@@ -447,11 +529,11 @@ def render_dance_with_curve(d: PlanetDance, n: int,
             spec, np.arange(CURVE_SEGMENTS + 1) / CURVE_SEGMENTS),
             scene.cx, scene.cy, scene.radius)
 
-    def body() -> Iterator[bytes]:
+    def body(rows: _RowBuffer) -> Iterator[bytes]:
         yield scene.outline()
-        yield from scene.chord_elements(chords, extend)
+        yield from scene.chord_elements(rows, chords, extend)
         if curve is not None:
-            yield _polyline(*curve)
+            yield _polyline(rows, *curve)
 
     return SvgDocument(style.canvas_px, style.canvas_px, body)
 
@@ -499,14 +581,14 @@ def render_gallery_pair(m: int, a: int, style: RenderStyle) -> SvgDocument:
     torus = _TorusScene(px)
     scene = _CircleScene(px, ox=float(px))
 
-    def body() -> Iterator[bytes]:
+    def body(rows: _RowBuffer) -> Iterator[bytes]:
         # chord k of MMT(m, a) runs from k/m to a*k/m: the sample (k/m, a*k/m)
         chords = mmt_chords(StitchGraph(m, a))
         yield torus.outline()
         for line in lines:
-            yield from torus.line_elements(*line)
-        yield from torus.sample_dots(chords)
+            yield from torus.line_elements(rows, *line)
+        yield from torus.sample_dots(rows, chords)
         yield scene.outline()
-        yield from scene.chord_elements(chords, style.extend_lines)
+        yield from scene.chord_elements(rows, chords, style.extend_lines)
 
     return SvgDocument(2 * px, px, body)

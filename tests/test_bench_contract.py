@@ -29,7 +29,7 @@ def test_chord_construction_contract():
     assert ChordSet(prebuilt) == chords
     assert sample(Sampling(PlanetDance(1, a), m)) == chords
     rows = sample_pairs(1, a, m)
-    assert rows.dtype == np.int64 and rows.shape == (m, 2)
+    assert rows.dtype == np.int32 and rows.shape == (m, 2)
     assert rows.tolist() == [[k, a * k % m] for k in range(m)]
 
 

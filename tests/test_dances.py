@@ -111,7 +111,7 @@ def test_sample_pairs_matches_sample():
             for c in reference
         )
         got = sample_pairs(alpha, beta, m)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         assert [tuple(row) for row in got] == expected
     # <3,2> at t = 1/2 runs from 1/2 to 0
     assert DirectedChord(wrap(Fraction(1, 2)), wrap(0)) in set(sampled(3, 2, 2))
@@ -134,7 +134,7 @@ def test_sample_pairs_unit_alpha_matches_sorted_path():
         got = sample_pairs(alpha, beta, m)
         assert np.array_equal(got, sorted_pairs(alpha, beta, m)), (alpha, beta, m)
         # owned and writeable, so that a chord set takes it without a copy
-        assert got.dtype == np.int64 and got.flags.owndata and got.flags.writeable
+        assert got.dtype == np.int32 and got.flags.owndata and got.flags.writeable
     # the other dances keep the sorted path
     for alpha, beta, m in [(2, 3, 10), (3, 2, 100), (0, 1, 7), (-1, 4, 9), (7, 5, 60)]:
         assert np.array_equal(sample_pairs(alpha, beta, m), sorted_pairs(alpha, beta, m))
@@ -164,7 +164,7 @@ def test_sample_pairs_matches_sorted_path_for_every_small_dance():
             for beta in range(-m - 1, m + 2):
                 got = sample_pairs(alpha, beta, m)
                 assert np.array_equal(got, sorted_pairs(alpha, beta, m)), (alpha, beta, m)
-                assert got.dtype == np.int64 and got.flags.owndata and got.flags.writeable
+                assert got.dtype == np.int32 and got.flags.owndata and got.flags.writeable
                 cases += 1
     assert cases == 23416
 
@@ -219,3 +219,34 @@ def test_chord_set_of_chords_is_built_in_lowest_terms():
         want_den, want_rows = lowest_terms(den, rows)
         assert chords.den == want_den and np.array_equal(chords.rows, want_rows), (den, pairs)
         assert_in_lowest_terms(chords)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1, 999999), (999983, -999979), (7, 3), (7, -3)])
+def test_int32_rows_are_exact_at_the_cap(alpha, beta):
+    # the rows are int32, their products int64: at m = MAX_INPUT every
+    # sampled k's pair, from Python ints, is a row, and the rows are the
+    # m / gcd(alpha, beta, m) distinct pairs in order; beta = -3 = 999997
+    # (mod m) makes the sort path's beta*k overflow int32
+    m = MAX_INPUT
+    rows = sample_pairs(alpha, beta, m)
+    assert rows.dtype == np.int32 and len(rows) == m // math.gcd(alpha, beta, m)
+    keys = rows[:, 0].astype(np.int64) * m + rows[:, 1]
+    assert (np.diff(keys) > 0).all()
+    ks = [0, 1, 2, m // 2, m - 2, m - 1] + random.Random(alpha).sample(range(m), 2000)
+    want = np.array([alpha * k % m * m + beta * k % m for k in ks])
+    assert np.array_equal(keys[np.searchsorted(keys, want)], want)
+
+
+def test_chord_sets_at_the_cap_are_built_alike():
+    # a set built from Fraction chords at den = MAX_INPUT holds the same
+    # int32 rows as one that `sample` built, so the two are equal and hash
+    # alike; 3000 of the 10^6 chords of <7,3>, the first ones among them,
+    # keep den = 10^6
+    built = sample(Sampling(PlanetDance(7, 3), MAX_INPUT))
+    assert built.den == MAX_INPUT and built.rows.dtype == np.int32
+    rows = built.rows[np.r_[0:1000, 499000:500000, MAX_INPUT - 1000:MAX_INPUT]]
+    chords = ChordSet(DirectedChord(wrap(Fraction(x, MAX_INPUT)), wrap(Fraction(y, MAX_INPUT)))
+                      for x, y in rows.tolist())
+    same = ChordSet._from_rows(MAX_INPUT, rows.copy())
+    assert chords.den == MAX_INPUT and chords.rows.dtype == np.int32
+    assert chords == same and hash(chords) == hash(same)

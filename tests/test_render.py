@@ -261,16 +261,18 @@ def test_torus_segments_at_the_int64_extremes():
 def _block_bytes():
     """The bytes of one block of the widest element rows: lines whose four
     coordinates are as wide as the default canvas."""
-    edge = np.full(1, float(RenderStyle().canvas_px))
-    return render._CHUNK_ROWS * render._lines(edge, edge, edge, edge, render.CHORD_COLOR).shape[1]
+    edge = np.full((4, 1), float(RenderStyle().canvas_px))
+    line = render._line_kind(render.CHORD_COLOR)
+    return render._CHUNK_ROWS * len(render._elements(render._RowBuffer(), line, edge))
 
 
 #: The blocks of element rows that drawing a chord figure may hold on top
-#: of its chord rows, whatever its size: one block's rows and their text
-#: without NUL padding, bound while the next block is made; and one for a
-#: block's coordinates and formatting scratch.  Each of these adds about
-#: one more: rows that outlive their block, text kept after it is written,
-#: a copy of the rows before their NULs are stripped.
+#: of its chord rows, whatever its size: the document's row buffer, which
+#: every block reuses, and a block's text without NUL padding, bound while
+#: the next block is made; and one for a block's coordinates and
+#: formatting scratch.  Each of these adds about one more: a row buffer
+#: per block, text kept after it is written, a copy of the rows before
+#: their NULs are stripped.
 WORKING_SET_BLOCKS = 3
 
 
@@ -359,24 +361,67 @@ def test_stitch_element_counts():
 def test_blocks_format_only_the_kinds_they_hold(monkeypatch):
     # chord k of MMT(m, a) is a dot iff (a - 1)*k = 0 (mod m): MMT(100000,
     # 35911) has 10 dots, k = 0 (mod 10000), in 10 of its 25 blocks
-    made = []  # the kind and row count of each `_lines` and `_dots` call
-    for name in ("_lines", "_dots"):
-        def counted(x, *rest, name=name, real=getattr(render, name)):
-            made.append((name, len(x)))
-            return real(x, *rest)
-        monkeypatch.setattr(render, name, counted)
+    made = []  # the rows of each kind that each `_element_rows` call lays out
+    formatted = []  # the numbers per row of each `_format_block` call
+    real_rows, real_format = render._element_rows, render._format_block
+
+    def rows_counted(rows, kinds, kind, values):
+        made.append({kinds[k].head: int((kind == k).sum())
+                     for k in range(len(kinds)) if (kind == k).any()})
+        return real_rows(rows, kinds, kind, values)
+
+    def format_counted(values):
+        formatted.append(len(values))
+        return real_format(values)
+
+    monkeypatch.setattr(render, "_element_rows", rows_counted)
+    monkeypatch.setattr(render, "_format_block", format_counted)
+    line, dot = b'<line x1="', b'<circle cx="'
     blocks = -(-100000 // render._CHUNK_ROWS)
     doc = render_stitch(mmt_chords(StitchGraph(100000, 35911)), RenderStyle())
     assert doc.data.count(b"<circle ") == 1 + 10
-    assert [n for name, n in made if name == "_dots"] == [1] * 10
-    lines = [n for name, n in made if name == "_lines"]
+    assert [b[dot] for b in made if dot in b] == [1] * 10
+    lines = [b[line] for b in made if line in b]
     assert len(lines) == blocks and sum(lines) == 100000 - 10
-    # MMT(m, 1) has no regular chord, so no block makes line rows
+    assert formatted == [4] * blocks  # a dot's centre is formatted twice only beside lines
+    # MMT(m, 1) has no regular chord, so no block lays out or formats a line
     made.clear()
+    formatted.clear()
     doc = render_stitch(mmt_chords(StitchGraph(100000, 1)), RenderStyle(extend_lines=True))
     assert doc.data.count(b"<circle ") == 1 + 100000
-    assert [n for name, n in made if name == "_lines"] == []
-    assert sum(n for _, n in made) == 100000 and len(made) == blocks
+    assert [b for b in made if line in b] == []
+    assert sum(b[dot] for b in made) == 100000 and len(made) == blocks
+    assert formatted == [2] * blocks
+
+
+@pytest.mark.parametrize("doc, blocks, made", [
+    pytest.param(lambda: render_stitch(mmt_chords(StitchGraph(100000, 35911)), RenderStyle()),
+                 25, 1, id="stitch-100000-35911"),
+    pytest.param(lambda: render_dance_with_curve(PlanetDance(7, 3), 10**5, RenderStyle()),
+                 26, 1, id="dance-7-3-n100000"),
+    # a torus block one segment longer than the first, and the circle half,
+    # drawn right of x = 800 with wider coordinates, make the bytes anew
+    pytest.param(lambda: render_gallery_pair(100000, 35911, RenderStyle()),
+                 60, 3, id="gallery-100000-35911"),
+])
+def test_document_makes_its_row_buffer_once(doc, blocks, made, monkeypatch, tmp_path):
+    # every block of a document is laid out in one row buffer: render makes
+    # a bytearray for rows only when a block is larger than all before it,
+    # not one per block
+    buffers = []
+    real_init = render._RowBuffer.__init__
+    monkeypatch.setattr(render._RowBuffer, "__init__",
+                        lambda self: buffers.append(self) or real_init(self))
+    sized = []
+    monkeypatch.setattr(render, "bytearray",
+                        lambda *args: sized.append(args) or bytearray(*args), raising=False)
+    chunks = []
+    real = render._RowBuffer.text
+    monkeypatch.setattr(render._RowBuffer, "text",
+                        lambda self, size: chunks.append(size) or real(self, size))
+    doc().save(tmp_path / "d.svg")
+    assert len(buffers) == 1 and len(chunks) == blocks
+    assert len([args for args in sized if args and args[0]]) == made
 
 
 def test_svg_structure():
@@ -433,9 +478,9 @@ def test_dance_curve_is_the_scalar_loop(alpha, beta, monkeypatch):
     drawn = []
     real = render._polyline
 
-    def capture(xs, ys):
+    def capture(rows, xs, ys):
         drawn.append((xs.copy(), ys.copy()))
-        return real(xs, ys)
+        return real(rows, xs, ys)
 
     monkeypatch.setattr(render, "_polyline", capture)
     d = PlanetDance(alpha, beta)
@@ -524,7 +569,8 @@ class _Chunk(bytearray):
 def test_save_holds_no_written_chunk_while_it_makes_the_next(tmp_path):
     made = []  # a weak reference to each chunk the body has made
 
-    def body():
+    def body(rows):
+        assert isinstance(rows, render._RowBuffer)
         for i in range(3):
             if made:
                 assert made[-1]() is None, "save still holds the written chunk"
@@ -568,6 +614,17 @@ def test_points_mark_only_the_used_positions_before_the_chords():
     dots = [f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="2.500000" fill="#000000"/>'.encode()
             for x, y in zip(xs.tolist(), ys.tolist())]
     assert dotted == plain[:2] + dots + plain[2:]
+
+
+def test_points_window_without_a_used_position():
+    # <17,241> sampled 4097 times uses the multiples of 17 and of 241, so
+    # the last window of positions, [4096, 4097), holds none: it adds no dot
+    chords = sample(Sampling(PlanetDance(17, 241), 4097))
+    used = np.unique(chords.rows)
+    assert used[-1] < 4096
+    dots = int((chords.rows[:, 0] == chords.rows[:, 1]).sum())
+    text = render_stitch(chords, RenderStyle(show_points=True)).data
+    assert text.count(b'r="2.500000"') == len(used) + dots
 
 
 def test_grid_validation():
