@@ -10,7 +10,7 @@ from .kernel import ChordSet, check_input_size, check_size, make_checked
 if TYPE_CHECKING:
     import numpy as np
 
-#: Samples whose int64 products `sample_pairs` makes at once.
+#: Rows of `sample_pairs` whose int64 products are made at once.
 _WINDOW = 1 << 14
 
 
@@ -100,40 +100,39 @@ def sample_pairs(alpha: int, beta: int, m: int) -> np.ndarray:
     """The m-sampling of the dance (alpha, beta) as integer rows.
 
     Returns the sorted unique pairs (alpha*k mod m, beta*k mod m),
-    k = 0..m-1, as an (n, 2) int32 array of endpoint numerators over m.
-    Every chord set of the package is built here.  Sample k + count
-    repeats sample k, count = m / gcd(alpha, beta, m), so the samples
-    k < count are the distinct pairs; their keys x*m + y, which order like
-    the rows, are sorted.  When alpha = 1 (mod m), count = m and the keys
-    k*m + (beta*k mod m) already are sorted, so row k is built directly.
-    m <= ``MAX_INPUT`` keeps every numerator below 2^31 and every product
-    and key below 2^63: the products are made in int64, `_WINDOW` samples
-    at a time, so besides the rows only the keys are count long.
+    k = 0..m-1, as an (n, 2) int32 array of endpoint numerators over m;
+    every chord set of the package is built here.  The starts are g*j,
+    j < q, for g = gcd(alpha, m) and q = m/g, each reached at k = j times
+    (alpha/g)^-1 mod q plus multiples of q, which add beta*q to the end.
+    So row j*(m/h) + l is (g*j, c*j mod h + h*l), l < m/h, with
+    h = gcd(beta*q, m) and c = beta*(alpha/g)^-1 mod h, for any triple:
+    sorted and distinct with no sort.  Windows of about `_WINDOW` rows make
+    c*j in int64 (below 2^63, and every numerator below 2^31, as
+    m <= ``MAX_INPUT``) and make each end l in [s, 2s) as end l - s plus s*h.
     """
     check_size("modulus", m)
     import numpy as np
 
-    if alpha % m == 1 % m:
-        rows = np.empty((m, 2), np.int32)
-        for lo in range(0, m, _WINDOW):
-            k = np.arange(lo, min(lo + _WINDOW, m), dtype=np.int64)
-            rows[lo:lo + _WINDOW, 0] = k
-            k *= beta % m
-            k %= m
-            rows[lo:lo + _WINDOW, 1] = k
-        return rows
-    count = m // gcd(alpha, beta, m)  # the period of the samples
-    keys = np.arange(count, dtype=np.int64)
-    keys *= alpha % m
-    keys %= m
-    keys *= m
-    for lo in range(0, count, _WINDOW):
-        k = np.arange(lo, min(lo + _WINDOW, count), dtype=np.int64)
-        k *= beta % m
-        k %= m
-        keys[lo:lo + _WINDOW] += k
-    keys.sort()
-    rows = np.empty((count, 2), np.int32)
-    for lo in range(0, count, _WINDOW):
-        rows[lo:lo + _WINDOW, 0], rows[lo:lo + _WINDOW, 1] = np.divmod(keys[lo:lo + _WINDOW], m)
+    g = gcd(alpha, m)
+    q = m // g
+    h = gcd(beta * q, m)
+    ends = m // h
+    c = beta * pow(alpha // g, -1, q) % h
+    rows = np.empty((q * ends, 2), np.int32)
+    cols = rows.reshape(q, ends, 2).T  # cols[0] and cols[1]: (l, j) views
+    step = _WINDOW // ends or 1
+    for lo in range(0, q, step):
+        hi = min(lo + step, q)
+        cols[0, :, lo:hi] = np.arange(lo * g, hi * g, g, dtype=np.int32)
+        j = np.arange(lo, hi, dtype=np.int64)
+        j *= c
+        k = j // h  # j - h*k is c*j mod h; numpy's % is several times slower
+        k *= h
+        j -= k
+        cols[1, 0, lo:hi] = j
+        del j, k  # freed before the next window's are made
+        s = 1
+        while s < ends:
+            np.add(cols[1, :min(s, ends - s), lo:hi], s * h, out=cols[1, s:2 * s, lo:hi])
+            s *= 2
     return rows

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -125,21 +126,6 @@ def sorted_pairs(alpha, beta, m):
     return np.stack(np.divmod(keys, m), axis=1)
 
 
-def test_sample_pairs_unit_alpha_matches_sorted_path():
-    cases = [(1, a, m) for m in range(1, 61) for a in range(m)]
-    cases += [(1, -7, 60), (1, -60, 60), (1, -61, 60), (1, 67, 60), (1, 120, 60),
-              (61, 5, 60), (61, -5, 60), (8, 3, 7), (1, 0, 1), (1, 5, 1), (2, -3, 1),
-              (1, 999_999, 10**6), (1 + 10**6, -3, 10**6)]
-    for alpha, beta, m in cases:
-        got = sample_pairs(alpha, beta, m)
-        assert np.array_equal(got, sorted_pairs(alpha, beta, m)), (alpha, beta, m)
-        # owned and writeable, so that a chord set takes it without a copy
-        assert got.dtype == np.int32 and got.flags.owndata and got.flags.writeable
-    # the other dances keep the sorted path
-    for alpha, beta, m in [(2, 3, 10), (3, 2, 100), (0, 1, 7), (-1, 4, 9), (7, 5, 60)]:
-        assert np.array_equal(sample_pairs(alpha, beta, m), sorted_pairs(alpha, beta, m))
-
-
 @pytest.mark.parametrize("alpha, beta, count", [(0, 0, 1), (2, 4, 500000)])
 def test_sample_pairs_builds_only_the_distinct_samples(monkeypatch, alpha, beta, count):
     # sample k + count repeats sample k, count = m / gcd(alpha, beta, m),
@@ -147,8 +133,13 @@ def test_sample_pairs_builds_only_the_distinct_samples(monkeypatch, alpha, beta,
     m = 10**6
     lengths = []
     real = np.arange
-    monkeypatch.setattr(np, "arange", lambda n, *args, **kwargs: (
-        lengths.append(n) or real(n, *args, **kwargs)))
+
+    def arange(*args, **kwargs):
+        made = real(*args, **kwargs)
+        lengths.append(len(made))
+        return made
+
+    monkeypatch.setattr(np, "arange", arange)
     got = sample_pairs(alpha, beta, m)
     monkeypatch.undo()
     assert lengths and max(lengths) <= count == len(got)
@@ -158,15 +149,36 @@ def test_sample_pairs_builds_only_the_distinct_samples(monkeypatch, alpha, beta,
 def test_sample_pairs_matches_sorted_path_for_every_small_dance():
     # every speed pair in [-m - 1, m + 1]^2: zero, negative and non-reduced
     # speeds, and speeds congruent to 1 on both sides of the modulus
+    def check(alpha, beta, m):
+        got = sample_pairs(alpha, beta, m)
+        assert np.array_equal(got, sorted_pairs(alpha, beta, m)), (alpha, beta, m)
+        # owned and writeable, so that a chord set takes it without a copy
+        assert got.dtype == np.int32 and got.flags.owndata and got.flags.writeable
+
     cases = 0
     for m in range(1, 25):
         for alpha in range(-m - 1, m + 2):
             for beta in range(-m - 1, m + 2):
-                got = sample_pairs(alpha, beta, m)
-                assert np.array_equal(got, sorted_pairs(alpha, beta, m)), (alpha, beta, m)
-                assert got.dtype == np.int32 and got.flags.owndata and got.flags.writeable
+                check(alpha, beta, m)
                 cases += 1
     assert cases == 23416
+    # the triples in lowest terms, as `sample` passes them, up to m < 45
+    for m in range(25, 45):
+        for alpha in range(-m - 1, m + 2):
+            for beta in range(-m - 1, m + 2):
+                if math.gcd(alpha, beta, m) == 1:
+                    check(alpha, beta, m)
+    # the stitch graphs to m = 60 that the loops above leave out, and unit
+    # first speeds out of [0, m)
+    for m in range(45, 61):
+        for a in range(m):
+            check(1, a, m)
+    for alpha, beta, m in [(1, -7, 60), (1, -60, 60), (1, -61, 60), (1, 67, 60),
+                           (1, 120, 60), (61, 5, 60), (61, -5, 60), (8, 3, 7),
+                           (1, 0, 1), (1, 5, 1), (2, -3, 1), (2, 3, 10), (3, 2, 100),
+                           (0, 1, 7), (-1, 4, 9), (7, 5, 60), (1, 999_999, 10**6),
+                           (1 + 10**6, -3, 10**6)]:
+        check(alpha, beta, m)
 
 
 def lowest_terms(den, rows):
@@ -221,12 +233,15 @@ def test_chord_set_of_chords_is_built_in_lowest_terms():
         assert_in_lowest_terms(chords)
 
 
-@pytest.mark.parametrize("alpha, beta", [(1, 999999), (999983, -999979), (7, 3), (7, -3)])
+@pytest.mark.parametrize("alpha, beta", [(1, 999999), (999983, -999979), (7, 3), (7, -3),
+                                         (6, -5), (0, 1), (500000, 3)])
 def test_int32_rows_are_exact_at_the_cap(alpha, beta):
     # the rows are int32, their products int64: at m = MAX_INPUT every
     # sampled k's pair, from Python ints, is a row, and the rows are the
-    # m / gcd(alpha, beta, m) distinct pairs in order; beta = -3 = 999997
-    # (mod m) makes the sort path's beta*k overflow int32
+    # m / gcd(alpha, beta, m) distinct pairs in order; the int64 product
+    # c*j of sample_pairs (j a start's index) passes 2^31 for <1,999999>
+    # and for beta = -3; <6,-5> has gcd(alpha, m) = 2, and <0,1> and
+    # <500000,3> more ends per start than a window has rows
     m = MAX_INPUT
     rows = sample_pairs(alpha, beta, m)
     assert rows.dtype == np.int32 and len(rows) == m // math.gcd(alpha, beta, m)
@@ -235,6 +250,21 @@ def test_int32_rows_are_exact_at_the_cap(alpha, beta):
     ks = [0, 1, 2, m // 2, m - 2, m - 1] + random.Random(alpha).sample(range(m), 2000)
     want = np.array([alpha * k % m * m + beta * k % m for k in ks])
     assert np.array_equal(keys[np.searchsorted(keys, want)], want)
+
+
+@pytest.mark.parametrize("alpha, beta", [(7, 3), (6, -5), (0, 1), (500000, 3), (1, 999999)])
+def test_sample_pairs_scratch_is_one_window(alpha, beta):
+    # besides its rows, sample_pairs holds only one window's products at
+    # m = MAX_INPUT: no array as long as the rows, whatever the dance;
+    # a small call first, so that numpy's one-time allocations are not traced
+    sample_pairs(alpha, beta, 12)
+    tracemalloc.start()
+    try:
+        rows = sample_pairs(alpha, beta, MAX_INPUT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - rows.nbytes < 500_000
 
 
 def test_chord_sets_at_the_cap_are_built_alike():
