@@ -146,20 +146,33 @@ def test_sample_pairs_builds_only_the_distinct_samples(monkeypatch, alpha, beta,
     assert np.array_equal(got, sorted_pairs(alpha, beta, m))
 
 
+def check_against_sorted_path(alpha, beta, m):
+    got = sample_pairs(alpha, beta, m)
+    assert np.array_equal(got, sorted_pairs(alpha, beta, m)), (alpha, beta, m)
+    # owned and writeable, so that a chord set takes it without a copy
+    assert got.dtype == np.int32 and got.flags.owndata and got.flags.writeable
+
+
+def test_sample_pairs_unit_alpha_matches_sorted_path():
+    # the stitch graphs to m = 60, unit first speeds out of [0, m), and
+    # other dances beside them
+    cases = [(1, a, m) for m in range(1, 61) for a in range(m)]
+    cases += [(1, -7, 60), (1, -60, 60), (1, -61, 60), (1, 67, 60), (1, 120, 60),
+              (61, 5, 60), (61, -5, 60), (8, 3, 7), (1, 0, 1), (1, 5, 1), (2, -3, 1),
+              (1, 999_999, 10**6), (1 + 10**6, -3, 10**6)]
+    cases += [(2, 3, 10), (3, 2, 100), (0, 1, 7), (-1, 4, 9), (7, 5, 60)]
+    for alpha, beta, m in cases:
+        check_against_sorted_path(alpha, beta, m)
+
+
 def test_sample_pairs_matches_sorted_path_for_every_small_dance():
     # every speed pair in [-m - 1, m + 1]^2: zero, negative and non-reduced
     # speeds, and speeds congruent to 1 on both sides of the modulus
-    def check(alpha, beta, m):
-        got = sample_pairs(alpha, beta, m)
-        assert np.array_equal(got, sorted_pairs(alpha, beta, m)), (alpha, beta, m)
-        # owned and writeable, so that a chord set takes it without a copy
-        assert got.dtype == np.int32 and got.flags.owndata and got.flags.writeable
-
     cases = 0
     for m in range(1, 25):
         for alpha in range(-m - 1, m + 2):
             for beta in range(-m - 1, m + 2):
-                check(alpha, beta, m)
+                check_against_sorted_path(alpha, beta, m)
                 cases += 1
     assert cases == 23416
     # the triples in lowest terms, as `sample` passes them, up to m < 45
@@ -167,18 +180,7 @@ def test_sample_pairs_matches_sorted_path_for_every_small_dance():
         for alpha in range(-m - 1, m + 2):
             for beta in range(-m - 1, m + 2):
                 if math.gcd(alpha, beta, m) == 1:
-                    check(alpha, beta, m)
-    # the stitch graphs to m = 60 that the loops above leave out, and unit
-    # first speeds out of [0, m)
-    for m in range(45, 61):
-        for a in range(m):
-            check(1, a, m)
-    for alpha, beta, m in [(1, -7, 60), (1, -60, 60), (1, -61, 60), (1, 67, 60),
-                           (1, 120, 60), (61, 5, 60), (61, -5, 60), (8, 3, 7),
-                           (1, 0, 1), (1, 5, 1), (2, -3, 1), (2, 3, 10), (3, 2, 100),
-                           (0, 1, 7), (-1, 4, 9), (7, 5, 60), (1, 999_999, 10**6),
-                           (1 + 10**6, -3, 10**6)]:
-        check(alpha, beta, m)
+                    check_against_sorted_path(alpha, beta, m)
 
 
 def lowest_terms(den, rows):
