@@ -1,5 +1,7 @@
 """Command-line interface: construct, analyze, verify, and render.
 
+Each command parses its arguments, calls the library and prints or saves
+what it returns; `analyze` prints :func:`stitchlab.overlay.report`.
 Exit codes: 0 success, 1 verification failure, 2 bad arguments, 3 I/O
 error.  The rendering commands take the canvas size from `--canvas`.
 """
@@ -11,12 +13,10 @@ import gc
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .cycloid import classify, offset_family_radius
 from .dances import PlanetDance, StitchGraph, mmt_chords
-from .overlay import overlay_decompose
+from .overlay import overlay_decompose, report, report_text
 
 if TYPE_CHECKING:
     from .render import RenderStyle
@@ -32,10 +32,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _frac(f: Fraction | None) -> str | None:
-    return None if f is None else f"{f.numerator}/{f.denominator}"
-
-
 def _style(args: argparse.Namespace) -> RenderStyle:
     # render is imported by the commands that draw, here and below, so
     # that analyze and --help do not load the SVG emitter
@@ -49,79 +45,8 @@ def _style(args: argparse.Namespace) -> RenderStyle:
 
 
 def build_report(m: int, a: int) -> dict:
-    """The analysis pipeline as one JSON-ready dictionary.
-
-    All rationals are "num/den" strings and the key order is fixed, so
-    serializing the dictionary is byte-stable.
-    """
-    dec = overlay_decompose(m, a)
-    analysis = dec.analysis
-    cosets = range(len(dec.numerators))
-    dance = analysis.reduced_dance
-    spec = classify(dance)
-    if spec.kind in ("epicycloid", "hypocycloid"):
-        envelope = {
-            "kind": spec.kind,
-            "fixed_radius": _frac(spec.fixed_radius),
-            "rolling_radius": _frac(spec.rolling_radius),
-            "cusps": abs(dance.alpha - dance.beta),
-        }
-    elif spec.kind == "diagonal":
-        envelope = {
-            "kind": spec.kind,
-            # at the text form's 6 decimals, so 1/2 prints as 0.5
-            "radii": [round(offset_family_radius(dec.offset(k)), 6) for k in cosets],
-        }
-    else:
-        envelope = {"kind": spec.kind}
-    return {
-        "m": m,
-        "a": analysis.a,
-        "fundamental_dance": {"alpha": 1, "beta": analysis.a},
-        "shortest_vector": list(analysis.shortest_vector),
-        "natural_dance": {"alpha": dance.alpha, "beta": dance.beta},
-        "tie": analysis.tie,
-        "d": analysis.coset_count,
-        "reduced_rate": analysis.reduced_rate,
-        "cosets": [
-            {
-                "k": k,
-                "rotation": _frac(dec.rotation(k)),
-                "line_offset": _frac(dec.offset(k)),
-            }
-            for k in cosets
-        ],
-        "envelope": envelope,
-    }
-
-
-def _report_text(report: dict) -> str:
-    lines = [
-        f"MMT({report['m']},{report['a']})",
-        f"  fundamental dance: <1,{report['fundamental_dance']['beta']}>",
-        f"  shortest sample vector: {tuple(report['shortest_vector'])}"
-        + (" (tie)" if report["tie"] else ""),
-        f"  natural dance: <{report['natural_dance']['alpha']},"
-        f"{report['natural_dance']['beta']}>",
-        f"  copies: d = {report['d']}, reduced rate m' = {report['reduced_rate']}",
-    ]
-    for c in report["cosets"]:
-        rot = "-" if c["rotation"] is None else c["rotation"]
-        lines.append(
-            f"    coset {c['k']}: line offset {c['line_offset']}, rotation {rot}"
-        )
-    env = report["envelope"]
-    if "cusps" in env:
-        lines.append(
-            f"  envelope: {env['kind']}, fixed radius {env['fixed_radius']}, "
-            f"rolling radius {env['rolling_radius']}, {env['cusps']} cusp(s)"
-        )
-    elif "radii" in env:
-        radii = ", ".join(f"{r:.6f}" for r in env["radii"])
-        lines.append(f"  envelope: {env['kind']}, coset radii {radii}")
-    else:
-        lines.append(f"  envelope: {env['kind']}")
-    return "\n".join(lines)
+    """The analysis report of MMT(m, a); see :func:`stitchlab.overlay.report`."""
+    return report(overlay_decompose(m, a))
 
 
 def cmd_stitch(args: argparse.Namespace) -> int:
@@ -133,11 +58,8 @@ def cmd_stitch(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    report = build_report(args.m, args.a)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(_report_text(report))
+    found = build_report(args.m, args.a)
+    print(json.dumps(found, indent=2) if args.json else report_text(found))
     return EXIT_OK
 
 

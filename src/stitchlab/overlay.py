@@ -7,6 +7,8 @@ in n.  The uniform offset k/(d*alpha) for coset k holds whenever
 (alpha*a - beta) / reduced_rate = 1 (mod d) -- true for every
 ceiling/floor family -- but not universally (MMT(9, 6) sends coset 1 to
 offset 2/3, not 1/3).
+
+:func:`report` and :func:`report_text` give the report `stitchlab analyze` prints.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
+from .cycloid import classify, offset_family_radius
 from .dances import PlanetDance
 from .kernel import MAX_INPUT, brief_int, check_input_size
 from .torusgeo import AliasAnalysis, natural_alias
@@ -52,6 +55,86 @@ class OverlayDecomposition(NamedTuple):
         n, m = self.numerators[k], self.analysis.m
         # -n/(m*span) when alpha < beta, brought into [0, 1/span)
         return Fraction(n if alpha > beta else -n % m, m * abs(alpha - beta))
+
+
+def _frac(f: Fraction | None) -> str | None:
+    return None if f is None else f"{f.numerator}/{f.denominator}"
+
+
+def report(dec: OverlayDecomposition) -> dict:
+    """The analysis of a decomposition as one JSON-ready dictionary.
+
+    All rationals are "num/den" strings and the key order is fixed, so
+    serializing the dictionary is byte-stable.
+    """
+    analysis = dec.analysis
+    cosets = range(len(dec.numerators))
+    dance = analysis.reduced_dance
+    spec = classify(dance)
+    if spec.kind in ("epicycloid", "hypocycloid"):
+        envelope = {
+            "kind": spec.kind,
+            "fixed_radius": _frac(spec.fixed_radius),
+            "rolling_radius": _frac(spec.rolling_radius),
+            "cusps": abs(dance.alpha - dance.beta),
+        }
+    elif spec.kind == "diagonal":
+        envelope = {
+            "kind": spec.kind,
+            # at the text form's 6 decimals, so 1/2 prints as 0.5
+            "radii": [round(offset_family_radius(dec.offset(k)), 6) for k in cosets],
+        }
+    else:
+        envelope = {"kind": spec.kind}
+    return {
+        "m": analysis.m,
+        "a": analysis.a,
+        "fundamental_dance": {"alpha": 1, "beta": analysis.a},
+        "shortest_vector": list(analysis.shortest_vector),
+        "natural_dance": {"alpha": dance.alpha, "beta": dance.beta},
+        "tie": analysis.tie,
+        "d": analysis.coset_count,
+        "reduced_rate": analysis.reduced_rate,
+        "cosets": [
+            {
+                "k": k,
+                "rotation": _frac(dec.rotation(k)),
+                "line_offset": _frac(dec.offset(k)),
+            }
+            for k in cosets
+        ],
+        "envelope": envelope,
+    }
+
+
+def report_text(report: dict) -> str:
+    """:func:`report`'s dictionary as the lines `stitchlab analyze` prints."""
+    lines = [
+        f"MMT({report['m']},{report['a']})",
+        f"  fundamental dance: <1,{report['fundamental_dance']['beta']}>",
+        f"  shortest sample vector: {tuple(report['shortest_vector'])}"
+        + (" (tie)" if report["tie"] else ""),
+        f"  natural dance: <{report['natural_dance']['alpha']},"
+        f"{report['natural_dance']['beta']}>",
+        f"  copies: d = {report['d']}, reduced rate m' = {report['reduced_rate']}",
+    ]
+    for c in report["cosets"]:
+        rot = "-" if c["rotation"] is None else c["rotation"]
+        lines.append(
+            f"    coset {c['k']}: line offset {c['line_offset']}, rotation {rot}"
+        )
+    env = report["envelope"]
+    if "cusps" in env:
+        lines.append(
+            f"  envelope: {env['kind']}, fixed radius {env['fixed_radius']}, "
+            f"rolling radius {env['rolling_radius']}, {env['cusps']} cusp(s)"
+        )
+    elif "radii" in env:
+        radii = ", ".join(f"{r:.6f}" for r in env["radii"])
+        lines.append(f"  envelope: {env['kind']}, coset radii {radii}")
+    else:
+        lines.append(f"  envelope: {env['kind']}")
+    return "\n".join(lines)
 
 
 class FamilyPrediction(NamedTuple):

@@ -64,6 +64,11 @@ class _RenderStyle(NamedTuple):
 
 
 class RenderStyle(_RenderStyle):
+    """Canvas size in pixels (`canvas_px`), dots at chord ends
+    (`show_points`) and chords drawn as full lines (`extend_lines`).
+    Only `render_stitch`, and grid cells through it, read `show_points`:
+    dances and gallery pairs draw no endpoint dots, whatever the style."""
+
     __slots__ = ()
     _make = classmethod(make_checked)
 

@@ -36,6 +36,14 @@ The `analyze 18 7` digest, a diagonal graph whose radii 1, 1/2 and 1/2
 print as 1.0, 0.5 and 0.5, was recorded when diagonal radii were first
 rounded to the text form's 6 decimals; before, 1/2 printed as
 0.49999999999999994.
+An `analyze` pin is of its `--json` output, or of its text form where
+the name ends in "text".  The text pins of the seven graphs with JSON
+pins were recorded while the report and its text form were still built
+in `cli`, before they moved to `overlay`.  `analyze 17 4` is a tie
+("(tie)" after the shortest vector, `<1,4>` with 3 cusps), `analyze 22
+5` a hypocycloid (`<2,-1>`, d = 2) and `analyze 10 9` a
+`degenerate_diameter`, branches that no other pin reaches; they were
+recorded at the same commit, in both forms.
 """
 
 import hashlib
@@ -82,6 +90,20 @@ PINS = {
     "analyze 10 6": "b754becf307491dff36909e0c1651aef0dab1030c81bc0fd458ab438cd711864",
     "analyze 18 7": "e208facb58cf8c657b90ed4fff898aa7bed430831091ee46703a7a93902623bd",
     "analyze 1000000 1000": "32a8f18369dc9b98894f5d671da0fc67273aa9b7ac81b18780355d5002deeeae",
+    "analyze 17 4": "19b885988b0cc5b5ab92f8fea1d2232a40bc5216ab63598dfe2aa8eda5f39734",
+    "analyze 22 5": "002a3f1b47388b36effbb45daee6aaa7f1be89888586dfe276f09bd401038554",
+    "analyze 10 9": "0591f30617b92bb68bcced71a01dfca47f5e7583831899a7d6196b3bb1f0c5df",
+    "analyze 206 35 text": "bfdf0b8988fd3672a44c1852ca5ff4777baf3ab5f1c0131543837de9463ca439",
+    "analyze 207 35 text": "86bdee1a03d64bc9ff73904e78f0b7ba6896bf587c21854f41e814e2b7e2a805",
+    "analyze 9 6 text": "effca39140f7b49c696824d50b187ab416a6a2d86b14ea9aa9caf599d75856fa",
+    "analyze 100 34 text": "4c05d9b401ae6469242c720ff42777b996ad692e33c5ea57c693057b9e95d8df",
+    "analyze 10 6 text": "dac12613b200fe5ec41454050b9ac0b0e9c318b1a9754ea2d7c5617558d495b1",
+    "analyze 18 7 text": "b78bc2ea0d30203ac7881e0dda4dc994367b7e7bff3a2ff9b3b3fd4f0671c090",
+    "analyze 1000000 1000 text":
+        "276afefb03d1af8c464b8e7c7e3b29e47bf725ac52de52378b1f7fc725aef42c",
+    "analyze 17 4 text": "fc07e8c0b7a145363a36ff2923cc137975b6fad070bb3201cd539cb6bc238909",
+    "analyze 22 5 text": "dff5aba78af0bb9d1004e9741e7371cdca30a69a1f8ce994cf9d2dc9aed89431",
+    "analyze 10 9 text": "988a6611b2e0198dcc290ffd2cb292f17205aa56cf5a1e38a8e4600b5e494114",
     "verify": "58a719765eb7c8eb10743f741edd2cfb6482bcb1da6ef34ec29cb21333e209f7",
     "verify --max-m 100 --bound 6":
         "baa2ba4a80cee6a35fd9360fe37716169eaa39acf5c574e551da5d7d5750803e",
@@ -140,9 +162,10 @@ def output_digest(name, tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["verify", "--json", *rest]) == 0
         return _sha(capsys.readouterr().out.encode())
-    m, a = rest
+    m, a, *form = rest  # the JSON output, or the text form when named
     capsys.readouterr()
-    assert cli.main(["analyze", "-m", m, "-a", a, "--json"]) == 0
+    json_flag = [] if form == ["text"] else ["--json"]
+    assert cli.main(["analyze", "-m", m, "-a", a, *json_flag]) == 0
     return _sha(capsys.readouterr().out.encode())
 
 

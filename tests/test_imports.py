@@ -20,6 +20,9 @@ parameter of a private function (or of a method of a private class) to
 which every call in the package passes the same literal or the same
 UPPER_CASE name: it is a constant that only looks like a setting.
 
+No package module but `cli` imports `cli` or `argparse`: the library,
+the analysis report included, is read without the command line.
+
 No handler that catches everything (bare, `Exception` or
 `BaseException`) swallows what it caught: its body raises or reads the
 exception it binds, so a fault reaches a caller or a report.
@@ -351,6 +354,50 @@ def test_guard_flags_constant_arguments():
 def test_no_constant_arguments():
     paths = sorted(ROOT.glob("src/stitchlab/*.py"))
     assert constant_arguments([p.read_text(encoding="utf-8") for p in paths]) == []
+
+
+def cli_imports(sources: dict[str, str]) -> list[str]:
+    """`module: cli` or `module: argparse` for each package module other
+    than `cli` that imports that module (or a name from it)."""
+    found = set()
+    for module, source in sources.items():
+        if module == "cli":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = f"{node.module}." if node.module else ""
+                names = [node.module or ""] + [base + alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                top = name.removeprefix("stitchlab.").split(".")[0]
+                if top in ("cli", "argparse"):
+                    found.add(f"{module}: {top}")
+    return sorted(found)
+
+
+def test_guard_flags_cli_imports():
+    sources = {
+        "__init__": "from . import cli\n",
+        "oracle": "from .cli import build_report\n",
+        "overlay": "from stitchlab import cli\nfrom .cycloid import classify\n",
+        "render": "import argparse\nfrom typing import TYPE_CHECKING\n",
+        "torusgeo": "def f():\n    from stitchlab.cli import main\n    return main\n",
+        "dances": "import stitchlab.cli\nfrom .kernel import wrap\n",
+        "kernel": "from argparse import Namespace\n",
+        "cli": "import argparse\nfrom .overlay import report\n",
+    }
+    assert cli_imports(sources) == [
+        "__init__: cli", "dances: cli", "kernel: argparse", "oracle: cli", "overlay: cli",
+        "render: argparse", "torusgeo: cli"]
+
+
+def test_only_cli_imports_cli_or_argparse():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(ROOT.glob("src/stitchlab/*.py"))}
+    assert cli_imports(sources) == []
 
 
 def _catches_all(node: ast.expr | None) -> bool:

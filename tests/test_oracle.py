@@ -109,6 +109,22 @@ def test_suite_shortest_vector_checks_vector_and_tie(monkeypatch):
     assert report.failures[1] == ("(m,a)=(2,0)", "(1, 0) tie=False", "(1, 0) tie=True")
 
 
+def test_suite_shortest_vector_reports_an_analysis_that_raises(monkeypatch):
+    real = oracle.natural_alias
+
+    def broken(m, a):
+        if (m, a) == (5, 2):
+            raise ZeroDivisionError("integer division or modulo by zero")
+        return real(m, a)
+
+    monkeypatch.setattr(oracle, "natural_alias", broken)
+    report = oracle._suite_shortest_vector(6)
+    assert report.failures == (
+        ("(m,a)=(5,2)", "an alias analysis",
+         "ZeroDivisionError: integer division or modulo by zero"),)
+    assert report.cases_run == 21
+
+
 def test_suite_correspondence_checks_library_rows(monkeypatch):
     assert oracle._suite_correspondence(12).cases_run == 78 + 78
     # one graph's rows off by one
