@@ -39,11 +39,18 @@ suites check less than the bounds name, and each says so in its
 ``info``: ``sampling_identities`` stops at m = 60, the correspondence
 suite's ``mmt_chords`` check at m = 40, and ``family_predictions`` takes
 no bound.
-:func:`verify_all` hands one list of the suites, longest first, to
-:func:`_run_suites`: where ``os.fork`` exists, the calling process and a
-forked child each take the next suite that neither has started.  Each
-suite's wall time, taken in the process that ran it, comes back beside
-its report as a (report, seconds) pair.
+Each of the four max_m suites is a unit of one modulus, which returns
+its piece (failures, cases, *counts), and a join, which adds up the
+cases and counts of the pieces, joins their failures in m order, cuts
+them to 20 and makes the suite's report; ``_suite_*(max_m)`` runs its
+units in order through its join.
+:func:`verify_all` hands one list of jobs to :func:`_run_suites`: the
+five suites that take the dance bound, each whole, then every unit by m,
+largest first.  Where
+``os.fork`` exists, the calling process and a forked child each take the
+next job that neither has started.  Each job's wall time, taken in the
+process that ran it, comes back beside its result, and a max_m suite's
+time is the sum of its units' times, from both processes.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ import os
 import pickle
 import signal
 import time
+from itertools import chain, islice
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -60,8 +68,7 @@ import numpy as np
 from .cycloid import offset_family_radius, verify_envelope
 from .dances import PlanetDance, StitchGraph, mmt_chords, sample_pairs
 from .kernel import brief_int
-from .overlay import (OverlayDecomposition, nearest_congruent, overlay_decompose,
-                      predict_family)
+from .overlay import nearest_congruent, overlay_decompose, predict_family
 from .torusgeo import intersection_count, natural_alias
 
 
@@ -80,11 +87,12 @@ class VerificationReport(NamedTuple):
 
 #: The largest bounds `verify_all` accepts, and so the largest sizes the
 #: brute-force counterparts take.  The max_m suites check max_m^2/2
-#: graphs; at 600, overlay_partition took 7.0 s of the command's 7.5 s,
-#: while the other process ran the correspondence suite (4.5 s),
-#: shortest_vector (1.5 s) and the rest.  The bound suites, which grow
-#: about as bound^4, took 1.1 s at 12 (2-core Xeon, Python 3.11, numpy
-#: 2.4, medians of 5 runs).
+#: graphs; at 600 the two processes share the units of overlay_partition
+#: (5.4 s in all), the correspondence suite (4.1 s) and shortest_vector
+#: (1.5 s), and the command took 6.1 s.  The bound suites, which grow
+#: about as bound^4, took 0.9 s at 12 (2-core Xeon, Python 3.11, numpy
+#: 2.4, medians of 5 runs).  At both limits the job list must still fit
+#: one pipe page (see :func:`_run_suites`).
 _MAX_M = 600
 _MAX_BOUND = 12
 
@@ -165,31 +173,45 @@ def reduced_dances(bound: int) -> list[tuple[int, int]]:
     return out
 
 
+#: The correspondence suite checks ``mmt_chords`` up to this modulus.
+_API_MAX_M = 40
+
+
+def _correspondence_failures(m: int) -> tuple[list, int]:
+    """The correspondence suite's piece at m: (failures, cases)."""
+    # expected[a, k] = (k, e_k), chord k of MMT(m, a), with the endpoint
+    # a*k mod m built as the running sum e_0 = 0, e_k = e_(k-1) + a (mod m)
+    k = np.arange(m, dtype=np.int64)
+    steps = np.broadcast_to(k[:, None], (m, m))
+    ends = (np.cumsum(steps, axis=1) - steps) % m
+    expected = np.stack((np.broadcast_to(k, (m, m)), ends), axis=-1)
+    failures = [(f"MMT({m},{a})", "equal chord sets", "differs") for a in range(m)
+                if not np.array_equal(sample_pairs(1, a, m), expected[a])]
+    if m > _API_MAX_M:
+        return failures, m
+    # the full API on the small prefix, from a congruent negative multiplier
+    for a in range(m):
+        chords = mmt_chords(StitchGraph(m, a - m))
+        if chords.den != m or not np.array_equal(chords.rows, expected[a]):
+            failures.append((f"MMT({m},{a}) API", "equal chord sets", "differs"))
+    return failures, 2 * m
+
+
+def _joined(pieces) -> tuple:
+    """The pieces of one suite's units, in m order, as one: their failures
+    joined and cut to 20, then their cases and each count summed."""
+    failures, *totals = zip(*pieces)
+    return (tuple(islice(chain.from_iterable(failures), 20)), *map(sum, totals))
+
+
+def _join_correspondence(pieces, max_m: int) -> VerificationReport:
+    failures, cases = _joined(pieces)
+    return VerificationReport("stitch_sampling_correspondence", cases, failures,
+                              (f"mmt_chords for m <= {min(max_m, _API_MAX_M)} of max_m {max_m}",))
+
+
 def _suite_correspondence(max_m: int) -> VerificationReport:
-    failures = []
-    cases = 0
-    api_m = min(max_m, 40)  # the full API on the small prefix
-    for m in range(1, max_m + 1):
-        # expected[a, k] = (k, e_k), chord k of MMT(m, a), with the endpoint
-        # a*k mod m built as the running sum e_0 = 0, e_k = e_(k-1) + a (mod m)
-        k = np.arange(m, dtype=np.int64)
-        steps = np.broadcast_to(k[:, None], (m, m))
-        ends = (np.cumsum(steps, axis=1) - steps) % m
-        expected = np.stack((np.broadcast_to(k, (m, m)), ends), axis=-1)
-        for a in range(m):
-            cases += 1
-            if not np.array_equal(sample_pairs(1, a, m), expected[a]):
-                failures.append((f"MMT({m},{a})", "equal chord sets", "differs"))
-        if m > api_m:
-            continue
-        # from a congruent negative multiplier
-        for a in range(m):
-            cases += 1
-            chords = mmt_chords(StitchGraph(m, a - m))
-            if chords.den != m or not np.array_equal(chords.rows, expected[a]):
-                failures.append((f"MMT({m},{a}) API", "equal chord sets", "differs"))
-    return VerificationReport("stitch_sampling_correspondence", cases, tuple(failures[:20]),
-                              (f"mmt_chords for m <= {api_m} of max_m {max_m}",))
+    return _join_correspondence(map(_correspondence_failures, range(1, max_m + 1)), max_m)
 
 
 def _suite_aliasing(bound: int) -> VerificationReport:
@@ -289,27 +311,35 @@ def _invertibility_failures(m: int) -> list:
             for j, i in zip(*np.nonzero(same != np.array(invertible)[:, None]))]
 
 
-def _suite_identities(max_m: int) -> VerificationReport:
+def _identities_failures(m: int) -> tuple[list, int]:
+    """The sampling-identities suite's piece at m: (failures, cases), one
+    batch per identity, freed before the next is built."""
     speeds = np.arange(-_SPEED, _SPEED + 1, dtype=np.int32)
     betas = np.arange(1, _SHIFT_ALPHAS + 1, dtype=np.int32)[:, None] * speeds
-    failures = []
-    cases = 0
+    return _shift_failures(betas, m) + _invertibility_failures(m), betas.size + _INVERT_ALPHAS * m
+
+
+def _join_identities(pieces, max_m: int) -> VerificationReport:
+    failures, cases = _joined(pieces)
+    return VerificationReport("sampling_identities", cases, failures,
+                              (f"m <= {min(max_m, _IDENTITIES_MAX_M)} of max_m {max_m}",))
+
+
+def _suite_identities(max_m: int) -> VerificationReport:
     top = min(max_m, _IDENTITIES_MAX_M)
-    # one batch per modulus and identity, freed before the next is built
-    for m in range(1, top + 1):
-        cases += betas.size + _INVERT_ALPHAS * m
-        failures += _shift_failures(betas, m) + _invertibility_failures(m)
-    return VerificationReport("sampling_identities", cases, tuple(failures[:20]),
-                              (f"m <= {top} of max_m {max_m}",))
+    return _join_identities(map(_identities_failures, range(1, top + 1)), max_m)
 
 
-def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list, int, int]:
-    """overlay_partition's failures at m, and its counts of graphs with a
-    permuted coset-to-offset assignment and of diagonal graphs.
+def _partition_failures(m: int) -> tuple[list, int, int, int]:
+    """overlay_partition's piece at m: its failures, its m cases, and its
+    counts of graphs with a permuted coset-to-offset assignment and of
+    diagonal graphs.
 
-    A graph that fails d*m' = m, or whose numerators are not d cosets on
-    d distinct lines (n mod m), is reported first, in the order of a, and
-    left out of the batch.  The other checks run as one 2-D batch over
+    Each graph MMT(m, a) is decomposed once.  A decomposition that raises
+    is reported first, in the order of a.  Then a graph that fails
+    d*m' = m, or whose numerators are not d cosets on d distinct lines
+    (n mod m), is reported, in the order of a, and left out of the
+    batch.  The other checks run as one 2-D batch over
     the graphs of m: the failures of a direction (alpha, beta) that is
     not reduced, of an offset outside [0, 1/alpha), of an offset p/q
     other than n/(alpha*m), alpha*m*p != n*q, of a rotation outside
@@ -334,6 +364,13 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
     of the cosines and sines of the m sample angles.
     """
     failures = []
+    decs = []
+    for a in range(m):
+        try:
+            decs.append(overlay_decompose(m, a))
+        except Exception as exc:  # a library fault, reported as a failure
+            failures.append((f"(m,a)=({m},{a})", "a decomposition",
+                             f"{type(exc).__name__}: {exc}"))
     graphs = []
     for dec in decs:
         d, mp = dec.analysis.coset_count, dec.analysis.reduced_rate
@@ -410,60 +447,51 @@ def _partition_failures(m: int, decs: list[OverlayDecomposition]) -> tuple[list,
         failures.append((f"{names[diagonal[j]]} chord {i}",
                          f"radius {float(expected[j, i])!r}",
                          f"distance {float(dist[j, i])!r}"))
-    return failures, nonstandard, len(diagonal)
+    return failures, m, nonstandard, len(diagonal)
+
+
+def _shortest_vector_failures(m: int) -> tuple[list, int]:
+    """The shortest_vector suite's piece at m: (failures, cases), the
+    vector and ``tie`` of ``natural_alias(m, a)`` for every a against
+    :func:`brute_shortest_vectors`; an analysis that raises fails."""
+    failures = []
+    vectors, ties = brute_shortest_vectors(m)
+    for a, (vector, tie) in enumerate(zip(vectors.tolist(), ties.tolist())):
+        try:
+            analysis = natural_alias(m, a)
+        except Exception as exc:  # a library fault, reported as a failure
+            failures.append((f"(m,a)=({m},{a})", "an alias analysis",
+                             f"{type(exc).__name__}: {exc}"))
+            continue
+        found = (analysis.shortest_vector, analysis.tie)
+        if found != (tuple(vector), tie):
+            failures.append((f"(m,a)=({m},{a})", f"{tuple(vector)} tie={tie}",
+                             f"{found[0]} tie={found[1]}"))
+    return failures, m
+
+
+def _join_shortest_vector(pieces) -> VerificationReport:
+    failures, cases = _joined(pieces)
+    return VerificationReport("shortest_vector", cases, failures)
 
 
 def _suite_shortest_vector(max_m: int) -> VerificationReport:
-    """The vector and ``tie`` of ``natural_alias(m, a)`` for every graph
-    against :func:`brute_shortest_vectors`; an analysis that raises fails."""
-    failures = []
-    cases = 0
-    for m in range(1, max_m + 1):
-        vectors, ties = brute_shortest_vectors(m)
-        for a, (vector, tie) in enumerate(zip(vectors.tolist(), ties.tolist())):
-            try:
-                analysis = natural_alias(m, a)
-            except Exception as exc:  # a library fault, reported as a failure
-                failures.append((f"(m,a)=({m},{a})", "an alias analysis",
-                                 f"{type(exc).__name__}: {exc}"))
-                continue
-            found = (analysis.shortest_vector, analysis.tie)
-            if found != (tuple(vector), tie):
-                failures.append((f"(m,a)=({m},{a})", f"{tuple(vector)} tie={tie}",
-                                 f"{found[0]} tie={found[1]}"))
-        cases += m
-    return VerificationReport("shortest_vector", cases, tuple(failures[:20]))
+    return _join_shortest_vector(map(_shortest_vector_failures, range(1, max_m + 1)))
+
+
+def _join_overlay(pieces) -> VerificationReport:
+    failures, cases, nonstandard, diagonal = _joined(pieces)
+    return VerificationReport("overlay_partition", cases, failures, (
+        f"{nonstandard} of {cases} graphs need the permuted coset-to-offset "
+        "assignment (offset (s*k mod d)/(d*alpha) with s = (alpha*a-beta)/m')",
+        f"{diagonal} graphs alias <1,1>; each coset's radius matches its "
+        "chords' center distances within 1e-12"))
 
 
 def _suite_overlay(max_m: int) -> VerificationReport:
     """Every graph's cosets on their lines and rotations (see
-    :func:`_partition_failures`).
-
-    A decomposition that raises is a failure, reported for each m before
-    those of :func:`_partition_failures`.
-    """
-    failures = []
-    cases = nonstandard = diagonal = 0
-    for m in range(1, max_m + 1):
-        decs = []
-        for a in range(m):
-            try:
-                decs.append(overlay_decompose(m, a))
-            except Exception as exc:  # a library fault, reported as a failure
-                failures.append((f"(m,a)=({m},{a})", "a decomposition",
-                                 f"{type(exc).__name__}: {exc}"))
-        cases += m
-        found, permuted, diagonals = _partition_failures(m, decs)
-        failures += found
-        nonstandard += permuted
-        diagonal += diagonals
-    info = (
-        f"{nonstandard} of {cases} graphs need the permuted coset-to-offset "
-        "assignment (offset (s*k mod d)/(d*alpha) with s = (alpha*a-beta)/m')",
-        f"{diagonal} graphs alias <1,1>; each coset's radius matches its "
-        "chords' center distances within 1e-12",
-    )
-    return VerificationReport("overlay_partition", cases, tuple(failures[:20]), info)
+    :func:`_partition_failures`)."""
+    return _join_overlay(map(_partition_failures, range(1, max_m + 1)))
 
 
 #: The family-predictions suite checks the cells near this modulus.
@@ -538,37 +566,40 @@ def _suite_cusps(bound: int) -> VerificationReport:
     return VerificationReport("cusp_count", cases, tuple(failures[:20]))
 
 
-def _take(suites: list[tuple], queue) -> list[tuple[VerificationReport, float]]:
-    """Run the suites whose numbers this process reads from ``queue``, one
-    byte each, until it is empty: (report, seconds) pairs, each suite timed
-    where it ran."""
-    pairs = []
-    while job := queue.read(1):
-        suite, *args = suites[job[0]]
+def _take(jobs: list[tuple], queue) -> dict[int, tuple]:
+    """Run the jobs whose numbers this process reads from ``queue``, two
+    bytes each, until it is empty: {number: (result, seconds)}, each job
+    timed where it ran."""
+    done = {}
+    while record := queue.read(2):
+        number = int.from_bytes(record, "big")
+        job, *args = jobs[number]
         start = time.perf_counter()
-        report = suite(*args)
-        pairs.append((report, time.perf_counter() - start))
-    return pairs
+        done[number] = (job(*args), time.perf_counter() - start)
+    return done
 
 
-def _run_suites(suites: list[tuple]) -> list[tuple[VerificationReport, float]]:
-    """Run each (suite, *args) once: (report, seconds) pairs.
+def _run_suites(jobs: list[tuple]) -> dict[int, tuple]:
+    """Run each (job, *args) once: {number: (result, seconds)}, by the
+    job's place in ``jobs``.
 
-    The suites' numbers are written to a pipe before a child is forked;
-    this process and the child each take the next number that neither has
-    taken.  The child sends its pairs, or the exception a suite raised,
-    back pickled over a second pipe and leaves with ``os._exit``, so it
-    never returns into the caller.  An exception here kills the child;
-    either way it is reaped before this returns.  Without ``os.fork``
-    this process takes every suite, in order.
+    The jobs' numbers are written to a pipe, two bytes each, before a
+    child is forked; this process and the child each take the next
+    number that neither has taken.  Nothing reads the pipe while it is
+    written, and pipe(7) lets a pipe hold as little as one page, 4,096
+    bytes, so the list must stay within 2,048 jobs.  The child sends its results, or the
+    exception a job raised, back pickled over a second pipe and leaves
+    with ``os._exit``, so it never returns into the caller.  An exception
+    here kills the child; either way it is reaped before this returns.
+    Without ``os.fork`` this process takes every job, in order.
     """
     queue_fd, numbers_fd = os.pipe()
-    os.write(numbers_fd, bytes(range(len(suites))))
+    os.write(numbers_fd, b"".join(number.to_bytes(2, "big") for number in range(len(jobs))))
     os.close(numbers_fd)
-    # unbuffered, so that each read takes one byte from the pipe itself
+    # unbuffered, so that each read takes one record from the pipe itself
     with open(queue_fd, "rb", buffering=0) as queue:
         if not hasattr(os, "fork"):
-            return _take(suites, queue)
+            return _take(jobs, queue)
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:  # the child
@@ -576,7 +607,7 @@ def _run_suites(suites: list[tuple]) -> list[tuple[VerificationReport, float]]:
             try:
                 os.close(read_fd)
                 try:
-                    outcome = (_take(suites, queue), None)
+                    outcome = (_take(jobs, queue), None)
                 except Exception as exc:
                     outcome = (None, exc)
                 with open(write_fd, "wb") as pipe:
@@ -587,7 +618,7 @@ def _run_suites(suites: list[tuple]) -> list[tuple[VerificationReport, float]]:
         os.close(write_fd)
         with open(read_fd, "rb") as pipe:
             try:
-                ours = _take(suites, queue)
+                ours = _take(jobs, queue)
                 sent = pipe.read()
             except BaseException:
                 os.kill(pid, signal.SIGKILL)
@@ -601,16 +632,19 @@ def _run_suites(suites: list[tuple]) -> list[tuple[VerificationReport, float]]:
     theirs, error = pickle.loads(sent)
     if error is not None:
         raise error
-    return ours + theirs
+    return ours | theirs
 
 
 def verify_all(max_m: int, dance_bound: int) -> list[tuple[VerificationReport, float]]:
     """Run and time every suite within the given bounds: (report, seconds)
     pairs by suite name.
 
-    The suites are listed longest first, so that the last to start are
-    short, and run by :func:`_run_suites`, in two processes where
-    ``os.fork`` exists.
+    The five suites that take the dance bound run whole; the four max_m
+    suites run as units of one modulus, each suite's join makes its
+    report from their pieces, and its time is the sum of theirs.  The
+    whole suites come first and the units follow by m, largest first, so that the last to
+    start are short; :func:`_run_suites` runs the list, in two processes
+    where ``os.fork`` exists.
     """
     if max_m < 1 or dance_bound < 1:
         raise ValueError("bounds must be at least 1")
@@ -620,15 +654,19 @@ def verify_all(max_m: int, dance_bound: int) -> list[tuple[VerificationReport, f
         raise ValueError(
             f"the dance bound must be at most {_MAX_BOUND}, "
             f"got {brief_int(dance_bound)}")
-    suites = [
-        (_suite_overlay, max_m),
-        (_suite_identities, max_m),
-        (_suite_correspondence, max_m),
-        (_suite_shortest_vector, max_m),
-        (_suite_intersections, dance_bound),
-        (_suite_aliasing, dance_bound),
-        (_suite_envelope, dance_bound),
-        (_suite_families,),
-        (_suite_cusps, dance_bound),
-    ]
-    return sorted(_run_suites(suites), key=lambda pair: pair[0].suite)
+    suites = [(_suite_intersections, dance_bound), (_suite_aliasing, dance_bound),
+              (_suite_envelope, dance_bound), (_suite_families,), (_suite_cusps, dance_bound)]
+    # each max_m suite's largest modulus, unit, join and what else its
+    # join reads, longest suite first
+    joins = [(max_m, _partition_failures, _join_overlay),
+             (min(max_m, _IDENTITIES_MAX_M), _identities_failures, _join_identities, max_m),
+             (max_m, _correspondence_failures, _join_correspondence, max_m),
+             (max_m, _shortest_vector_failures, _join_shortest_vector)]
+    jobs = suites + [(unit, m) for m in range(max_m, 0, -1) for top, unit, *_ in joins if m <= top]
+    done = _run_suites(jobs)
+    pairs = [done[number] for number in range(len(suites))]
+    for _, unit, join, *args in joins:
+        mine = [done[number] for number, job in enumerate(jobs) if job[0] is unit]
+        pieces, seconds = zip(*reversed(mine))  # in m order
+        pairs.append((join(pieces, *args), sum(seconds)))
+    return sorted(pairs, key=lambda pair: pair[0].suite)

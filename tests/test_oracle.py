@@ -315,12 +315,14 @@ def test_suite_overlay_checks_offsets(monkeypatch):
 def test_offset_failures_come_after_range_failures(monkeypatch):
     # at m = 22, a = 5 aliases <2,-1> in two cosets; coset 0's n moved by m
     # is out of range and turns the dance by 1/(alpha - beta), a symmetry
-    decs = [overlay_decompose(22, a) for a in range(22)]
-    zero, *rest = decs[5].numerators
-    decs[5] = decs[5]._replace(numerators=(zero + 22, *rest))
+    shifted = overlay_decompose(22, 5)
+    zero, *rest = shifted.numerators
+    shifted = shifted._replace(numerators=(zero + 22, *rest))
+    monkeypatch.setattr(oracle, "overlay_decompose", lambda m, a: shifted
+                        if (m, a) == (22, 5) else overlay_decompose(m, a))
     monkeypatch.setattr(OverlayDecomposition, "offset", _offset_over_m)
     name = "(m,a)=(22,5)"
-    assert oracle._partition_failures(22, decs)[0] == [
+    assert oracle._partition_failures(22)[0] == [
         (name, "offsets in [0, 1/alpha)", "offset out of range"),
         (name, "offsets n/(alpha*m)", "offset off its line"),
         ("(m,a)=(22,6)", "offsets n/(alpha*m)", "offset off its line"),
@@ -441,11 +443,10 @@ def test_suite_overlay_checks_rotations(monkeypatch):
 
 @pytest.mark.parametrize("m, a", [(207, 35), (207, 34), (9, 6)])
 def test_rotation_checks_other_graphs(m, a, monkeypatch):
-    decs = [overlay_decompose(m, b) for b in range(m)]
-    assert oracle._partition_failures(m, decs)[0] == []
+    assert oracle._partition_failures(m)[0] == []
     for turn, failure in _rotation_faults(m, a):
         _turn_last_coset(monkeypatch, m, a, turn)
-        assert oracle._partition_failures(m, decs)[0] == [failure]
+        assert oracle._partition_failures(m)[0] == [failure]
 
 
 def test_suite_overlay_checks_the_rotation_sign(monkeypatch):
@@ -514,7 +515,7 @@ def test_diagonal_radii_from_shared_table_are_bit_identical(monkeypatch):
     for m in range(1, 121):
         decs = [overlay_decompose(m, a) for a in range(m)]
         diagonal = [dec for dec in decs if dec.analysis.reduced_dance == PlanetDance(1, 1)]
-        found = oracle._partition_failures(m, decs)[0]
+        found = oracle._partition_failures(m)[0]
         assert found == [failure for dec in diagonal
                          for failure in _own_trig_radius_failures(dec)]
         assert len(found) == m * len(diagonal)
@@ -528,7 +529,7 @@ def test_rotation_failures_come_before_radius_failures(monkeypatch):
     (turn, failure), *_ = _rotation_faults(12, 5)
     _turn_last_coset(monkeypatch, 12, 5, turn)
     _radii_off_by_one(monkeypatch)
-    found = oracle._partition_failures(12, decs)[0]
+    found = oracle._partition_failures(12)[0]
     assert found == [failure, *_own_trig_radius_failures(decs[1]),
                      *_own_trig_radius_failures(decs[7])]
     assert [name for name, _, _ in found[1:]] == [
@@ -929,7 +930,8 @@ def _assert_no_child_left():
 forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
-@pytest.mark.parametrize("max_m, bound", [(1, 1), (20, 3), (60, 4)])
+# (65, 2) runs 65 + 60 + 65 + 65 + 5 = 260 jobs, more than one byte numbers
+@pytest.mark.parametrize("max_m, bound", [(1, 1), (20, 3), (60, 4), (65, 2)])
 def test_verify_all_matches_suites_one_by_one(monkeypatch, max_m, bound):
     expected = _one_by_one(max_m, bound)
     reports, seconds = zip(*verify_all(max_m, bound))
@@ -942,26 +944,28 @@ def test_verify_all_matches_suites_one_by_one(monkeypatch, max_m, bound):
     assert list(reports) == expected and all(s > 0 for s in seconds)
 
 
-#: Every suite that `verify_all` runs.
-_SUITES = ["_suite_overlay", "_suite_identities", "_suite_correspondence",
-           "_suite_shortest_vector", "_suite_intersections", "_suite_aliasing",
-           "_suite_envelope", "_suite_families", "_suite_cusps"]
+#: The five suites that `verify_all` runs whole, and the units of one
+#: modulus that it runs of the other four.
+_SUITES = ["_suite_intersections", "_suite_aliasing", "_suite_envelope",
+           "_suite_families", "_suite_cusps"]
+_UNITS = ["_partition_failures", "_identities_failures", "_correspondence_failures",
+          "_shortest_vector_failures"]
 
 
 def _patch_suites(monkeypatch, suite):
-    """Replace every suite by ``suite(real, args)``, where real is the
-    suite it replaces."""
-    for name in _SUITES:
+    """Replace every whole suite and every unit by ``suite(real, args)``,
+    where real is the function it replaces."""
+    for name in _SUITES + _UNITS:
         real = getattr(oracle, name)
         monkeypatch.setattr(oracle, name,
                             lambda *args, real=real: suite(real, args))
 
 
 def _fault_in(monkeypatch, child, fault):
-    """Make every suite call ``fault()`` in the forked child (``child``) or
-    in this process (not ``child``) and, in the other process, wait 50 ms
-    before it runs, so that the faulting process takes a suite whichever
-    split the two processes make."""
+    """Make every suite and unit call ``fault()`` in the forked child
+    (``child``) or in this process (not ``child``) and, in the other
+    process, wait 50 ms before it runs, so that the faulting process
+    takes a job whichever split the two processes make."""
     caller = os.getpid()
 
     def suite(real, args):
@@ -977,32 +981,61 @@ def test_verify_all_runs_every_suite_once_in_either_process(monkeypatch, tmp_pat
     log = tmp_path / "ran"
 
     def suite(real, args):
-        report = real(*args)
-        time.sleep(0.02)  # so that neither process can take every suite
-        with open(log, "a") as f:  # one short append per suite
-            f.write(f"{report.suite} {os.getpid()}\n")
-        return report
+        result = real(*args)
+        time.sleep(0.02)  # so that neither process can take every job
+        with open(log, "a") as f:  # one short append per job
+            f.write(f"{real.__name__}{args} {os.getpid()}\n")
+        return result
 
+    # the bound suites whole, then every unit, by m, largest first
+    jobs = [f"{name}(1,)" for name in _SUITES[:3]] + ["_suite_families()", "_suite_cusps(1,)"]
+    jobs += [f"{unit}({m},)" for m in range(8, 0, -1) for unit in _UNITS]
     _patch_suites(monkeypatch, suite)
-    pairs = verify_all(60, 4)
+    pairs = verify_all(8, 1)
     _assert_no_child_left()
-    ran = dict(line.split() for line in log.read_text().splitlines())
-    assert len(log.read_text().splitlines()) == len(ran) == 9
-    assert sorted(ran) == [report.suite for report, _ in pairs]
+    lines = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(job for job, _ in lines) == sorted(jobs)
     if hasattr(os, "fork"):
-        assert len(set(ran.values())) == 2 and str(os.getpid()) in ran.values()
-    assert all(seconds >= 0.02 for _, seconds in pairs)
+        pids = {pid for _, pid in lines}
+        assert len(pids) == 2 and str(os.getpid()) in pids
+    # a unit suite's time is the sum of its eight units' times
+    units = {"overlay_partition", "sampling_identities", "stitch_sampling_correspondence",
+             "shortest_vector"}
+    assert len(pairs) == 9 and all(seconds >= 0.02 * (8 if report.suite in units else 1)
+                                   for report, seconds in pairs)
     # without os.fork this process runs the list in order
     log.unlink()
     monkeypatch.delattr(os, "fork", raising=False)
-    pairs = verify_all(60, 4)
+    verify_all(8, 1)
     lines = [line.split() for line in log.read_text().splitlines()]
-    assert [name for name, _ in lines] == [
-        "overlay_partition", "sampling_identities", "stitch_sampling_correspondence",
-        "shortest_vector", "intersection_counts", "alias_sampling_equality",
-        "envelope", "family_predictions", "cusp_count"]
+    assert [job for job, _ in lines] == jobs
     assert {pid for _, pid in lines} == {str(os.getpid())}
-    assert all(seconds >= 0.02 for _, seconds in pairs)
+
+
+class _Stop(Exception):
+    """Raised by a stand-in runner once it has seen the job list."""
+
+
+def test_the_queue_fits_one_pipe_page(monkeypatch):
+    # the job numbers, two bytes each, are written to the pipe before the
+    # fork, while nothing reads it; pipe(7): a pipe holds as little as one
+    # page, 4,096 bytes, once its user is over pipe-user-pages-soft, and a
+    # larger write would then block forever
+    seen = []
+
+    def runner(jobs):
+        seen.extend(jobs)
+        raise _Stop
+
+    monkeypatch.setattr(oracle, "_run_suites", runner)
+    with pytest.raises(_Stop):
+        verify_all(oracle._MAX_M, oracle._MAX_BOUND)
+    assert len(seen) == 3 * 600 + 60 + 5 == 1865
+    assert 2 * len(seen) == 3730 <= 4096
+    monkeypatch.undo()
+    # as many trivial jobs run, each result back under its own number
+    done = oracle._run_suites([(abs, -number) for number in range(len(seen))])
+    assert [done[number][0] for number in range(len(seen))] == list(range(len(seen)))
 
 
 @forks
@@ -1016,6 +1049,22 @@ def test_verify_all_reraises_a_child_suite_error(monkeypatch, error):
     with pytest.raises(type(error)) as raised:
         verify_all(3, 1)
     assert type(raised.value) is type(error) and str(raised.value) == str(error)
+    _assert_no_child_left()
+
+
+def test_verify_all_reraises_a_unit_error(monkeypatch):
+    # the last job, shortest_vector's unit at m = 1, raises in whichever
+    # process takes it
+    real = oracle._shortest_vector_failures
+
+    def broken(m):
+        if m == 1:
+            raise ValueError("no such modulus: 1")
+        return real(m)
+
+    monkeypatch.setattr(oracle, "_shortest_vector_failures", broken)
+    with pytest.raises(ValueError, match="no such modulus: 1"):
+        verify_all(20, 1)
     _assert_no_child_left()
 
 
