@@ -9,12 +9,13 @@ bytes when every one of those values moves by up to 2 ULP, as far as two
 routines within numpy's 1-ULP accuracy can differ, so they do not depend
 on which routine numpy picks for the CPU.
 
-Elements are made in blocks of up to `_CHUNK_ROWS`: numpy computes
-their coordinates and formats them (`_format_block`, equal to `fmt` on
-every value), and `_element_rows` lays them out with the literal pieces
-of their kind (`_Kind`) as NUL-padded rows in the document's one row
-buffer (`_RowBuffer`), whose text is the block's chunk.  A document is
-written block by block, so writing it never holds all of it.
+Elements are made in blocks of up to `_CHUNK_ROWS`: emitters yield
+element text and blocks ``(kinds, kind, values)`` whose numbers numpy
+computes.  The document lays out each block in the one row buffer
+(`_RowBuffer`) it makes per write, the numbers formatted by
+`_format_block` (equal to `fmt` on every value) between the literal
+pieces of their kind (`_Kind`); the text is the block's chunk.  A
+document is written block by block, so writing it never holds all of it.
 """
 
 from __future__ import annotations
@@ -83,54 +84,22 @@ class RenderStyle(_RenderStyle):
         return super().__new__(cls, canvas_px, show_points, extend_lines)
 
 
-class _RowBuffer:
-    """The rows of element text of one document's blocks, laid out in one
-    bytearray that every block reuses.
-
-    `block` views its first n·width bytes as n rows of `width`.  The
-    bytearray is made anew only for a block larger than every one before,
-    so it ends the size of the document's largest block.  `text` returns
-    a block's bytes without their NUL padding: a new bytearray, the one
-    thing a block makes that outlives it.
-    """
-
-    __slots__ = ("_data",)
-
-    def __init__(self):
-        self._data = bytearray()
-
-    def block(self, n: int, width: int) -> np.ndarray:
-        if n * width > len(self._data):
-            self._data = bytearray()  # let go of the old one before making the new
-            self._data = bytearray(n * width)
-        return np.frombuffer(self._data, np.uint8, n * width).reshape(n, width)
-
-    def text(self, size: int) -> bytearray:
-        """The first `size` bytes without their NULs.  `bytearray.replace`
-        reads the whole buffer, so the bytes past `size` are made spaces
-        first: they come through as one run, which is cut off the text."""
-        tail = len(self._data) - size
-        np.frombuffer(self._data, np.uint8)[size:] = ord(" ")
-        text = self._data.replace(b"\0", b"")
-        del text[len(text) - tail:]
-        return text
-
-
 class SvgDocument:
     """A stand-alone UTF-8 SVG 1.1 document, made on demand in chunks.
 
-    `body` takes the row buffer in which the elements are laid out, one
-    per write of the document, and returns an iterator over the bytes of
-    the elements, each ending in a newline.  `save` hands the chunks to
-    `writelines`, which writes each as soon as it is made and lets go of
-    it before it asks for the next, so a drawing holds at most one block
-    of text besides the buffer; `data` joins them.
+    `body` returns an iterator over the elements: bytes ending in a
+    newline, or blocks ``(kinds, kind, values)`` that each write lays out
+    in the one row buffer it makes.  `save` hands the chunks to
+    `writelines`, which writes each as soon as it is made; neither it nor
+    the document holds an element, a block or a chunk while the next is
+    made, so a drawing holds at most one block of text besides the
+    buffer.  `data` joins them.
     """
 
     __slots__ = ("_width", "_height", "_body")
 
     def __init__(self, width: int, height: int,
-                 body: Callable[[_RowBuffer], Iterator[bytes]]):
+                 body: Callable[[], Iterator[bytes | tuple]]):
         self._width = width
         self._height = height
         self._body = body
@@ -141,7 +110,10 @@ class SvgDocument:
             '<svg xmlns="http://www.w3.org/2000/svg" '
             f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
         )
-        yield from self._body(_RowBuffer())
+        rows = _RowBuffer()
+        for part in self._body():
+            yield rows.element_rows(*part) if isinstance(part, tuple) else part
+            del part  # before the body makes the next
         yield b"</svg>\n"
 
     @property
@@ -259,61 +231,88 @@ def _dot_kind(r: float) -> _Kind:
                  _element(f'" r="{fmt(r)}" fill="{CHORD_COLOR}"/>'))
 
 
-#: One point of a polyline's points attribute.
+#: A point of a polyline's points attribute, and its last, which closes it.
 _POINT = _Kind(b"", (b",",), b" ")
+_LAST_POINT = _Kind(b"", (b",",), _element(
+    f'" fill="none" stroke="{CURVE_COLOR}" stroke-width="{fmt(STROKE_WIDTH)}"/>'))
 
 
-def _element_rows(rows: _RowBuffer, kinds: tuple[_Kind, ...], kind: np.ndarray,
-                  values: np.ndarray) -> bytearray:
-    """The text of a block of elements: row i is of kind ``kinds[kind[i]]``
-    around as many of the numbers ``values[:, i]`` as it holds.
-
-    The rows are laid out in the row buffer: the literal pieces of every
-    row by one `np.take` from a table of one row per kind, then the
-    numbers that `_format_block` made for every row by one strided copy.
-    So every kind puts its numbers in the same columns: its head ends
-    where the longest head of the kinds in the block does (NULs pad it in
-    front), and the numbers are one field and one separator apart.  A
-    kind with fewer numbers than another in the block has its tail written
-    again, in its own rows, over the numbers that it does not hold.
+class _RowBuffer:
+    """The bytearray in which one write of a document lays out the element
+    rows of all its blocks.  It is made anew only for a block larger than
+    every one before, so it ends the size of the document's largest block.
     """
-    held = np.flatnonzero(np.bincount(kind, minlength=len(kinds))).tolist()
-    if not held:
-        return bytearray()
-    count = max(len(kinds[k].seps) + 1 for k in held)
-    fields = _format_block(values[:count])
-    _, n, width = fields.shape
-    step = width + len(kinds[held[0]].seps[0])
-    head = max(len(kinds[k].head) for k in held)
-    tails = [head + len(kd.seps) * step + width for kd in kinds]  # where each tail starts
-    table = np.zeros((len(kinds), max(tails[k] + len(kinds[k].tail) for k in held)), np.uint8)
-    for k in held:
-        pieces = [(head - len(kinds[k].head), kinds[k].head), (tails[k], kinds[k].tail)]
-        pieces += [(head + j * step + width, sep) for j, sep in enumerate(kinds[k].seps)]
-        for at, piece in pieces:
-            table[k, at:at + len(piece)] = np.frombuffer(piece, np.uint8)
-    view = rows.block(n, table.shape[1])
-    np.take(table, kind, axis=0, out=view, mode="clip")  # "raise" would write via a copy
-    as_strided(view[:, head:], (count, n, width), (step, view.strides[0], 1))[...] = fields
-    del fields
-    for k in held:
-        if len(kinds[k].seps) + 1 < count:
-            view[kind == k, tails[k]:] = table[k, tails[k]:]
-    return rows.text(view.size)
+
+    __slots__ = ("_data",)
+
+    def __init__(self):
+        self._data = bytearray()
+
+    def element_rows(self, kinds: tuple[_Kind, ...], kind: np.ndarray,
+                     values: np.ndarray) -> bytearray:
+        """The text of a block of elements: row i is of kind ``kinds[kind[i]]``
+        around as many of the numbers ``values[:, i]`` as it holds.
+
+        The rows are laid out in the buffer's first bytes: the literal
+        pieces of every row by one `np.take` from a table of one row per
+        kind, then the numbers that `_format_block` made for every row by
+        one strided copy.  So every kind puts its numbers in the same
+        columns: its head ends where the longest head of the kinds in the
+        block does (NULs pad it in front), and the numbers are one field
+        and one separator apart.  A kind with fewer numbers than another in
+        the block has its tail written again, in its own rows, over the
+        numbers that it does not hold.  The text, without NULs, is a new
+        bytearray: the one thing a block makes that outlives it.
+        """
+        held = np.flatnonzero(np.bincount(kind, minlength=len(kinds))).tolist()
+        if not held:
+            return bytearray()
+        count = max(len(kinds[k].seps) + 1 for k in held)
+        fields = _format_block(values[:count])
+        _, n, width = fields.shape
+        step = width + len(kinds[held[0]].seps[0])
+        head = max(len(kinds[k].head) for k in held)
+        tails = [head + len(kd.seps) * step + width for kd in kinds]  # where each tail starts
+        table = np.zeros((len(kinds), max(tails[k] + len(kinds[k].tail) for k in held)),
+                         np.uint8)
+        for k in held:
+            pieces = [(head - len(kinds[k].head), kinds[k].head), (tails[k], kinds[k].tail)]
+            pieces += [(head + j * step + width, sep) for j, sep in enumerate(kinds[k].seps)]
+            for at, piece in pieces:
+                table[k, at:at + len(piece)] = np.frombuffer(piece, np.uint8)
+        size = n * table.shape[1]
+        if size > len(self._data):
+            self._data = bytearray()  # let go of the old one before making the new
+            self._data = bytearray(size)
+        view = np.frombuffer(self._data, np.uint8, size).reshape(n, table.shape[1])
+        np.take(table, kind, axis=0, out=view, mode="clip")  # "raise" would write via a copy
+        as_strided(view[:, head:], (count, n, width), (step, view.strides[0], 1))[...] = fields
+        del fields
+        for k in held:
+            if len(kinds[k].seps) + 1 < count:
+                view[kind == k, tails[k]:] = table[k, tails[k]:]
+        # `replace` reads the whole buffer, so the bytes past the block are
+        # made spaces: they come through as one run, cut off the text
+        tail = len(self._data) - size
+        np.frombuffer(self._data, np.uint8)[size:] = ord(" ")
+        text = self._data.replace(b"\0", b"")
+        del text[len(text) - tail:]
+        return text
 
 
-def _elements(rows: _RowBuffer, kind: _Kind, values: np.ndarray) -> bytearray:
-    """The text of a block of elements of one kind, row i around the
-    numbers ``values[:, i]``."""
-    return _element_rows(rows, (kind,), np.zeros(values.shape[1], np.uint8), values)
+def _block(kind: _Kind, values: np.ndarray) -> tuple:
+    """A block of elements of one kind, row i around the numbers
+    ``values[:, i]``."""
+    return (kind,), np.zeros(values.shape[1], np.uint8), values
 
 
-def _polyline(rows: _RowBuffer, xs: np.ndarray, ys: np.ndarray) -> bytearray:
-    text = _elements(rows, _POINT, np.stack((xs, ys)))
-    text[-1:] = _element(
-        f'" fill="none" stroke="{CURVE_COLOR}" stroke-width="{fmt(STROKE_WIDTH)}"/>')
-    text[:0] = b'<polyline points="'
-    return text
+def _polyline(xs: np.ndarray, ys: np.ndarray) -> Iterator[bytes | tuple]:
+    """A polyline through the points (xs[i], ys[i]): its head, then its
+    points in blocks, the last point closing the element."""
+    yield b'<polyline points="'
+    for lo in range(0, len(xs), _CHUNK_ROWS):
+        at = np.arange(lo, min(lo + _CHUNK_ROWS, len(xs)))
+        yield (_POINT, _LAST_POINT), (at == len(xs) - 1).view(np.uint8), np.stack((xs[at], ys[at]))
 
 
 def _clip_infinite(ax, ay, bx, by, x0, y0, x1, y1):
@@ -377,8 +376,8 @@ class _CircleScene:
             f'stroke-width="{fmt(STROKE_WIDTH)}"/>'
         )
 
-    def chord_elements(self, rows: _RowBuffer, chords: ChordSet, extend: bool,
-                       points: bool = False) -> Iterator[bytes]:
+    def chord_elements(self, chords: ChordSet, extend: bool,
+                       points: bool = False) -> Iterator[tuple]:
         """With `points`, a dot at each position that a chord uses, in
         position order; then lines for regular chords and dots for
         degenerate ones, in row order.  Each block of rows maps the ends
@@ -388,10 +387,9 @@ class _CircleScene:
         positions with `points`, the row buffer and one block's working
         set.  Every chord's ends lie on the circle, inside the canvas box,
         so an extended line crosses the box and no chord is left out.  A
-        block's lines and dots are laid out together, in row order, by
-        `_element_rows`; a dot's numbers are its centre twice, and the
-        second pair, formatted only when the block holds a line, is
-        written over."""
+        block holds lines and dots together, in row order; a dot's numbers
+        are its centre twice, and the second pair, formatted only when the
+        block holds a line, is written over."""
         den = chords.den
         kinds = (_line_kind(CHORD_COLOR), _dot_kind(POINT_RADIUS))
         if points:
@@ -399,7 +397,7 @@ class _CircleScene:
             used[chords.rows] = True
             for lo in range(0, den, _CHUNK_ROWS):
                 at = np.flatnonzero(used[lo:lo + _CHUNK_ROWS]) + lo
-                yield _elements(rows, kinds[1], np.stack(self.at_turns(at, den)))
+                yield _block(kinds[1], np.stack(self.at_turns(at, den)))
         for lo in range(0, len(chords.rows), _CHUNK_ROWS):
             start, end = chords.rows[lo:lo + _CHUNK_ROWS].T
             dot = start == end
@@ -410,7 +408,7 @@ class _CircleScene:
             coords[2, line], coords[3, line] = self.at_turns(end[line], den)
             if extend:
                 coords[:, line] = _clip_infinite(*coords[:, line], *self.box)
-            yield _element_rows(rows, kinds, dot.view(np.uint8), coords)
+            yield kinds, dot.view(np.uint8), coords
 
 
 class _TorusScene:
@@ -429,8 +427,8 @@ class _TorusScene:
             f'stroke="{CHORD_COLOR}" stroke-width="{fmt(STROKE_WIDTH)}"/>'
         )
 
-    def line_elements(self, rows: _RowBuffer, alpha: int, beta: int,
-                      offset: numbers.Rational, color: str) -> Iterator[bytes]:
+    def line_elements(self, alpha: int, beta: int, offset: numbers.Rational,
+                      color: str) -> Iterator[tuple]:
         """The segments of one period of a torus line, block by block."""
         kind = _line_kind(color)
         for ends, den in _torus_segments(alpha, beta, offset):
@@ -438,14 +436,14 @@ class _TorusScene:
             ends /= den
             _to_canvas(ends[0], ends[1], self.x0, self.y0, self.scale)
             _to_canvas(ends[2], ends[3], self.x0, self.y0, self.scale)
-            yield _elements(rows, kind, ends)
+            yield _block(kind, ends)
 
-    def sample_dots(self, rows: _RowBuffer, chords: ChordSet) -> Iterator[bytes]:
+    def sample_dots(self, chords: ChordSet) -> Iterator[tuple]:
         """A dot at (x, y) for each chord from x to y, in row order."""
         kind = _dot_kind(SAMPLE_DOT_RADIUS)
         for lo in range(0, len(chords.rows), _CHUNK_ROWS):
             start, end = chords.rows[lo:lo + _CHUNK_ROWS].T
-            yield _elements(rows, kind, np.stack(_to_canvas(
+            yield _block(kind, np.stack(_to_canvas(
                 start / chords.den, end / chords.den, self.x0, self.y0, self.scale)))
 
 
@@ -460,7 +458,8 @@ def _torus_segments(alpha: int, beta: int, offset: numbers.Rational
     multiples u of s·q, and beta·t + c at the u congruent to -alpha·p
     (beta > 0) or alpha·p (beta < 0) modulo alpha·q.  The two
     progressions are merged window by window, each window short enough
-    to hold at most `_CHUNK_ROWS` cuts.  The segment from one cut to the
+    to hold at most `_CHUNK_ROWS` cuts, and a window's cuts start with
+    the last cut before it.  The segment from one cut to the
     next is moved into the square by the integer parts of the lower ends
     of its coordinates.  Each block is (ends, den): per segment, in t
     order, an int64 row (x0, y0, x1, y1) of endpoint numerators in
@@ -489,11 +488,14 @@ def _torus_segments(alpha: int, beta: int, offset: numbers.Rational
     width = max((_CHUNK_ROWS - len(progressions)) * den
                 // sum(den // step for _, step in progressions),
                 min(step for _, step in progressions))
-    cuts = np.empty(0, np.int64)
-    for lo in range(0, den + 1, width):
+
+    def window(lo: int) -> tuple[np.ndarray, int]:
         hi = min(lo + width, den + 1)
-        # the last cut so far, then first + k·step in [lo, hi) for each
-        cuts = np.sort(np.concatenate([cuts[-1:]] + [
+        # the last cut before lo (the largest member below lo of either
+        # progression), then first + k·step in [lo, hi) for each
+        last = [max(first + (lo - 1 - first) // step * step
+                    for first, step in progressions if first < lo)] if lo else []
+        cuts = np.sort(np.concatenate([np.array(last, np.int64)] + [
             np.arange(-((first - lo) // step), -((first - hi) // step),
                       dtype=np.int64) * step + first
             for first, step in progressions]))
@@ -502,16 +504,19 @@ def _torus_segments(alpha: int, beta: int, offset: numbers.Rational
         y = beta * cuts + p * alpha * s
         ox = x[:-1] // den * den
         oy = np.minimum(y[:-1], y[1:]) // den * den
-        yield np.column_stack((x[:-1] - ox, y[:-1] - oy, x[1:] - ox, y[1:] - oy)), den
+        return np.column_stack((x[:-1] - ox, y[:-1] - oy, x[1:] - ox, y[1:] - oy)), den
+
+    # each window's arrays are gone by the time its block is drawn
+    yield from map(window, range(0, den + 1, width))
 
 
 def render_stitch(chords: ChordSet, style: RenderStyle) -> SvgDocument:
     """Circle outline, optional boundary dots, and the chord family."""
     scene = _CircleScene(style.canvas_px)
 
-    def body(rows: _RowBuffer) -> Iterator[bytes]:
+    def body() -> Iterator[bytes | tuple]:
         yield scene.outline()
-        yield from scene.chord_elements(rows, chords, style.extend_lines, style.show_points)
+        yield from scene.chord_elements(chords, style.extend_lines, style.show_points)
 
     return SvgDocument(style.canvas_px, style.canvas_px, body)
 
@@ -534,11 +539,11 @@ def render_dance_with_curve(d: PlanetDance, n: int,
             spec, np.arange(CURVE_SEGMENTS + 1) / CURVE_SEGMENTS),
             scene.cx, scene.cy, scene.radius)
 
-    def body(rows: _RowBuffer) -> Iterator[bytes]:
+    def body() -> Iterator[bytes | tuple]:
         yield scene.outline()
-        yield from scene.chord_elements(rows, chords, extend)
+        yield from scene.chord_elements(chords, extend)
         if curve is not None:
-            yield _polyline(rows, *curve)
+            yield from _polyline(*curve)
 
     return SvgDocument(style.canvas_px, style.canvas_px, body)
 
@@ -586,14 +591,14 @@ def render_gallery_pair(m: int, a: int, style: RenderStyle) -> SvgDocument:
     torus = _TorusScene(px)
     scene = _CircleScene(px, ox=float(px))
 
-    def body(rows: _RowBuffer) -> Iterator[bytes]:
+    def body() -> Iterator[bytes | tuple]:
         # chord k of MMT(m, a) runs from k/m to a*k/m: the sample (k/m, a*k/m)
         chords = mmt_chords(StitchGraph(m, a))
         yield torus.outline()
         for line in lines:
-            yield from torus.line_elements(rows, *line)
-        yield from torus.sample_dots(rows, chords)
+            yield from torus.line_elements(*line)
+        yield from torus.sample_dots(chords)
         yield scene.outline()
-        yield from scene.chord_elements(rows, chords, style.extend_lines)
+        yield from scene.chord_elements(chords, style.extend_lines)
 
     return SvgDocument(2 * px, px, body)

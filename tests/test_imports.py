@@ -23,6 +23,11 @@ UPPER_CASE name: it is a constant that only looks like a setting.
 No package module but `cli` imports `cli` or `argparse`: the library,
 the analysis report included, is read without the command line.
 
+Only `SvgDocument` makes a `_RowBuffer`, and no function of the package
+takes one as a parameter (annotated with it, or a parameter on which the
+function calls a method of the buffer): the buffer is a decision of each
+document write, which lays out the blocks that the drawing yields.
+
 No handler that catches everything (bare, `Exception` or
 `BaseException`) swallows what it caught: its body raises or reads the
 exception it binds, so a fault reaches a caller or a report.
@@ -398,6 +403,89 @@ def test_only_cli_imports_cli_or_argparse():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in sorted(ROOT.glob("src/stitchlab/*.py"))}
     assert cli_imports(sources) == []
+
+
+def row_buffer_leaks(sources: list[str]) -> list[str]:
+    """`where: _RowBuffer()` for each call that makes a `_RowBuffer`
+    outside class `SvgDocument`, and `function.parameter` for each
+    parameter that is annotated with `_RowBuffer` or on which its function
+    calls a method of the buffer; the buffer's own methods aside."""
+    trees = [ast.parse(source) for source in sources]
+    methods = {f.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == "_RowBuffer"
+               for f in node.body if isinstance(f, ast.FunctionDef)}
+    found = []
+
+    def visit(node, where, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, where, child.name)
+                continue
+            if (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and owner != "_RowBuffer"):
+                args = child.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                          *filter(None, (args.vararg, args.kwarg))]
+                used = {n.func.value.id for n in ast.walk(child)
+                        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                        and n.func.attr in methods and isinstance(n.func.value, ast.Name)}
+                found.extend(f"{child.name}.{p.arg}" for p in params if p.arg in used
+                             or p.annotation and "_RowBuffer" in ast.unparse(p.annotation))
+                visit(child, child.name, owner)
+                continue
+            if isinstance(child, ast.Call) and owner != "SvgDocument" and "_RowBuffer" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append(f"{where}: _RowBuffer()")
+            visit(child, where, owner)
+
+    for tree in trees:
+        visit(tree, "<module>", None)
+    return sorted(found)
+
+
+def test_guard_flags_row_buffer_leaks():
+    # the drawing code as it was when every emitter took the buffer
+    source = (
+        "class _RowBuffer:\n"
+        "    def block(self, n):\n"
+        "        return self.text(n)\n"
+        "    def text(self, n):\n"
+        "        return n\n"
+        "class SvgDocument:\n"
+        "    def __init__(self, body: Callable[[_RowBuffer], Iterator[bytes]]):\n"
+        "        self._body = body\n"
+        "    def chunks(self):\n"
+        "        yield from self._body(_RowBuffer())\n"
+        "def _polyline(rows, xs):\n"
+        "    return rows.text(len(xs))\n"
+        "class _Scene:\n"
+        "    def lines(self, rows: '_RowBuffer', n):\n"
+        "        return n\n"
+        "def render(xs, buffers):\n"
+        "    def body(rows: _RowBuffer):\n"
+        "        yield _polyline(rows, xs)\n"
+        "    return body, buffers._RowBuffer()\n"
+        "SCRATCH = _RowBuffer()\n"
+    )
+    assert row_buffer_leaks([source]) == [
+        "<module>: _RowBuffer()", "__init__.body", "_polyline.rows", "body.rows",
+        "lines.rows", "render: _RowBuffer()"]
+    # the document making its buffer and laying out blocks in it is fine
+    assert row_buffer_leaks([
+        "class _RowBuffer:\n"
+        "    def element_rows(self, *block):\n"
+        "        return block\n"
+        "class SvgDocument:\n"
+        "    def chunks(self, body):\n"
+        "        rows = _RowBuffer()\n"
+        "        for part in body():\n"
+        "            yield rows.element_rows(*part)\n"
+    ]) == []
+
+
+def test_only_the_document_holds_a_row_buffer():
+    paths = sorted(ROOT.glob("src/stitchlab/*.py"))
+    assert row_buffer_leaks([p.read_text(encoding="utf-8") for p in paths]) == []
 
 
 def _catches_all(node: ast.expr | None) -> bool:

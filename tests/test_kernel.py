@@ -171,7 +171,7 @@ _BOUNDED = {
     "kernel.brief_int": ["kernel.brief_int(HUGE)"],
     "kernel.wrap": ["kernel.wrap(HUGE)"],
     "overlay.nearest_congruent": ["overlay.nearest_congruent(HUGE, HUGE, HUGE)"],
-    "render.SvgDocument": ["render.SvgDocument(HUGE, HUGE, lambda rows: iter(())).data"],
+    "render.SvgDocument": ["render.SvgDocument(HUGE, HUGE, lambda: iter(())).data"],
 }
 # Each call runs in one child process under a 1 GiB address-space limit
 # and prints what it raised, or "returned", and its seconds.

@@ -3,6 +3,7 @@
 import math
 import os
 import pickle
+import select
 import time
 from fractions import Fraction
 
@@ -961,20 +962,30 @@ def _patch_suites(monkeypatch, suite):
                             lambda *args, real=real: suite(real, args))
 
 
-def _fault_in(monkeypatch, child, fault):
-    """Make every suite and unit call ``fault()`` in the forked child
-    (``child``) or in this process (not ``child``) and, in the other
-    process, wait 50 ms before it runs, so that the faulting process
-    takes a job whichever split the two processes make."""
+@pytest.fixture
+def fault_in(monkeypatch):
+    """``fault_in(child, fault)`` makes every suite and unit call
+    ``fault()`` in the forked child (``child``) or in this process (not
+    ``child``), after it writes a byte to a pipe.  The other process waits
+    for that byte, up to 10 s, before it runs a job, so that the faulting
+    process takes a job whichever split the two processes make."""
+    taken, tell = os.pipe()
     caller = os.getpid()
 
-    def suite(real, args):
-        if (os.getpid() != caller) == child:
-            fault()
-        time.sleep(0.05)
-        return real(*args)
+    def fault_in(child, fault):
+        def suite(real, args):
+            if (os.getpid() != caller) == child:
+                os.write(tell, b"\0")
+                fault()
+            else:
+                select.select([taken], [], [], 10)
+            return real(*args)
 
-    _patch_suites(monkeypatch, suite)
+        _patch_suites(monkeypatch, suite)
+
+    yield fault_in
+    os.close(taken)
+    os.close(tell)
 
 
 def test_verify_all_runs_every_suite_once_in_either_process(monkeypatch, tmp_path):
@@ -1041,11 +1052,11 @@ def test_the_queue_fits_one_pipe_page(monkeypatch):
 @forks
 @pytest.mark.parametrize("error", [ValueError("no such modulus: 7"),
                                    ZeroDivisionError("Fraction(0, 0)")])
-def test_verify_all_reraises_a_child_suite_error(monkeypatch, error):
+def test_verify_all_reraises_a_child_suite_error(fault_in, error):
     def fault():
         raise error
 
-    _fault_in(monkeypatch, True, fault)
+    fault_in(True, fault)
     with pytest.raises(type(error)) as raised:
         verify_all(3, 1)
     assert type(raised.value) is type(error) and str(raised.value) == str(error)
@@ -1069,20 +1080,20 @@ def test_verify_all_reraises_a_unit_error(monkeypatch):
 
 
 @forks
-def test_verify_all_names_a_silent_child_exit(monkeypatch):
+def test_verify_all_names_a_silent_child_exit(fault_in):
     # the child leaves at once, without sending anything
-    _fault_in(monkeypatch, True, lambda: os._exit(3))
+    fault_in(True, lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="exited with status 3"):
         verify_all(3, 1)
     _assert_no_child_left()
 
 
 @forks
-def test_verify_all_reaps_the_child_when_this_side_raises(monkeypatch):
+def test_verify_all_reaps_the_child_when_this_side_raises(fault_in):
     def fault():
         raise KeyError("this side")
 
-    _fault_in(monkeypatch, False, fault)
+    fault_in(False, fault)
     with pytest.raises(KeyError, match="this side"):
         verify_all(60, 1)
     _assert_no_child_left()

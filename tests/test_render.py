@@ -234,6 +234,21 @@ def test_torus_segments_match_fraction_reference(chunk, monkeypatch):
     assert split > 250 if chunk else split == 0
 
 
+def test_torus_segments_let_go_of_their_window():
+    # while a block is drawn the generator holds no array of its window
+    # (cuts, coordinates, integer parts), and nothing but the caller holds
+    # the block
+    segments = render._torus_segments(1, 99999, 0)
+    for _ in range(3):
+        ends, _ = next(segments)
+        block = weakref.ref(ends)
+        del ends
+        assert block() is None
+        held = {name: value.size for name, value in segments.gi_frame.f_locals.items()
+                if isinstance(value, np.ndarray)}
+        assert all(size <= 1 for size in held.values()), held
+
+
 def test_torus_segments_at_the_int64_extremes():
     # <1, 999999> has the most cuts of any line the gallery draws: segment
     # j runs from (j, 0) to (j + 1, 1) over 999999
@@ -263,7 +278,7 @@ def _block_bytes():
     coordinates are as wide as the default canvas."""
     edge = np.full((4, 1), float(RenderStyle().canvas_px))
     line = render._line_kind(render.CHORD_COLOR)
-    return render._CHUNK_ROWS * len(render._elements(render._RowBuffer(), line, edge))
+    return render._CHUNK_ROWS * len(render._RowBuffer().element_rows(*render._block(line, edge)))
 
 
 #: The blocks of element rows that drawing a chord figure may hold on top
@@ -361,9 +376,9 @@ def test_stitch_element_counts():
 def test_blocks_format_only_the_kinds_they_hold(monkeypatch):
     # chord k of MMT(m, a) is a dot iff (a - 1)*k = 0 (mod m): MMT(100000,
     # 35911) has 10 dots, k = 0 (mod 10000), in 10 of its 25 blocks
-    made = []  # the rows of each kind that each `_element_rows` call lays out
+    made = []  # the rows of each kind that each `element_rows` call lays out
     formatted = []  # the numbers per row of each `_format_block` call
-    real_rows, real_format = render._element_rows, render._format_block
+    real_rows, real_format = render._RowBuffer.element_rows, render._format_block
 
     def rows_counted(rows, kinds, kind, values):
         made.append({kinds[k].head: int((kind == k).sum())
@@ -374,7 +389,7 @@ def test_blocks_format_only_the_kinds_they_hold(monkeypatch):
         formatted.append(len(values))
         return real_format(values)
 
-    monkeypatch.setattr(render, "_element_rows", rows_counted)
+    monkeypatch.setattr(render._RowBuffer, "element_rows", rows_counted)
     monkeypatch.setattr(render, "_format_block", format_counted)
     line, dot = b'<line x1="', b'<circle cx="'
     blocks = -(-100000 // render._CHUNK_ROWS)
@@ -416,9 +431,9 @@ def test_document_makes_its_row_buffer_once(doc, blocks, made, monkeypatch, tmp_
     monkeypatch.setattr(render, "bytearray",
                         lambda *args: sized.append(args) or bytearray(*args), raising=False)
     chunks = []
-    real = render._RowBuffer.text
-    monkeypatch.setattr(render._RowBuffer, "text",
-                        lambda self, size: chunks.append(size) or real(self, size))
+    real = render._RowBuffer.element_rows
+    monkeypatch.setattr(render._RowBuffer, "element_rows",
+                        lambda self, *block: chunks.append(len(block[1])) or real(self, *block))
     doc().save(tmp_path / "d.svg")
     assert len(buffers) == 1 and len(chunks) == blocks
     assert len([args for args in sized if args and args[0]]) == made
@@ -478,9 +493,9 @@ def test_dance_curve_is_the_scalar_loop(alpha, beta, monkeypatch):
     drawn = []
     real = render._polyline
 
-    def capture(rows, xs, ys):
+    def capture(xs, ys):
         drawn.append((xs.copy(), ys.copy()))
-        return real(rows, xs, ys)
+        return real(xs, ys)
 
     monkeypatch.setattr(render, "_polyline", capture)
     d = PlanetDance(alpha, beta)
@@ -562,26 +577,52 @@ def test_document_is_made_in_chunks(monkeypatch, tmp_path):
     assert gallery == render_gallery_pair(207, 34, style).data
 
 
+def test_no_block_holds_more_than_chunk_rows(monkeypatch):
+    # every emitter, the dance's 1,025-point curve included, yields blocks
+    # of at most `_CHUNK_ROWS` rows, and the bytes do not depend on it
+    style = RenderStyle(show_points=True)
+    drawings = [
+        lambda: render_stitch(mmt_chords(StitchGraph(1000, 377)), style),
+        lambda: render_dance_with_curve(PlanetDance(6, -5), 1000, style),
+        *(lambda cell=cell: cell.doc for cell in render_grid(200, 4, "ceiling", style)),
+        lambda: render_gallery_pair(206, 35, style),
+    ]
+    default = [draw().data for draw in drawings]
+    rows = []  # the rows of each block that the document lays out
+    real = render._RowBuffer.element_rows
+    monkeypatch.setattr(render, "_CHUNK_ROWS", 64)
+    monkeypatch.setattr(render._RowBuffer, "element_rows",
+                        lambda self, *block: rows.append(len(block[1])) or real(self, *block))
+    assert [draw().data for draw in drawings] == default
+    assert max(rows) == 64
+
+
 class _Chunk(bytearray):
     """Bytes that a weak reference can watch."""
 
 
 def test_save_holds_no_written_chunk_while_it_makes_the_next(tmp_path):
     made = []  # a weak reference to each chunk the body has made
+    blocks = []  # and to the numbers of the block it yields after them
 
-    def body(rows):
-        assert isinstance(rows, render._RowBuffer)
+    def body():
         for i in range(3):
             if made:
                 assert made[-1]() is None, "save still holds the written chunk"
             box = [_Chunk(b'<g id="%d"/>\n' % i)]
             made.append(weakref.ref(box[0]))
             yield box.pop()  # the body keeps no reference of its own
+        box = [np.array([[1.0], [2.0]])]
+        blocks.append(weakref.ref(box[0]))
+        yield render._block(render._dot_kind(0.5), box.pop())
+        assert blocks[-1]() is None, "save still holds the laid-out block"
 
     SvgDocument(10, 10, body).save(tmp_path / "s.svg")
-    assert len(made) == 3
+    assert len(made) == 3 and len(blocks) == 1
+    # the document lays out the block in its own row buffer
     assert (tmp_path / "s.svg").read_bytes().splitlines()[1:] == [
-        b'<g id="0"/>', b'<g id="1"/>', b'<g id="2"/>', b"</svg>"]
+        b'<g id="0"/>', b'<g id="1"/>', b'<g id="2"/>',
+        b'<circle cx="1.000000" cy="2.000000" r="0.500000" fill="#000000"/>', b"</svg>"]
 
 
 @pytest.mark.parametrize("points", [False, True])
