@@ -59,7 +59,7 @@ import os
 import pickle
 import signal
 import time
-from itertools import chain, islice
+from itertools import chain, combinations, combinations_with_replacement, islice
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -215,35 +215,25 @@ def _suite_correspondence(max_m: int) -> VerificationReport:
 
 
 def _suite_aliasing(bound: int) -> VerificationReport:
-    dances = reduced_dances(bound)
+    pairs = list(combinations(reduced_dances(bound), 2))
     failures = []
-    cases = 0
-    for i, (a1, b1) in enumerate(dances):
-        for a2, b2 in dances[i + 1:]:
-            m = abs(a1 * b2 - b1 * a2)  # >= 1: no two reduced dances are parallel
-            cases += 1
-            s1 = sample_pairs(a1, b1, m)
-            s2 = sample_pairs(a2, b2, m)
-            if not np.array_equal(s1, s2):
-                failures.append(
-                    (f"<{a1},{b1}> vs <{a2},{b2}> at m={m}",
-                     "equal samplings", "differs")
-                )
-    return VerificationReport("alias_sampling_equality", cases, tuple(failures[:20]))
+    for (a1, b1), (a2, b2) in pairs:
+        m = abs(a1 * b2 - b1 * a2)  # >= 1: no two reduced dances are parallel
+        if not np.array_equal(sample_pairs(a1, b1, m), sample_pairs(a2, b2, m)):
+            failures.append((f"<{a1},{b1}> vs <{a2},{b2}> at m={m}",
+                             "equal samplings", "differs"))
+    return VerificationReport("alias_sampling_equality", len(pairs), tuple(failures[:20]))
 
 
 def _suite_intersections(bound: int) -> VerificationReport:
-    dances = reduced_dances(bound)
+    pairs = list(combinations_with_replacement(reduced_dances(bound), 2))
     failures = []
-    cases = 0
-    for i, (a1, b1) in enumerate(dances):
-        for a2, b2 in dances[i:]:
-            cases += 1
-            formula = intersection_count(PlanetDance(a1, b1), PlanetDance(a2, b2))
-            brute = brute_intersections(PlanetDance(a1, b1), PlanetDance(a2, b2))
-            if formula != brute:
-                failures.append((f"<{a1},{b1}> vs <{a2},{b2}>", str(formula), str(brute)))
-    return VerificationReport("intersection_counts", cases, tuple(failures[:20]))
+    for (a1, b1), (a2, b2) in pairs:
+        formula = intersection_count(PlanetDance(a1, b1), PlanetDance(a2, b2))
+        brute = brute_intersections(PlanetDance(a1, b1), PlanetDance(a2, b2))
+        if formula != brute:
+            failures.append((f"<{a1},{b1}> vs <{a2},{b2}>", str(formula), str(brute)))
+    return VerificationReport("intersection_counts", len(pairs), tuple(failures[:20]))
 
 
 #: The sampling-identities suite's bounds: speeds -_SPEED.._SPEED, alpha
@@ -529,12 +519,10 @@ def _suite_families() -> VerificationReport:
 
 
 def _suite_envelope(bound: int) -> VerificationReport:
+    dances = [(alpha, beta) for alpha, beta in reduced_dances(bound)
+              if alpha != 0 and alpha + beta != 0 and alpha != beta]
     failures = []
-    cases = 0
-    for alpha, beta in reduced_dances(bound):
-        if alpha == 0 or alpha + beta == 0 or alpha == beta:
-            continue
-        cases += 1
+    for alpha, beta in dances:
         report = verify_envelope(PlanetDance(alpha, beta), 720)
         if not report.passed():
             failures.append(
@@ -542,7 +530,7 @@ def _suite_envelope(bound: int) -> VerificationReport:
                  f"dist={report.max_line_distance:.3g} "
                  f"defect={report.max_parallelism_defect:.3g}")
             )
-    return VerificationReport("envelope", cases, tuple(failures[:20]))
+    return VerificationReport("envelope", len(dances), tuple(failures[:20]))
 
 
 def _suite_cusps(bound: int) -> VerificationReport:
@@ -552,18 +540,16 @@ def _suite_cusps(bound: int) -> VerificationReport:
     at |alpha - beta| of the k; the samples are distinct rows since
     gcd(alpha, alpha - beta) = 1.
     """
+    dances = [(alpha, beta) for alpha, beta in reduced_dances(bound)
+              if alpha != 0 and alpha != beta]
     failures = []
-    cases = 0
-    for alpha, beta in reduced_dances(bound):
-        if alpha == 0 or alpha == beta:
-            continue
-        cases += 1
+    for alpha, beta in dances:
         span = abs(alpha - beta)
         rows = sample_pairs(alpha, beta, 5 * span)
         degenerate = int((rows[:, 0] == rows[:, 1]).sum())
         if degenerate != span:
             failures.append((f"<{alpha},{beta}>", str(span), str(degenerate)))
-    return VerificationReport("cusp_count", cases, tuple(failures[:20]))
+    return VerificationReport("cusp_count", len(dances), tuple(failures[:20]))
 
 
 def _take(jobs: list[tuple], queue) -> dict[int, tuple]:

@@ -9,13 +9,17 @@ bytes when every one of those values moves by up to 2 ULP, as far as two
 routines within numpy's 1-ULP accuracy can differ, so they do not depend
 on which routine numpy picks for the CPU.
 
-Elements are made in blocks of up to `_CHUNK_ROWS`: emitters yield
-element text and blocks ``(kinds, kind, values)`` whose numbers numpy
-computes.  The document lays out each block in the one row buffer
-(`_RowBuffer`) it makes per write, the numbers formatted by
-`_format_block` (equal to `fmt` on every value) between the literal
-pieces of their kind (`_Kind`); the text is the block's chunk.  A
-document is written block by block, so writing it never holds all of it.
+Each figure has one emitter: the circle with its dots and chords
+(`_CircleScene.chord_elements`), the gallery's torus half
+(`_torus_elements`) and the dance's curve (`_polyline`).  An emitter
+yields element text and blocks ``(kinds, kind, values)`` of up to
+`_CHUNK_ROWS` elements whose numbers numpy computes.  The document lays
+out each block in the one row buffer (`_RowBuffer`) it makes per write,
+the numbers formatted by `_format_block` (equal to `fmt` on every value)
+between the literal pieces of their kind (`_Kind`); the text is the
+block's chunk.  Building a document checks its inputs and computes no
+coordinate: the emitters run when it is written, block by block, so
+writing it never holds all of it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from .cycloid import classify, cycloid_point
 from .dances import PlanetDance, Sampling, StitchGraph, mmt_chords, sample
 from .kernel import (MAX_INPUT, ChordSet, brief_int, check_input_size, check_size,
                      cos_sin, make_checked)
-from .overlay import nearest_congruent, overlay_decompose, predict_family
+from .overlay import (OverlayDecomposition, nearest_congruent, overlay_decompose,
+                      predict_family)
 
 if TYPE_CHECKING:
     import numbers
@@ -89,11 +94,12 @@ class SvgDocument:
 
     `body` returns an iterator over the elements: bytes ending in a
     newline, or blocks ``(kinds, kind, values)`` that each write lays out
-    in the one row buffer it makes.  `save` hands the chunks to
-    `writelines`, which writes each as soon as it is made; neither it nor
-    the document holds an element, a block or a chunk while the next is
-    made, so a drawing holds at most one block of text besides the
-    buffer.  `data` joins them.
+    in the one row buffer it makes.  Each write calls `body` anew, so a
+    document computes no coordinate until it is written.  `save` hands
+    the chunks to `writelines`, which writes each as soon as it is made;
+    neither it nor the document holds an element, a block or a chunk
+    while the next is made, so a drawing holds at most one block of text
+    besides the buffer.  `data` joins them.
     """
 
     __slots__ = ("_width", "_height", "_body")
@@ -369,27 +375,25 @@ class _CircleScene:
         return _to_canvas(*cos_sin(2.0 * math.pi * (n / den)),
                           self.cx, self.cy, self.radius)
 
-    def outline(self) -> bytes:
-        return _element(
+    def chord_elements(self, chords: ChordSet, extend: bool,
+                       points: bool = False) -> Iterator[bytes | tuple]:
+        """The circle's outline, as element text; with `points`, a dot at
+        each position that a chord uses, in position order; then lines for
+        regular chords and dots for degenerate ones, in row order.  Each
+        block of rows maps the ends of its own chords (`at_turns`): every
+        row's start, which is a dot's centre, and each line's end.  So
+        drawing holds no table of all positions: only the rows, a den-long
+        bool mask of the used positions with `points`, the row buffer and
+        one block's working set.  Every chord's ends lie on the circle,
+        inside the canvas box, so an extended line crosses the box and no
+        chord is left out.  A block holds lines and dots together, in row
+        order; a dot's numbers are its centre twice, and the second pair,
+        formatted only when the block holds a line, is written over."""
+        yield _element(
             f'<circle cx="{fmt(self.cx)}" cy="{fmt(self.cy)}" '
             f'r="{fmt(self.radius)}" fill="none" stroke="{CHORD_COLOR}" '
             f'stroke-width="{fmt(STROKE_WIDTH)}"/>'
         )
-
-    def chord_elements(self, chords: ChordSet, extend: bool,
-                       points: bool = False) -> Iterator[tuple]:
-        """With `points`, a dot at each position that a chord uses, in
-        position order; then lines for regular chords and dots for
-        degenerate ones, in row order.  Each block of rows maps the ends
-        of its own chords (`at_turns`): every row's start, which is a
-        dot's centre, and each line's end.  So drawing holds no table of
-        all positions: only the rows, a den-long bool mask of the used
-        positions with `points`, the row buffer and one block's working
-        set.  Every chord's ends lie on the circle, inside the canvas box,
-        so an extended line crosses the box and no chord is left out.  A
-        block holds lines and dots together, in row order; a dot's numbers
-        are its centre twice, and the second pair, formatted only when the
-        block holds a line, is written over."""
         den = chords.den
         kinds = (_line_kind(CHORD_COLOR), _dot_kind(POINT_RADIUS))
         if points:
@@ -411,40 +415,33 @@ class _CircleScene:
             yield kinds, dot.view(np.uint8), coords
 
 
-class _TorusScene:
-    """Maps the unit square torus into a square canvas cell."""
-
-    def __init__(self, px: int):
-        self.x0 = MARGIN_PX
-        self.y0 = px - MARGIN_PX
-        self.scale = px - 2 * MARGIN_PX
-
-    def outline(self) -> bytes:
-        side = fmt(self.scale)
-        return _element(
-            f'<rect x="{fmt(self.x0)}" y="{fmt(self.y0 - self.scale)}" '
-            f'width="{side}" height="{side}" fill="none" '
-            f'stroke="{CHORD_COLOR}" stroke-width="{fmt(STROKE_WIDTH)}"/>'
-        )
-
-    def line_elements(self, alpha: int, beta: int, offset: numbers.Rational,
-                      color: str) -> Iterator[tuple]:
-        """The segments of one period of a torus line, block by block."""
-        kind = _line_kind(color)
+def _torus_elements(px: int, dec: OverlayDecomposition,
+                    chords: ChordSet) -> Iterator[bytes | tuple]:
+    """The torus half of a gallery pair, the unit square drawn in a px-wide
+    cell: its outline, as element text; one period of the fundamental
+    line <1, a> and of each alias coset's line, in coset order and colored
+    from `COSET_PALETTE` by coset index, block by block; then a dot at
+    (x, y) for each chord from x to y, in row order."""
+    x0, y0, scale = MARGIN_PX, px - MARGIN_PX, px - 2 * MARGIN_PX
+    yield _element(
+        f'<rect x="{fmt(x0)}" y="{fmt(y0 - scale)}" width="{fmt(scale)}" '
+        f'height="{fmt(scale)}" fill="none" stroke="{CHORD_COLOR}" '
+        f'stroke-width="{fmt(STROKE_WIDTH)}"/>'
+    )
+    lines = [(1, dec.analysis.a, 0, FUNDAMENTAL_COLOR)]
+    lines += [(*dec.analysis.reduced_dance, dec.offset(k),
+               COSET_PALETTE[k % len(COSET_PALETTE)]) for k in range(len(dec.numerators))]
+    for alpha, beta, offset, color in lines:
         for ends, den in _torus_segments(alpha, beta, offset):
             ends = np.ascontiguousarray(ends.T, np.float64)  # x0, y0, x1, y1 rows
             ends /= den
-            _to_canvas(ends[0], ends[1], self.x0, self.y0, self.scale)
-            _to_canvas(ends[2], ends[3], self.x0, self.y0, self.scale)
-            yield _block(kind, ends)
-
-    def sample_dots(self, chords: ChordSet) -> Iterator[tuple]:
-        """A dot at (x, y) for each chord from x to y, in row order."""
-        kind = _dot_kind(SAMPLE_DOT_RADIUS)
-        for lo in range(0, len(chords.rows), _CHUNK_ROWS):
-            start, end = chords.rows[lo:lo + _CHUNK_ROWS].T
-            yield _block(kind, np.stack(_to_canvas(
-                start / chords.den, end / chords.den, self.x0, self.y0, self.scale)))
+            _to_canvas(ends[0], ends[1], x0, y0, scale)
+            _to_canvas(ends[2], ends[3], x0, y0, scale)
+            yield _block(_line_kind(color), ends)
+    for lo in range(0, len(chords.rows), _CHUNK_ROWS):
+        start, end = chords.rows[lo:lo + _CHUNK_ROWS].T
+        yield _block(_dot_kind(SAMPLE_DOT_RADIUS), np.stack(_to_canvas(
+            start / chords.den, end / chords.den, x0, y0, scale)))
 
 
 def _torus_segments(alpha: int, beta: int, offset: numbers.Rational
@@ -513,12 +510,8 @@ def _torus_segments(alpha: int, beta: int, offset: numbers.Rational
 def render_stitch(chords: ChordSet, style: RenderStyle) -> SvgDocument:
     """Circle outline, optional boundary dots, and the chord family."""
     scene = _CircleScene(style.canvas_px)
-
-    def body() -> Iterator[bytes | tuple]:
-        yield scene.outline()
-        yield from scene.chord_elements(chords, style.extend_lines, style.show_points)
-
-    return SvgDocument(style.canvas_px, style.canvas_px, body)
+    return SvgDocument(style.canvas_px, style.canvas_px, lambda: scene.chord_elements(
+        chords, style.extend_lines, style.show_points))
 
 
 def render_dance_with_curve(d: PlanetDance, n: int,
@@ -532,18 +525,14 @@ def render_dance_with_curve(d: PlanetDance, n: int,
     extend = style.extend_lines or spec.kind == "hypocycloid"
     scene = _CircleScene(style.canvas_px)
     chords = sample(Sampling(d, n))
-    curve = None
-    # a diagonal <c, c> draws the unit circle, its offset-0 family's envelope
-    if spec.kind in ("epicycloid", "hypocycloid", "diagonal"):
-        curve = _to_canvas(*cycloid_point(
-            spec, np.arange(CURVE_SEGMENTS + 1) / CURVE_SEGMENTS),
-            scene.cx, scene.cy, scene.radius)
 
     def body() -> Iterator[bytes | tuple]:
-        yield scene.outline()
         yield from scene.chord_elements(chords, extend)
-        if curve is not None:
-            yield from _polyline(*curve)
+        # a diagonal <c, c> draws the unit circle, its offset-0 family's envelope
+        if spec.kind in ("epicycloid", "hypocycloid", "diagonal"):
+            yield from _polyline(*_to_canvas(*cycloid_point(
+                spec, np.arange(CURVE_SEGMENTS + 1) / CURVE_SEGMENTS),
+                scene.cx, scene.cy, scene.radius))
 
     return SvgDocument(style.canvas_px, style.canvas_px, body)
 
@@ -583,22 +572,12 @@ def render_gallery_pair(m: int, a: int, style: RenderStyle) -> SvgDocument:
     """
     px = style.canvas_px
     dec = overlay_decompose(m, a)
-    a = dec.analysis.a
-    alias = dec.analysis.reduced_dance
-    lines = [(1, a, 0, FUNDAMENTAL_COLOR)]
-    lines += [(*alias, dec.offset(k), COSET_PALETTE[k % len(COSET_PALETTE)])
-              for k in range(len(dec.numerators))]
-    torus = _TorusScene(px)
     scene = _CircleScene(px, ox=float(px))
 
     def body() -> Iterator[bytes | tuple]:
         # chord k of MMT(m, a) runs from k/m to a*k/m: the sample (k/m, a*k/m)
-        chords = mmt_chords(StitchGraph(m, a))
-        yield torus.outline()
-        for line in lines:
-            yield from torus.line_elements(*line)
-        yield from torus.sample_dots(chords)
-        yield scene.outline()
+        chords = mmt_chords(StitchGraph(m, dec.analysis.a))
+        yield from _torus_elements(px, dec, chords)
         yield from scene.chord_elements(chords, style.extend_lines)
 
     return SvgDocument(2 * px, px, body)

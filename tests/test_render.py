@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stitchlab import render
+from stitchlab import cycloid, render
 from stitchlab.dances import PlanetDance, Sampling, StitchGraph, mmt_chords, sample
 from stitchlab.kernel import cos_sin
 from stitchlab.overlay import overlay_decompose
@@ -623,6 +623,35 @@ def test_save_holds_no_written_chunk_while_it_makes_the_next(tmp_path):
     assert (tmp_path / "s.svg").read_bytes().splitlines()[1:] == [
         b'<g id="0"/>', b'<g id="1"/>', b'<g id="2"/>',
         b'<circle cx="1.000000" cy="2.000000" r="0.500000" fill="#000000"/>', b"</svg>"]
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: render_stitch(mmt_chords(StitchGraph(100, 34)),
+                                       RenderStyle(show_points=True)), id="stitch-points"),
+    pytest.param(lambda: render_dance_with_curve(PlanetDance(3, 2), 60, RenderStyle()),
+                 id="epicycloid-3-2"),
+    pytest.param(lambda: render_dance_with_curve(PlanetDance(2, -1), 60, RenderStyle()),
+                 id="hypocycloid-2--1"),
+    pytest.param(lambda: render_dance_with_curve(PlanetDance(2, 2), 60, RenderStyle()),
+                 id="diagonal-2-2"),
+    pytest.param(lambda: render_grid(200, 3, "ceiling", RenderStyle())[-1].doc, id="grid-cell"),
+    pytest.param(lambda: render_gallery_pair(206, 35, RenderStyle()), id="gallery-206-35"),
+])
+def test_building_a_document_computes_no_coordinate(build, monkeypatch):
+    # a document checks its inputs when it is built, but takes no cosine or
+    # sine, the first step of every drawn coordinate, until it is written
+    calls = []
+
+    def counted(angles):
+        calls.append(len(angles))
+        return cos_sin(angles)
+
+    for module in (render, cycloid):
+        monkeypatch.setattr(module, "cos_sin", counted)
+    doc = build()
+    assert calls == []
+    doc.data
+    assert calls
 
 
 @pytest.mark.parametrize("points", [False, True])
