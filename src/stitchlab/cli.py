@@ -133,7 +133,10 @@ def cmd_gallery(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # imported here: the oracles load numpy, which analyze and --help never need
+    # imported here: the oracles load numpy, which analyze and --help never need;
+    # the suites make no BLAS call, so OpenBLAS starts no thread of its own
+    # and `verify` forks a one-thread process
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     from . import oracle
 
     timed = oracle.verify_all(args.max_m, args.bound)

@@ -119,20 +119,14 @@ def sample_pairs(alpha: int, beta: int, m: int) -> np.ndarray:
     ends = m // h
     c = beta * pow(alpha // g, -1, q) % h
     rows = np.empty((q * ends, 2), np.int32)
-    cols = rows.reshape(q, ends, 2).T  # cols[0] and cols[1]: (l, j) views
+    grid = rows.reshape(q, ends, 2)  # grid[j, l]: row j*(m/h) + l
     step = _WINDOW // ends or 1
     for lo in range(0, q, step):
         hi = min(lo + step, q)
-        cols[0, :, lo:hi] = np.arange(lo * g, hi * g, g, dtype=np.int32)
-        j = np.arange(lo, hi, dtype=np.int64)
-        j *= c
-        k = j // h  # j - h*k is c*j mod h; numpy's % is several times slower
-        k *= h
-        j -= k
-        cols[1, 0, lo:hi] = j
-        del j, k  # freed before the next window's are made
+        grid[lo:hi, :, 0] = np.arange(lo * g, hi * g, g, dtype=np.int32)[:, None]
+        grid[lo:hi, 0, 1] = np.arange(lo, hi, dtype=np.int64) * c % h
         s = 1
         while s < ends:
-            np.add(cols[1, :min(s, ends - s), lo:hi], s * h, out=cols[1, s:2 * s, lo:hi])
+            np.add(grid[lo:hi, :min(s, ends - s), 1], s * h, out=grid[lo:hi, s:2 * s, 1])
             s *= 2
     return rows

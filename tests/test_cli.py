@@ -392,6 +392,34 @@ def test_verify_json_closed_pipe_is_quiet(unbuffered):
     assert proc.returncode == cli.EXIT_IO
 
 
+#: Runs `verify` with `os.fork` wrapped to record the process's thread
+#: count at each fork, and prints the exit code and the counts.
+_FORK_THREADS = (
+    "import contextlib, io, os\n"
+    "from stitchlab import cli\n"
+    "threads, fork = [], os.fork\n"
+    "def counted():\n"
+    "    threads.append(len(os.listdir('/proc/self/task')))\n"
+    "    return fork()\n"
+    "os.fork = counted\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cli.main(['verify', '--max-m', '5', '--bound', '1', '--json'])\n"
+    "print(code, threads)\n"
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_verify_forks_a_one_thread_process():
+    # a fork from a process with more threads may deadlock the child, and
+    # Python 3.12 and later warn of it; numpy's OpenBLAS starts a thread
+    # at import unless told not to
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", _FORK_THREADS],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "0 [1]\n", proc.stderr
+
+
 def test_verify_reports_injected_fault(monkeypatch, capsys):
     # sabotage one suite and check the nonzero exit plus failure listing
     broken = VerificationReport("shortest_vector", 1,

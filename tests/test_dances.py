@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stitchlab import dances
 from stitchlab.dances import (
     PlanetDance,
     Sampling,
@@ -181,6 +182,21 @@ def test_sample_pairs_matches_sorted_path_for_every_small_dance():
             for beta in range(-m - 1, m + 2):
                 if math.gcd(alpha, beta, m) == 1:
                     check_against_sorted_path(alpha, beta, m)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 7])
+def test_sample_pairs_rows_do_not_depend_on_the_window(monkeypatch, window):
+    # every triple in lowest terms with m < 30 (the rows depend on the
+    # speeds mod m alone), and at m = 1000 dances whose windows cut the
+    # starts (<7,3>, <6,-5>) or hold one start and double its ends past
+    # the window (<0,1>, <500,3>): the same rows as in the default window
+    cases = [(alpha, beta, m) for m in range(1, 30) for alpha in range(m)
+             for beta in range(m) if math.gcd(alpha, beta, m) == 1]
+    cases += [(7, 3, 1000), (6, -5, 1000), (0, 1, 1000), (500, 3, 1000)]
+    want = [sample_pairs(*case) for case in cases]
+    monkeypatch.setattr(dances, "_WINDOW", window)
+    for case, rows in zip(cases, want):
+        assert np.array_equal(sample_pairs(*case), rows), case
 
 
 def lowest_terms(den, rows):
