@@ -133,10 +133,7 @@ def cmd_gallery(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # imported here: the oracles load numpy, which analyze and --help never need;
-    # the suites make no BLAS call, so OpenBLAS starts no thread of its own
-    # and `verify` forks a one-thread process
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    # imported here: the oracles load numpy, which analyze and --help never need
     from . import oracle
 
     timed = oracle.verify_all(args.max_m, args.bound)
@@ -236,6 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # before numpy loads: no BLAS call is made, so OpenBLAS needs no thread to spin or fork from
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)

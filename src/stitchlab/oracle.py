@@ -630,7 +630,8 @@ def verify_all(max_m: int, dance_bound: int) -> list[tuple[VerificationReport, f
     report from their pieces, and its time is the sum of theirs.  The
     whole suites come first and the units follow by m, largest first, so that the last to
     start are short; :func:`_run_suites` runs the list, in two processes
-    where ``os.fork`` exists.
+    where ``os.fork`` exists.  A library caller should set ``OPENBLAS_NUM_THREADS=1``
+    before it imports numpy, as the CLI does, or the fork is made from two threads.
     """
     if max_m < 1 or dance_bound < 1:
         raise ValueError("bounds must be at least 1")

@@ -420,6 +420,36 @@ def test_verify_forks_a_one_thread_process():
     assert proc.stdout == "0 [1]\n", proc.stderr
 
 
+#: Runs `cli.main` on the arguments after it and prints the exit code,
+#: whether numpy was loaded and the process's thread count at the end.
+_END_THREADS = (
+    "import contextlib, io, os, sys\n"
+    "from stitchlab import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "print(code, 'numpy' in sys.modules, len(os.listdir('/proc/self/task')))\n"
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+@pytest.mark.parametrize("argv", [
+    ["stitch", "-m", "10", "-a", "3", "-o", "{out}.svg"],
+    ["dance", "-a", "3", "-b", "2", "-n", "10", "-o", "{out}.svg"],
+    ["grid", "-m", "20", "-B", "2", "-o", "{out}"],
+    ["gallery", "--only", "10,3", "-o", "{out}"],
+    ["verify", "--max-m", "3", "--bound", "1"],
+], ids=lambda argv: argv[0])
+def test_every_command_loads_numpy_without_a_blas_thread(tmp_path, argv):
+    # main sets OPENBLAS_NUM_THREADS=1 before a command loads numpy, so no
+    # idle OpenBLAS thread spins beside the drawing or the suites
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    args = [arg.format(out=tmp_path / "out") for arg in argv]
+    proc = subprocess.run([sys.executable, "-c", _END_THREADS, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "0 True 1\n", proc.stderr
+
+
 def test_verify_reports_injected_fault(monkeypatch, capsys):
     # sabotage one suite and check the nonzero exit plus failure listing
     broken = VerificationReport("shortest_vector", 1,

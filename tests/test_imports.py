@@ -23,6 +23,11 @@ UPPER_CASE name: it is a constant that only looks like a setting.
 No package module but `cli` imports `cli` or `argparse`: the library,
 the analysis report included, is read without the command line.
 
+No package module makes a BLAS call: no `@` or `@=`, and no attribute
+`dot`, `vdot`, `inner`, `matmul`, `tensordot`, `einsum` or `linalg`.
+So `cli.main` sets `OPENBLAS_NUM_THREADS=1` at no cost, and no idle
+OpenBLAS thread runs beside a command.
+
 Only `SvgDocument` makes a `_RowBuffer`, and no function of the package
 takes one as a parameter (annotated with it, or a parameter on which the
 function calls a method of the buffer): the buffer is a decision of each
@@ -403,6 +408,45 @@ def test_only_cli_imports_cli_or_argparse():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in sorted(ROOT.glob("src/stitchlab/*.py"))}
     assert cli_imports(sources) == []
+
+
+#: The attributes through which numpy hands work to its BLAS.
+_BLAS = ("dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg")
+
+
+def blas_calls(source: str) -> list[str]:
+    """`line: @` for each `@` or `@=`, and `line: .name` for each
+    attribute named in `_BLAS`, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS:
+            found.append((node.lineno, f".{node.attr}"))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_guard_flags_blas_calls():
+    source = (
+        "import numpy as np\n"
+        "def f(a, b):\n"
+        "    dot = a[0] == b[0]  # a local, not numpy's dot\n"
+        "    a @= b\n"
+        "    return a @ b, np.dot(a, b), a.dot(b), np.vdot(a, b), dot\n"
+        "def g(a, b):\n"
+        "    return np.inner(a, b), np.matmul(a, b), np.tensordot(a, b, 1)\n"
+        "h = np.einsum('i,i', x, x) + np.linalg.norm(x)\n"
+    )
+    assert blas_calls(source) == [
+        "4: @", "5: .dot", "5: .dot", "5: .vdot", "5: @", "7: .inner", "7: .matmul",
+        "7: .tensordot", "8: .einsum", "8: .linalg"]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/stitchlab/*.py")), ids=lambda p: p.name)
+def test_no_blas_calls(path):
+    # the premise of OPENBLAS_NUM_THREADS=1 in cli.main: with one thread,
+    # OpenBLAS would run any such call on one core
+    assert blas_calls(path.read_text(encoding="utf-8")) == []
 
 
 def row_buffer_leaks(sources: list[str]) -> list[str]:

@@ -4,6 +4,7 @@ import math
 import os
 import pickle
 import select
+import sys
 import time
 from fractions import Fraction
 
@@ -943,6 +944,22 @@ def test_verify_all_matches_suites_one_by_one(monkeypatch, max_m, bound):
     monkeypatch.delattr(os, "fork", raising=False)
     reports, seconds = zip(*verify_all(max_m, bound))
     assert list(reports) == expected and all(s > 0 for s in seconds)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_verify_all_forks_from_one_thread(monkeypatch):
+    # conftest.py loads numpy under OPENBLAS_NUM_THREADS=1, as a library
+    # caller should: a fork from a process with more threads may deadlock
+    # the child, and Python 3.12 and later warn of it
+    threads, fork = [], os.fork
+
+    def counted():
+        threads.append(len(os.listdir("/proc/self/task")))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    assert all(report.passed for report, _ in verify_all(3, 1))
+    assert threads == [1]
 
 
 #: The five suites that `verify_all` runs whole, and the units of one
