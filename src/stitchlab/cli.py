@@ -136,7 +136,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # imported here: the oracles load numpy, which analyze and --help never need
     from . import oracle
 
-    timed = oracle.verify_all(args.max_m, args.bound)
+    oracle.check_bounds(args.max_m, args.bound)  # bad arguments exit 2
+    try:
+        timed = oracle.verify_all(args.max_m, args.bound)
+    except Exception as exc:  # a fault in a suite, not in the arguments
+        print(f"stitchlab: verify: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     reports = [report for report, _ in timed]
     if args.json:
         payload = [

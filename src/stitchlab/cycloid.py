@@ -54,7 +54,6 @@ class EnvelopeReport(NamedTuple):
     samples: int
     max_line_distance: float
     max_parallelism_defect: float
-    skipped_degenerate: int
 
     def passed(self) -> bool:
         return (
@@ -137,9 +136,8 @@ def verify_envelope(d: PlanetDance, n: int) -> EnvelopeReport:
 
     k = np.arange(n)
     keep = (k * (alpha - beta)) % n != 0
-    skipped = int(n - keep.sum())
     if not keep.any():
-        return EnvelopeReport(0, 0.0, 0.0, skipped)
+        return EnvelopeReport(0, 0.0, 0.0)
     s = k[keep] / n
     ta = TWO_PI * alpha * s
     tb = TWO_PI * beta * s
@@ -159,5 +157,4 @@ def verify_envelope(d: PlanetDance, n: int) -> EnvelopeReport:
         samples=int(keep.sum()),
         max_line_distance=float(line_dist.max()),
         max_parallelism_defect=float(defect.max()),
-        skipped_degenerate=skipped,
     )

@@ -621,6 +621,20 @@ def _run_suites(jobs: list[tuple]) -> dict[int, tuple]:
     return ours | theirs
 
 
+def check_bounds(max_m: int, dance_bound: int) -> None:
+    """Raise `ValueError` unless :func:`verify_all` takes these bounds:
+    both at least 1, ``max_m`` at most ``_MAX_M`` and the dance bound at
+    most ``_MAX_BOUND``."""
+    if max_m < 1 or dance_bound < 1:
+        raise ValueError("bounds must be at least 1")
+    if max_m > _MAX_M:
+        raise ValueError(f"max_m must be at most {_MAX_M}, got {brief_int(max_m)}")
+    if dance_bound > _MAX_BOUND:
+        raise ValueError(
+            f"the dance bound must be at most {_MAX_BOUND}, "
+            f"got {brief_int(dance_bound)}")
+
+
 def verify_all(max_m: int, dance_bound: int) -> list[tuple[VerificationReport, float]]:
     """Run and time every suite within the given bounds: (report, seconds)
     pairs by suite name.
@@ -633,14 +647,7 @@ def verify_all(max_m: int, dance_bound: int) -> list[tuple[VerificationReport, f
     where ``os.fork`` exists.  A library caller should set ``OPENBLAS_NUM_THREADS=1``
     before it imports numpy, as the CLI does, or the fork is made from two threads.
     """
-    if max_m < 1 or dance_bound < 1:
-        raise ValueError("bounds must be at least 1")
-    if max_m > _MAX_M:
-        raise ValueError(f"max_m must be at most {_MAX_M}, got {brief_int(max_m)}")
-    if dance_bound > _MAX_BOUND:
-        raise ValueError(
-            f"the dance bound must be at most {_MAX_BOUND}, "
-            f"got {brief_int(dance_bound)}")
+    check_bounds(max_m, dance_bound)
     suites = [(_suite_intersections, dance_bound), (_suite_aliasing, dance_bound),
               (_suite_envelope, dance_bound), (_suite_families,), (_suite_cusps, dance_bound)]
     # each max_m suite's largest modulus, unit, join and what else its

@@ -15,11 +15,11 @@ Each figure has one emitter: the circle with its dots and chords
 yields element text and blocks ``(kinds, kind, values)`` of up to
 `_CHUNK_ROWS` elements whose numbers numpy computes.  The document lays
 out each block in the one row buffer (`_RowBuffer`) it makes per write,
-the numbers formatted by `_format_block` (equal to `fmt` on every value)
-between the literal pieces of their kind (`_Kind`); the text is the
-block's chunk.  Building a document checks its inputs and computes no
-coordinate: the emitters run when it is written, block by block, so
-writing it never holds all of it.
+resized in place to that block, the numbers formatted by `_format_block`
+(equal to `fmt` on every value) between the literal pieces of their kind
+(`_Kind`); the text is the block's chunk.  Building a document checks its
+inputs and computes no coordinate: the emitters run when it is written,
+block by block, so writing it never holds all of it.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class SvgDocument:
     the chunks to `writelines`, which writes each as soon as it is made;
     neither it nor the document holds an element, a block or a chunk
     while the next is made, so a drawing holds at most one block of text
-    besides the buffer.  `data` joins them.
+    besides the buffer, which holds one block's rows.  `data` joins them.
     """
 
     __slots__ = ("_width", "_height", "_body")
@@ -245,8 +245,8 @@ _LAST_POINT = _Kind(b"", (b",",), _element(
 
 class _RowBuffer:
     """The bytearray in which one write of a document lays out the element
-    rows of all its blocks.  It is made anew only for a block larger than
-    every one before, so it ends the size of the document's largest block.
+    rows of all its blocks.  Each block resizes it in place to its own
+    rows, so it holds no byte past the block it lays out.
     """
 
     __slots__ = ("_data",)
@@ -259,7 +259,7 @@ class _RowBuffer:
         """The text of a block of elements: row i is of kind ``kinds[kind[i]]``
         around as many of the numbers ``values[:, i]`` as it holds.
 
-        The rows are laid out in the buffer's first bytes: the literal
+        The rows are laid out in the buffer, resized to them: the literal
         pieces of every row by one `np.take` from a table of one row per
         kind, then the numbers that `_format_block` made for every row by
         one strided copy.  So every kind puts its numbers in the same
@@ -287,23 +287,16 @@ class _RowBuffer:
             for at, piece in pieces:
                 table[k, at:at + len(piece)] = np.frombuffer(piece, np.uint8)
         size = n * table.shape[1]
-        if size > len(self._data):
-            self._data = bytearray()  # let go of the old one before making the new
-            self._data = bytearray(size)
-        view = np.frombuffer(self._data, np.uint8, size).reshape(n, table.shape[1])
+        del self._data[size:]
+        self._data.extend(bytes(size - len(self._data)))
+        view = np.frombuffer(self._data, np.uint8).reshape(n, table.shape[1])
         np.take(table, kind, axis=0, out=view, mode="clip")  # "raise" would write via a copy
         as_strided(view[:, head:], (count, n, width), (step, view.strides[0], 1))[...] = fields
         del fields
         for k in held:
             if len(kinds[k].seps) + 1 < count:
                 view[kind == k, tails[k]:] = table[k, tails[k]:]
-        # `replace` reads the whole buffer, so the bytes past the block are
-        # made spaces: they come through as one run, cut off the text
-        tail = len(self._data) - size
-        np.frombuffer(self._data, np.uint8)[size:] = ord(" ")
-        text = self._data.replace(b"\0", b"")
-        del text[len(text) - tail:]
-        return text
+        return self._data.replace(b"\0", b"")
 
 
 def _block(kind: _Kind, values: np.ndarray) -> tuple:

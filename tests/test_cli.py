@@ -370,6 +370,28 @@ def test_verify_rejects_unbounded_work(flags, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("name, hit, error", [
+    # in a whole suite (family_predictions) and in a unit of one modulus
+    # (stitch_sampling_correspondence)
+    ("predict_family", lambda m, b, kind: b == 5, ValueError("no family at b = 5")),
+    ("sample_pairs", lambda alpha, beta, m: m == 3, ZeroDivisionError("no sampling at m = 3")),
+])
+def test_verify_reports_a_suite_fault_as_a_failure(name, hit, error, monkeypatch, capsys):
+    # a fault of the library is no bad argument: exit 1, naming the exception
+    real = getattr(oracle, name)
+
+    def faulty(*args):
+        if hit(*args):
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(oracle, name, faulty)
+    assert run(["verify", "--max-m", "5", "--bound", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"stitchlab: verify: {type(error).__name__}: {error}\n"
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_verify_json_closed_pipe_is_quiet(unbuffered):
     # the reading end is closed before the child writes, as when a reader

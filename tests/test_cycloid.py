@@ -131,8 +131,7 @@ def test_tangency_point_matches_curve():
 def test_verify_envelope_passes():
     report = verify_envelope(PlanetDance(1, 2), 720)
     assert report.passed()
-    assert report.samples == 719
-    assert report.skipped_degenerate == 1
+    assert report.samples == 720 - 1  # the chord at k = 0 is a point
 
 
 def test_verify_envelope_defect_is_rounding_error_on_the_library_curve():
@@ -151,7 +150,7 @@ def test_verify_envelope_skip_count():
     # 720 is a multiple of |alpha - beta| = 4, so exactly 4 samples fall
     # on cusps
     report = verify_envelope(PlanetDance(7, 11), 720)
-    assert report.skipped_degenerate == 4
+    assert report.samples == 720 - 4
     assert report.passed()
 
 

@@ -160,24 +160,32 @@ def test_no_test_only_names():
 
 
 def unreached_members(sources: dict[str, str], readers: list[str]) -> list[str]:
-    """`module.Class.member` for each public method or property of a
-    public top-level class of `sources` that no attribute reference in
-    `sources` or `readers` names, outside the member's own body."""
+    """`module.Class.member` for each public method, property or annotated
+    field of a public top-level class of `sources` that no attribute read
+    in `sources` or `readers` names; a method's or property's reads in its
+    own body do not count, a field's reads in its class's methods do."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
 
     def attributes(node):
-        return [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)]
+        return [n.attr for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+
+    def named(member):
+        """The member's name and its reads that do not count."""
+        if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+            return member.target.id, 0
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return member.name, attributes(member).count(member.name)
+        return "_", 0  # no member: passed over as private
 
     read = [*(a for tree in trees.values() for a in attributes(tree)),
             *(a for source in readers for a in attributes(ast.parse(source)))]
     return sorted(
-        f"{module}.{cls.name}.{member.name}"
+        f"{module}.{cls.name}.{name}"
         for module, tree in trees.items() for cls in tree.body
         if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
-        for member in cls.body
-        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not member.name.startswith("_")
-        and read.count(member.name) == attributes(member).count(member.name)
+        for name, own in map(named, cls.body)
+        if not name.startswith("_") and read.count(name) == own
     )
 
 
@@ -203,6 +211,22 @@ def test_guard_flags_unreached_members():
     assert unreached_members(sources, []) == ["a.Shape.area", "a.Shape.size"]
     # a reader's attribute reference counts
     assert unreached_members(sources, ["def f(s):\n    return s.size\n"]) == ["a.Shape.area"]
+    # a field counts as read anywhere, its class's methods too, but not when set
+    fields = {"b": (
+        "from typing import NamedTuple\n"
+        "class Report(NamedTuple):\n"
+        "    cases: int\n"
+        "    skipped: int\n"
+        "    total: int\n"
+        "    _hidden: int\n"
+        "    def ratio(self):\n"
+        "        return self.cases / self.total\n"
+        "def main(report, box):\n"
+        "    box.skipped = 1\n"
+        "    return report.ratio()\n"
+    )}
+    assert unreached_members(fields, []) == ["b.Report.skipped"]
+    assert unreached_members(fields, ["def f(r):\n    return r.skipped\n"]) == []
 
 
 def test_no_test_only_members():

@@ -161,6 +161,8 @@ _PAST_CAP = {
     "render.render_gallery_pair": ["render.render_gallery_pair(CAP, 1, render.RenderStyle())"],
     "oracle.brute_shortest_vectors": ["oracle.brute_shortest_vectors(oracle._MAX_M + 1)"],
     "oracle.reduced_dances": ["oracle.reduced_dances(oracle._MAX_BOUND + 1)"],
+    "oracle.check_bounds": ["oracle.check_bounds(oracle._MAX_M + 1, 1)",
+                            "oracle.check_bounds(1, oracle._MAX_BOUND + 1)"],
     "oracle.verify_all": ["oracle.verify_all(oracle._MAX_M + 1, 1)",
                           "oracle.verify_all(1, oracle._MAX_BOUND + 1)"],
     "cli.build_report": ["cli.build_report(CAP, 1)", "cli.build_report(5, CAP)"],

@@ -44,9 +44,8 @@ RECORDS = [
     (classify(PlanetDance(1, -2)),
      "CycloidSpec(alpha=1, beta=-2, kind='hypocycloid', "
      "fixed_radius=Fraction(3, 1), rolling_radius=Fraction(2, 1))"),
-    (EnvelopeReport(3, 0.0, 0.0, 1),
-     "EnvelopeReport(samples=3, max_line_distance=0.0, "
-     "max_parallelism_defect=0.0, skipped_degenerate=1)"),
+    (EnvelopeReport(3, 0.0, 0.0),
+     "EnvelopeReport(samples=3, max_line_distance=0.0, max_parallelism_defect=0.0)"),
     (RenderStyle(), "RenderStyle(canvas_px=800, show_points=False, extend_lines=False)"),
     (render_grid(20, 2, "floor", RenderStyle(100))[0],
      "GridCell(b=2, r=1, m=19, a=9, style=RenderStyle(canvas_px=100, "

@@ -283,11 +283,11 @@ def _block_bytes():
 
 #: The blocks of element rows that drawing a chord figure may hold on top
 #: of its chord rows, whatever its size: the document's row buffer, which
-#: every block reuses, and a block's text without NUL padding, bound while
-#: the next block is made; and one for a block's coordinates and
-#: formatting scratch.  Each of these adds about one more: a row buffer
-#: per block, text kept after it is written, a copy of the rows before
-#: their NULs are stripped.
+#: every block resizes in place to its own rows, and a block's text
+#: without NUL padding, bound while the next block is made; and one for a
+#: block's coordinates and formatting scratch.  Each of these adds about
+#: one more: a row buffer per block, text kept after it is written, a copy
+#: of the rows before their NULs are stripped.
 WORKING_SET_BLOCKS = 3
 
 
@@ -409,20 +409,20 @@ def test_blocks_format_only_the_kinds_they_hold(monkeypatch):
     assert formatted == [2] * blocks
 
 
-@pytest.mark.parametrize("doc, blocks, made", [
+@pytest.mark.parametrize("doc, blocks", [
     pytest.param(lambda: render_stitch(mmt_chords(StitchGraph(100000, 35911)), RenderStyle()),
-                 25, 1, id="stitch-100000-35911"),
+                 25, id="stitch-100000-35911"),
     pytest.param(lambda: render_dance_with_curve(PlanetDance(7, 3), 10**5, RenderStyle()),
-                 26, 1, id="dance-7-3-n100000"),
-    # a torus block one segment longer than the first, and the circle half,
-    # drawn right of x = 800 with wider coordinates, make the bytes anew
+                 26, id="dance-7-3-n100000"),
+    # torus blocks of different lengths, and the circle half drawn right of
+    # x = 800 with wider coordinates
     pytest.param(lambda: render_gallery_pair(100000, 35911, RenderStyle()),
-                 60, 3, id="gallery-100000-35911"),
+                 60, id="gallery-100000-35911"),
 ])
-def test_document_makes_its_row_buffer_once(doc, blocks, made, monkeypatch, tmp_path):
-    # every block of a document is laid out in one row buffer: render makes
-    # a bytearray for rows only when a block is larger than all before it,
-    # not one per block
+def test_document_makes_its_row_buffer_once(doc, blocks, monkeypatch, tmp_path):
+    # every block of a document is laid out in one row buffer, resized in
+    # place to each block: render makes no sized bytearray for rows, not
+    # even for a block larger than all before it
     buffers = []
     real_init = render._RowBuffer.__init__
     monkeypatch.setattr(render._RowBuffer, "__init__",
@@ -436,7 +436,20 @@ def test_document_makes_its_row_buffer_once(doc, blocks, made, monkeypatch, tmp_
                         lambda self, *block: chunks.append(len(block[1])) or real(self, *block))
     doc().save(tmp_path / "d.svg")
     assert len(buffers) == 1 and len(chunks) == blocks
-    assert len([args for args in sized if args and args[0]]) == made
+    assert [args for args in sized if args and args[0]] == []
+
+
+def test_row_buffer_holds_only_the_block_it_lays_out():
+    # a dance's curve is a short block laid out after the chords' long ones
+    edge = np.full((4, render._CHUNK_ROWS), float(RenderStyle().canvas_px))
+    lines = render._block(render._line_kind(render.CHORD_COLOR), edge)
+    _, curve = render._polyline(*_scalar_curve(PlanetDance(6, -5), RenderStyle().canvas_px))
+    fresh = render._RowBuffer()
+    alone = fresh.element_rows(*curve)
+    rows = render._RowBuffer()
+    rows.element_rows(*lines)
+    assert rows.element_rows(*curve) == alone
+    assert rows._data == fresh._data
 
 
 def test_svg_structure():
